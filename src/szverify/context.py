@@ -35,6 +35,12 @@ IOTA = (
     1, 0, 0, 0,
 )
 
+# Unordered basis pairs (i, j) with f(e_i, e_j) = 0, i.e. i + j != 3.
+PERP_BASIS_PAIRS = (
+    (0, 0), (1, 1), (2, 2), (3, 3),
+    (0, 1), (0, 2), (1, 3), (2, 3),
+)
+
 # Nonzero entries of the basis product table: (i, j) -> k means
 # e_i * e_j = e_k, with 0-based indices.  The table is symmetric.
 _BULLET_NONZERO = {

@@ -320,28 +320,38 @@ def save_group(group: GroupSet, path) -> None:
             fh.write(la.mat_to_hex(g) + "\n")
 
 
-def load_group(ctx: SuzukiContext, path, spot_checks: int = 100) -> GroupSet:
-    """Reload a cached group, re-verifying order and sampled membership.
+def load_group(ctx: SuzukiContext, path) -> GroupSet:
+    """Reload a cached group, re-verifying order and every element's membership.
 
     The ``.gens`` sidecar is required, and its generators must generate
     the cached group: orbit computations run over the generators, so a
     missing or partial generating set would give wrong orbits rather
-    than an error.
+    than an error.  Any malformed input raises SzVerifyError.
     """
     path = Path(path)
     with path.open() as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != CACHE_MAGIC:
             raise SzVerifyError(f"bad cache header in {path}")
-        q, order = int(header[1]), int(header[2])
+        try:
+            q, order = int(header[1]), int(header[2])
+        except ValueError:
+            raise SzVerifyError(f"bad cache header in {path}") from None
         if q != ctx.q:
             raise SzVerifyError(f"cache is for q={q}, context has q={ctx.q}")
+        if not 1 <= order <= ctx.group_order:
+            raise SzVerifyError(
+                f"cache order {order} outside 1..{ctx.group_order}")
         ents = np.empty((order, 16), dtype=np.uint8)
         for i in range(order):
             parts = fh.readline().split()
             if len(parts) != 16:
                 raise SzVerifyError(f"cache truncated at line {i + 2}")
-            ents[i] = [int(p, 16) for p in parts]
+            try:
+                ents[i] = [int(p, 16) for p in parts]
+            except (ValueError, OverflowError):
+                raise SzVerifyError(
+                    f"cache line {i + 2} is not 16 hex bytes") from None
         if fh.readline():
             raise SzVerifyError("cache has trailing data")
     if (ents >= ctx.q).any():
@@ -369,10 +379,8 @@ def load_group(ctx: SuzukiContext, path, spot_checks: int = 100) -> GroupSet:
     if closure(ctx, gens, order).order != order:
         raise SzVerifyError(
             "sidecar generators do not generate the cached group")
-    rng = np.random.default_rng(0)
-    for i in rng.choice(order, size=min(spot_checks, order), replace=False):
-        if not is_suzuki(ctx, group.element(int(i))):
-            raise SzVerifyError("cached element failed the membership test")
+    if not kn.suzuki_mask(ctx, group.entries).all():
+        raise SzVerifyError("cached element failed the membership test")
     return group
 
 

@@ -1,7 +1,7 @@
 """Vectorised batch operations on packed 4x4 matrices.
 
-The closure and sweep engines work on numpy arrays rather than tuples.
-Two layouts are used:
+The closure engine and the membership test work on numpy arrays rather
+than tuples.  Two layouts are used:
 
 * entries: (n, 16) uint8, row-major field elements, same order as Mat4;
 * packed rows: (n, 4) uint32, each row's four entries concatenated
@@ -24,11 +24,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .context import SuzukiContext
+from .context import PERP_BASIS_PAIRS, SuzukiContext
 from .linalg4 import Mat4
-from .wilson import PERP_BASIS_PAIRS, bullet, perp_basis, projective_reps
 
-_SWEEP_COMPACT_EVERY = 32
+# The basis pairs whose residuals decide membership (see wilson): the
+# eight perpendicular ones, then the two antidiagonal ones, which need
+# only agree with each other.
+_RESIDUAL_PAIRS = PERP_BASIS_PAIRS + ((0, 3), (1, 2))
 
 
 @lru_cache(maxsize=None)
@@ -185,77 +187,41 @@ def involution_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
     return is_sq_id & ~is_id
 
 
-@lru_cache(maxsize=None)
-def sweep_pairs(ctx: SuzukiContext):
-    """Pair data for the reduced membership sweep.
-
-    Returns (U, V, W) uint8 arrays of shape (m, 4): projective
-    representative, perpendicular-basis vector, and their product, with
-    the eight pure basis pairs placed first so they act as a prefilter.
-    """
-    us, vs, ws = [], [], []
-    from .linalg4 import basis_vec
-    for i, j in PERP_BASIS_PAIRS:
-        u, v = basis_vec(i), basis_vec(j)
-        us.append(u)
-        vs.append(v)
-        ws.append(bullet(ctx, u, v))
-    for u in projective_reps(ctx):
-        for v in perp_basis(ctx, u):
-            us.append(u)
-            vs.append(v)
-            ws.append(bullet(ctx, u, v))
-    return (np.array(us, dtype=np.uint8),
-            np.array(vs, dtype=np.uint8),
-            np.array(ws, dtype=np.uint8))
-
-
-def _apply_fixed_vec(mul, x, vec):
-    """x . vec for an (n, 4, 4) batch and one fixed 4-vector."""
-    n = x.shape[0]
-    cols = []
-    for i in range(4):
-        acc = np.zeros(n, dtype=np.uint8)
-        for j in range(4):
-            if vec[j]:
-                acc ^= mul[x[:, i, j], vec[j]]
-        cols.append(acc)
-    return cols
-
-
 def suzuki_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
-    """Membership in Sz(q) for an (n, 16) batch, by the reduced sweep.
+    """Membership in Sz(q) for an (n, 16) batch.
 
-    Equivalent to wilson.is_suzuki applied elementwise.  Survivors are
-    compacted periodically so late pairs only touch live candidates.
+    With c_i = x e_i the columns of x, the basis residuals are
+    R_ij = c_i * c_j + x(e_i * e_j).  A matrix is a member iff it is
+    symplectic, R_ij = 0 on the eight PERP_BASIS_PAIRS, and
+    R_03 = R_12; the wilson module docstring proves this.  Rows go in
+    chunks so that the temporaries stay small for a whole Sz(32).
     """
+    chunk = 1 << 16
     mul, frob, _ = field_tables(ctx)
-    n = ents.shape[0]
-    result = symplectic_mask(ctx, ents)
-    alive = np.flatnonzero(result)
-    x = ents.reshape(-1, 4, 4)[alive]
-    U, V, W = sweep_pairs(ctx)
-    pending = np.ones(len(alive), dtype=bool)
-    for p in range(U.shape[0]):
-        if not pending.any():
-            break
-        gu = frob[np.stack(_apply_fixed_vec(mul, x, U[p]), axis=1)]
-        gv = frob[np.stack(_apply_fixed_vec(mul, x, V[p]), axis=1)]
-        gw = _apply_fixed_vec(mul, x, W[p])
-        ok = (mul[gu[:, 1], gv[:, 3]] ^ mul[gu[:, 3], gv[:, 1]]) == gw[0]
-        ok &= (mul[gu[:, 0], gv[:, 1]] ^ mul[gu[:, 1], gv[:, 0]]) == gw[1]
-        ok &= (mul[gu[:, 2], gv[:, 3]] ^ mul[gu[:, 3], gv[:, 2]]) == gw[2]
-        ok &= (mul[gu[:, 0], gv[:, 2]] ^ mul[gu[:, 2], gv[:, 0]]) == gw[3]
-        pending &= ok
-        if p % _SWEEP_COMPACT_EVERY == _SWEEP_COMPACT_EVERY - 1:
-            keep = np.flatnonzero(pending)
-            if len(keep) < len(pending):
-                x = x[keep]
-                alive = alive[keep]
-                pending = np.ones(len(keep), dtype=bool)
-    result[:] = False
-    result[alive[pending]] = True
-    return result
+    basis = ctx.bullet_basis
+    # (p, r) pairs feeding coordinate k of a product: e_p * e_r has e_k
+    terms = [[(p, r) for p in range(4) for r in range(4) if basis[p][r][k]]
+             for k in range(4)]
+    left = [i for i, _ in _RESIDUAL_PAIRS]
+    right = [j for _, j in _RESIDUAL_PAIRS]
+    npp = len(PERP_BASIS_PAIRS)
+    ok = symplectic_mask(ctx, ents)
+    x = ents.reshape(-1, 4, 4)
+    for lo in range(0, x.shape[0], chunk):
+        cols = x[lo:lo + chunk].transpose(0, 2, 1)  # cols[:, i] = x e_i
+        tw = frob[cols]
+        a, b = tw[:, left], tw[:, right]
+        res = np.zeros(a.shape, dtype=np.uint8)
+        for k in range(4):
+            for p, r in terms[k]:
+                res[:, :, k] ^= mul[a[:, :, p], b[:, :, r]]
+        for n, (i, j) in enumerate(_RESIDUAL_PAIRS):
+            for k in range(4):
+                if basis[i][j][k]:
+                    res[:, n] ^= cols[:, k]
+        ok[lo:lo + chunk] &= ~res[:, :npp].any(axis=(1, 2))
+        ok[lo:lo + chunk] &= (res[:, npp] == res[:, npp + 1]).all(axis=1)
+    return ok
 
 
 def unitriangular_candidates(ctx: SuzukiContext) -> np.ndarray:

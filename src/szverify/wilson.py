@@ -9,21 +9,36 @@ where a -> a^t is the field twist.  A symplectic matrix g lies in Sz(q)
 exactly when it respects this product on perpendicular pairs:
 g(u) * g(v) == g(u * v) whenever f(u, v) = 0.
 
-Checking all perpendicular pairs costs ~q^7 products.  The reduced path
-cuts this to 3(q^3 + q^2 + q + 1) pairs: the residual at (u, v) scales
-by c^t when u is scaled by c and is additive in v, so u may range over
-projective representatives only and v over a basis of the hyperplane
-perpendicular to u.  The brute-force path stays as an oracle with no
-shared logic beyond the field tables.
+Nine vector equations decide this.  Expanding u and v in the basis, and
+using that the twist is additive and multiplicative, the residual is
+
+    g(u) * g(v) + g(u * v) = sum_{i,j} (u_i v_j)^t R_ij,
+    R_ij = g(e_i) * g(e_j) + g(e_i * e_j),
+
+an additive map of the matrix M = u v^T that is t-semilinear in scalars.
+The rank-1 matrices u v^T with f(u, v) = sum_i u_i v_{3-i} = 0 are closed
+under scalars and span the hyperplane sum_i M_{i,3-i} = 0.  The
+hyperplane holds all of them, and their span holds a basis of it: the
+12 units E_ij = e_i e_j^T with i + j != 3, and the 3 sums
+E_03 + E_{i,3-i} (i = 1, 2, 3), each (e_0 + e_i)(e_3 + e_{3-i})^T less
+two units.  So the residual vanishes on every perpendicular pair iff it
+vanishes on that basis.  As R is symmetric, that leaves R_ij = 0 on the
+eight PERP_BASIS_PAIRS and R_03 = R_12 (R_03 + R_30 = 0 holds in
+characteristic 2).  The two antidiagonal residuals need only agree;
+neither need vanish.  The four diagonal equations R_ii = 0 hold for
+every g, since u * u = 0 in characteristic 2.
+
+kernels.suzuki_mask evaluates the nine equations over a batch and
+is_suzuki runs it on one matrix.  The brute-force path stays as an
+oracle with no shared logic beyond the field tables.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .context import SuzukiContext
+from . import kernels as kn
+from .context import PERP_BASIS_PAIRS, SuzukiContext  # noqa: F401 (re-export)
 from .field import BinaryField
 from .linalg4 import (
     Mat4,
@@ -36,12 +51,6 @@ from .linalg4 import (
     mat_mul,
     mat_vec,
     vec_add,
-)
-
-# Unordered basis pairs (i, j) with f(e_i, e_j) = 0, i.e. i + j != 3.
-PERP_BASIS_PAIRS = (
-    (0, 0), (1, 1), (2, 2), (3, 3),
-    (0, 1), (0, 2), (1, 3), (2, 3),
 )
 
 
@@ -79,72 +88,9 @@ def wilson_residual(ctx: SuzukiContext, g: Mat4, u: Vec4, v: Vec4) -> Vec4:
     return vec_add(bullet(ctx, gu, gv), mat_vec(f, g, bullet(ctx, u, v)))
 
 
-@lru_cache(maxsize=None)
-def projective_reps(ctx: SuzukiContext):
-    """One representative per projective point: first nonzero coordinate 1.
-
-    Returns a list of (q^3 + q^2 + q + 1) vectors grouped by leading index.
-    """
-    reps = []
-    q = ctx.q
-    for k in range(4):
-        free = 3 - k
-        for code in range(q ** free):
-            v = [0, 0, 0, 0]
-            v[k] = 1
-            c = code
-            for pos in range(k + 1, 4):
-                v[pos] = c % q
-                c //= q
-            reps.append(tuple(v))
-    return reps
-
-
-def perp_basis(ctx: SuzukiContext, u: Vec4):
-    """A basis of the hyperplane perpendicular to u (u != 0).
-
-    With k the leading index of u, the vectors are e_j + (u_{3-j}/u_k) e_{3-k}
-    for the three j != 3-k; each pairs to zero with u and they are
-    independent because their e_j components are.
-    """
-    f = ctx.field
-    k = next((i for i in range(4) if u[i]), None)
-    if k is None:
-        raise ValueError("zero vector has no perpendicular hyperplane basis")
-    c = f.inv(u[k])
-    out = []
-    for j in range(4):
-        if j == 3 - k:
-            continue
-        v = [0, 0, 0, 0]
-        v[j] ^= 1
-        v[3 - k] ^= f.mul(c, u[3 - j])
-        out.append(tuple(v))
-    return out
-
-
 def is_suzuki(ctx: SuzukiContext, g: Mat4) -> bool:
-    """Membership in Sz(q) by the reduced sweep.
-
-    Symplectic check, then the eight perpendicular basis pairs as a cheap
-    prefilter, then all projective representatives against their
-    perpendicular bases.
-    """
-    f = ctx.field
-    if not is_symplectic(f, g):
-        return False
-    for i, j in PERP_BASIS_PAIRS:
-        if wilson_residual(ctx, g, basis_vec(i), basis_vec(j)) != ZERO_VEC:
-            return False
-    for u in projective_reps(ctx):
-        gu = mat_vec(f, g, u)
-        for v in perp_basis(ctx, u):
-            gv = mat_vec(f, g, v)
-            lhs = bullet(ctx, gu, gv)
-            rhs = mat_vec(f, g, bullet(ctx, u, v))
-            if lhs != rhs:
-                return False
-    return True
+    """Membership in Sz(q): the nine-equation batch test on one matrix."""
+    return bool(kn.suzuki_mask(ctx, kn.mats_to_entries([g]))[0])
 
 
 _BRUTEFORCE_CACHE: dict = {}
@@ -183,9 +129,9 @@ def _bruteforce_tables(ctx: SuzukiContext):
 def is_suzuki_bruteforce(ctx: SuzukiContext, g: Mat4) -> bool:
     """Oracle: check the product condition on every perpendicular pair.
 
-    No projective reduction and no prefilter; ~q^7 pairs, so this is only
+    No basis reduction and no prefilter; ~q^7 pairs, so this is only
     viable at q = 8.  Vectorised with numpy but structurally independent
-    of the reduced sweep.
+    of the nine-equation test.
     """
     if ctx.q > 8:
         raise ValueError("brute-force membership is ~q^7 pairs; q = 8 only")

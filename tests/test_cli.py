@@ -120,6 +120,18 @@ def test_corrupt_cache_exit_5(capsys, tmp_path):
     assert "verification error" in err
 
 
+def test_non_hex_cache_exit_5(capsys, tmp_path):
+    # a well-formed header over a line of non-hex tokens is an input
+    # fault (exit 5), not a traceback (exit 1)
+    bad = tmp_path / "cachedir"
+    bad.mkdir()
+    (bad / "sz8.grp").write_text("SZQ 8 1\n" + " ".join(["z"] * 16) + "\n")
+    rc, _, err = run(capsys, "involutions", "--q", "8",
+                     "--cache-dir", str(bad))
+    assert rc == cli.EXIT_INTERNAL
+    assert "not 16 hex bytes" in err
+
+
 def test_verify_all_missing_sidecar_exit_5(capsys, cache_dir, group8,
                                           tmp_path):
     # a cache without its generator sidecar is an input fault (exit 5);

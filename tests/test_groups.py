@@ -126,7 +126,7 @@ def test_save_load_round_trip(ctx8, tmp_path):
     d = gr.closure(ctx8, dihedral_gens(ctx8), ceiling=100)
     path = tmp_path / "d14.grp"
     gr.save_group(d, path)
-    back = gr.load_group(ctx8, path, spot_checks=10)
+    back = gr.load_group(ctx8, path)
     assert np.array_equal(back.entries, d.entries)
     assert len(back.generators) == len(d.generators)
 
@@ -159,6 +159,27 @@ def test_load_rejects_corruption(ctx8, tmp_path):
     dup = corrupt("dup.grp", lines)
     with pytest.raises(SzVerifyError, match="duplicate"):
         gr.load_group(ctx8, dup)
+
+    # malformed tokens are input faults, never a bare ValueError
+    lines = list(text)
+    lines[2] = " ".join(["z"] * 16)
+    not_hex = corrupt("nothex.grp", lines)
+    with pytest.raises(SzVerifyError, match="not 16 hex bytes"):
+        gr.load_group(ctx8, not_hex)
+
+    lines = list(text)
+    lines[2] = " ".join(["100"] * 16)  # past a byte, not only past q
+    too_big = corrupt("toobig.grp", lines)
+    with pytest.raises(SzVerifyError, match="not 16 hex bytes"):
+        gr.load_group(ctx8, too_big)
+
+    bad_q = corrupt("badq.grp", ["SZQ eight 1"] + text[1:2])
+    with pytest.raises(SzVerifyError, match="bad cache header"):
+        gr.load_group(ctx8, bad_q)
+
+    huge = corrupt("huge.grp", ["SZQ 8 999999999"] + text[1:])
+    with pytest.raises(SzVerifyError, match="cache order"):
+        gr.load_group(ctx8, huge)
 
 
 def test_load_rejects_bad_sidecar(ctx8, tmp_path):

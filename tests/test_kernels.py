@@ -128,20 +128,6 @@ def test_suzuki_mask_matches_scalar_predicate(ctx8):
         assert bool(mask[i]) == wl.is_suzuki(ctx8, m)
 
 
-def test_sweep_pairs_layout(ctx8):
-    us, vs, ws = kn.sweep_pairs(ctx8)
-    n_reps = (8 ** 4 - 1) // 7
-    # 8 basis prefilter pairs, then 3 perp-basis vectors per rep
-    assert len(us) == 8 + 3 * n_reps
-    assert len(vs) == len(us) == len(ws)
-    f = ctx8.field
-    for k in range(0, len(us), 97):
-        u = tuple(int(x) for x in us[k])
-        v = tuple(int(x) for x in vs[k])
-        assert la.form_f(f, u, v) == 0
-        assert wl.bullet(ctx8, u, v) == tuple(int(x) for x in ws[k])
-
-
 def test_sylow_candidates_filter(ctx8):
     """The flag-adapted family contains exactly q^2 = 64 group elements,
     all of them symplectic by construction."""

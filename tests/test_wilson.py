@@ -111,12 +111,8 @@ def test_accepts_identity_iota_torus(ctx8):
 
 
 def test_accepts_all_group_elements(ctx8, group8):
-    """Full sweep: the membership predicate accepts every closure element.
-
-    The sweep runs vectorised (same residual condition, same projective
-    reduction); the scalar predicate is then checked to agree on 200
-    elements so the vectorised result transfers to it.
-    """
+    """The membership test accepts every closure element, as a batch and
+    on 200 single elements."""
     mask = kn.suzuki_mask(ctx8, group8.entries)
     assert len(mask) == group8.order
     assert bool(mask.all())
@@ -154,12 +150,6 @@ def test_oracle_rejects_e1_transvection(ctx8):
 def test_oracle_refuses_large_q(ctx32):
     with pytest.raises(ValueError):
         wl.is_suzuki_bruteforce(ctx32, la.identity())
-
-
-def test_projective_reps_count(ctx8):
-    reps = wl.projective_reps(ctx8)
-    # (q^4 - 1) / (q - 1) projective points
-    assert len(reps) == (8 ** 4 - 1) // 7
 
 
 def test_random_symplectic_is_symplectic(ctx8):
