@@ -9,7 +9,7 @@ from .context import SuzukiContext, make_context
 from .errors import (BudgetExceededError, DepthLimitError,
                      SingularMatrixError, SzVerifyError, VerificationError)
 from .field import BinaryField, TwistedField
-from .groups import GroupSet, build_suzuki, closure, get_group
+from .groups import GroupSet, build_suzuki, closure
 from .wilson import bullet, is_suzuki
 
 __version__ = "0.1.0"
@@ -17,6 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryField", "BudgetExceededError", "DepthLimitError", "GroupSet",
     "SingularMatrixError", "SuzukiContext", "SzVerifyError", "TwistedField",
-    "VerificationError", "build_suzuki", "bullet", "closure", "get_group",
+    "VerificationError", "build_suzuki", "bullet", "closure",
     "is_suzuki", "make_context", "__version__",
 ]

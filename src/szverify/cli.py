@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -148,8 +147,7 @@ def _stage_group(ctx: SuzukiContext, args) -> Tuple[StageResult,
 
     def run():
         expected = ctx.group_order
-        group = gr.get_group(ctx, cache_dir=args.cache_dir, jobs=args.jobs,
-                             ceiling=args.budget)
+        group = gr.build_suzuki(ctx, ceiling=args.budget)
         holder["group"] = group
         filt = int(kn.suzuki_mask(ctx, kn.sylow_candidates(ctx)).sum())
         verified = int(kn.suzuki_mask(ctx, group.entries).sum())
@@ -206,12 +204,12 @@ def _stage_involutions(ctx: SuzukiContext, group: gr.GroupSet) -> StageResult:
     return _timed(run, "involutions")
 
 
-def _stage_rank4(ctx: SuzukiContext, group: gr.GroupSet,
-                 jobs: int) -> Tuple[StageResult, Optional[tr.TripleReport]]:
+def _stage_rank4(ctx: SuzukiContext, group: gr.GroupSet
+                 ) -> Tuple[StageResult, Optional[tr.TripleReport]]:
     holder = {}
 
     def run():
-        report = tr.search_rank4(ctx, group, jobs=jobs)
+        report = tr.search_rank4(ctx, group)
         holder["report"] = report
         inv_ok = tr.torus_inversion_check(ctx)
         comm_ok = tr.torus_commutation_check(ctx)
@@ -255,10 +253,8 @@ def cmd_field_selftest(args) -> int:
 
 def cmd_build_group(args) -> int:
     ctx = _ctx_for(args)
-    res, group = _stage_group(ctx, args)
+    res, _ = _stage_group(ctx, args)
     _print_stage(res)
-    if group is not None and args.cache_dir:
-        print(f"cache: {os.path.join(args.cache_dir, f'sz{ctx.q}.grp')}")
     _write_report(args.report, {"schema": "szverify-run v1", "q": args.q,
                                 "stages": [res.to_json_dict()],
                                 "overall": res.passed})
@@ -277,8 +273,7 @@ def cmd_enumerate_x(args) -> int:
             print("  " + la.mat_to_hex(x))
         payload["closed_form"] = [la.mat_to_hex(x) for x in closed]
     if args.mode in ("scan", "both"):
-        group = gr.get_group(ctx, cache_dir=args.cache_dir, jobs=args.jobs,
-                             ceiling=args.budget)
+        group = gr.build_suzuki(ctx, ceiling=args.budget)
         scan = fs.brute_force_X(ctx, group)
         payload["scan_size"] = len(scan)
         payload["scan_sample"] = [la.mat_to_hex(x) for x in scan[:16]]
@@ -295,8 +290,7 @@ def cmd_enumerate_x(args) -> int:
 
 def cmd_check_equations(args) -> int:
     ctx = _ctx_for(args)
-    group = gr.get_group(ctx, cache_dir=args.cache_dir, jobs=args.jobs,
-                         ceiling=args.budget)
+    group = gr.build_suzuki(ctx, ceiling=args.budget)
     census = fs.equation_census(ctx, group)
     print(f"scan members: {census.total}")
     print(f"{'label':<6} {'satisfied':>9}  origin")
@@ -339,9 +333,8 @@ def cmd_involutions(args) -> int:
 
 def cmd_search_rank4(args) -> int:
     ctx = _ctx_for(args)
-    group = gr.get_group(ctx, cache_dir=args.cache_dir, jobs=args.jobs,
-                         ceiling=args.budget)
-    res, report = _stage_rank4(ctx, group, args.jobs)
+    group = gr.build_suzuki(ctx, ceiling=args.budget)
+    res, report = _stage_rank4(ctx, group)
     print(f"candidates: {report.candidates}, successes: "
           f"{len(report.successes)}")
     _print_stage(res)
@@ -375,7 +368,7 @@ def cmd_verify_all(args) -> int:
         elif name == "involutions":
             res = _stage_involutions(ctx, group)
         else:
-            res, rank4_report = _stage_rank4(ctx, group, args.jobs)
+            res, rank4_report = _stage_rank4(ctx, group)
         stages.append(res)
         _print_stage(res)
         if name == "group" and group is None:
@@ -391,12 +384,17 @@ def cmd_verify_all(args) -> int:
     return EXIT_PASS if overall else EXIT_THEOREM
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, mode: bool = False) -> None:
     p.add_argument("--q", type=int, choices=(8, 32), default=8)
-    p.add_argument("--cache-dir", default=os.environ.get("SUZUKI_CACHE_DIR"))
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report", default=None)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_positive_int, default=None,
                    help="closure size ceiling override")
     if mode:
         p.add_argument("--mode", choices=("closed-form", "scan", "both"),

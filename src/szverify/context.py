@@ -26,8 +26,6 @@ MODULI = {
     13: 0b10000000011011, # x^13 + x^4 + x^3 + x + 1
 }
 
-MAX_ENUMERATION_E = 3
-
 IOTA = (
     0, 0, 0, 1,
     0, 0, 1, 0,

@@ -1,15 +1,12 @@
 """Exhaustive group machinery over 4x4 matrices.
 
 Breadth-first closure with canonical dedup, the Sz(q) construction,
-conjugation orbits with transversals, element orders, derived series,
-and a plain-text group cache.
+conjugation orbits with transversals, element orders and derived series.
 """
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,8 +18,6 @@ from .errors import (BudgetExceededError, DepthLimitError, SzVerifyError,
                      VerificationError)
 from .linalg4 import Mat4
 from .wilson import is_suzuki
-
-CACHE_MAGIC = "SZQ"
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,48 +84,35 @@ def _dedup_generators(ctx: SuzukiContext, generators: Sequence[Mat4]) -> List[Ma
     return out
 
 
-def closure(ctx: SuzukiContext, generators: Sequence[Mat4], ceiling: int,
-            jobs: int = 1) -> GroupSet:
+def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
+            ceiling: int) -> GroupSet:
     """Breadth-first product closure of the generators.
 
-    Deterministic: the result depends only on the generator set, never
-    on ``jobs`` or scheduling.  Raises BudgetExceededError as soon as
-    the element count would pass ``ceiling``.
+    Deterministic: the result depends only on the generator set.  Raises
+    BudgetExceededError as soon as the element count would pass
+    ``ceiling``.
     """
     if ceiling < 1:
         raise ValueError("ceiling must be >= 1")
     gens = _dedup_generators(ctx, generators)
-    jobs = max(1, int(jobs))
     tables = [kn.row_action_table(ctx, g) for g in gens]
 
     ident_rows = kn.pack_rows(ctx, kn.mats_to_entries([la.identity()]))
     seen_kv = np.sort(kn.void_keys(*kn.keys_from_rows(ctx, ident_rows)))
     frontier = ident_rows
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 and tables else None
-    try:
-        while frontier.shape[0] and tables:
-            chunks = np.array_split(frontier, jobs) if jobs > 1 else [frontier]
-            chunks = [c for c in chunks if c.shape[0]]
-            if pool is not None:
-                parts = list(pool.map(
-                    lambda c: [t[c] for t in tables], chunks))
-            else:
-                parts = [[t[c] for t in tables] for c in chunks]
-            cand = np.concatenate([p for part in parts for p in part], axis=0)
-            ckv = np.unique(kn.void_keys(*kn.keys_from_rows(ctx, cand)))
-            pos = np.searchsorted(seen_kv, ckv)
-            pos_c = np.minimum(pos, len(seen_kv) - 1)
-            fresh = seen_kv[pos_c] != ckv
-            new_kv = ckv[fresh]
-            if len(seen_kv) + len(new_kv) > ceiling:
-                raise BudgetExceededError(len(seen_kv) + len(new_kv), ceiling)
-            if not len(new_kv):
-                break
-            seen_kv = np.unique(np.concatenate([seen_kv, new_kv]))
-            frontier = kn.rows_from_keys(ctx, *kn.keys_from_void(new_kv))
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    while frontier.shape[0] and tables:
+        cand = np.concatenate([t[frontier] for t in tables], axis=0)
+        ckv = np.unique(kn.void_keys(*kn.keys_from_rows(ctx, cand)))
+        pos = np.searchsorted(seen_kv, ckv)
+        pos_c = np.minimum(pos, len(seen_kv) - 1)
+        fresh = seen_kv[pos_c] != ckv
+        new_kv = ckv[fresh]
+        if len(seen_kv) + len(new_kv) > ceiling:
+            raise BudgetExceededError(len(seen_kv) + len(new_kv), ceiling)
+        if not len(new_kv):
+            break
+        seen_kv = np.unique(np.concatenate([seen_kv, new_kv]))
+        frontier = kn.rows_from_keys(ctx, *kn.keys_from_void(new_kv))
 
     rows = kn.rows_from_keys(ctx, *kn.keys_from_void(seen_kv))
     ents = kn.unpack_rows(ctx, rows)[kn.canonical_order(rows)]
@@ -138,8 +120,8 @@ def closure(ctx: SuzukiContext, generators: Sequence[Mat4], ceiling: int,
                     generators=tuple(gens) or (la.identity(),), _kv=seen_kv)
 
 
-def build_suzuki(ctx: SuzukiContext, ceiling: Optional[int] = None,
-                 jobs: int = 1) -> GroupSet:
+def build_suzuki(ctx: SuzukiContext,
+                 ceiling: Optional[int] = None) -> GroupSet:
     """Enumerate all of Sz(q) for q in {8, 32}.
 
     Filters the q^4 flag-unitriangular symplectic candidates down to the
@@ -172,7 +154,7 @@ def build_suzuki(ctx: SuzukiContext, ceiling: Optional[int] = None,
     take = 2
     while True:
         seeds = nontrivial[:take] + [iota]
-        group = closure(ctx, seeds, ceiling, jobs=jobs)
+        group = closure(ctx, seeds, ceiling)
         if group.order == expected:
             break
         if take >= len(nontrivial):
@@ -180,9 +162,6 @@ def build_suzuki(ctx: SuzukiContext, ceiling: Optional[int] = None,
                 f"closure stalled at order {group.order}, expected {expected}")
         take += 1
 
-    missing = int((~kn.suzuki_mask(ctx, kn.mats_to_entries(sylow))).sum())
-    if missing:
-        raise VerificationError("a filtered Sylow element failed membership")
     for s in sylow:
         if s not in group:
             raise VerificationError("Sylow element missing from the closure")
@@ -236,8 +215,7 @@ def _commutator(f, a: Mat4, b: Mat4) -> Mat4:
     return la.mat_mul(f, la.invert(f, ba), ab)
 
 
-def derived_subgroup(ctx: SuzukiContext, group: GroupSet,
-                     jobs: int = 1) -> GroupSet:
+def derived_subgroup(ctx: SuzukiContext, group: GroupSet) -> GroupSet:
     """Normal closure of the commutators of the group's generators.
 
     Subgroup closure of generator commutators need not be normal, so
@@ -252,7 +230,7 @@ def derived_subgroup(ctx: SuzukiContext, group: GroupSet,
         if c != la.identity()])
     if not comms:
         return closure(ctx, [], 1)
-    sub = closure(ctx, comms, group.order, jobs=jobs)
+    sub = closure(ctx, comms, group.order)
     while True:
         extra = []
         for g in gens:
@@ -263,12 +241,11 @@ def derived_subgroup(ctx: SuzukiContext, group: GroupSet,
                     extra.append(c)
         if not extra:
             return sub
-        sub = closure(ctx, list(sub.generators) + extra, group.order,
-                      jobs=jobs)
+        sub = closure(ctx, list(sub.generators) + extra, group.order)
 
 
-def derived_series(ctx: SuzukiContext, group: GroupSet, depth_limit: int = 8,
-                   jobs: int = 1) -> List[GroupSet]:
+def derived_series(ctx: SuzukiContext, group: GroupSet,
+                   depth_limit: int = 8) -> List[GroupSet]:
     """The derived series until trivial or stabilised.
 
     Raises DepthLimitError if neither happens within ``depth_limit``
@@ -278,7 +255,7 @@ def derived_series(ctx: SuzukiContext, group: GroupSet, depth_limit: int = 8,
     if group.order == 1:
         return series
     for _ in range(depth_limit):
-        nxt = derived_subgroup(ctx, series[-1], jobs=jobs)
+        nxt = derived_subgroup(ctx, series[-1])
         series.append(nxt)
         if nxt.order == 1 or nxt.order == series[-2].order:
             return series
@@ -288,13 +265,9 @@ def derived_series(ctx: SuzukiContext, group: GroupSet, depth_limit: int = 8,
 
 
 def derived_series_solvable(ctx: SuzukiContext, group: GroupSet,
-                            depth_limit: int = 8, jobs: int = 1) -> bool:
+                            depth_limit: int = 8) -> bool:
     """True iff the derived series reaches the trivial group."""
-    return derived_series(ctx, group, depth_limit, jobs=jobs)[-1].order == 1
-
-
-def _gens_path(path: Path) -> Path:
-    return path.with_suffix(path.suffix + ".gens")
+    return derived_series(ctx, group, depth_limit)[-1].order == 1
 
 
 def involutions(group: GroupSet) -> List[Mat4]:
@@ -302,97 +275,3 @@ def involutions(group: GroupSet) -> List[Mat4]:
     mask = kn.involution_mask(group.ctx, group.entries)
     return [kn.entries_to_mat(row) for row in group.entries[mask]]
 
-
-def save_group(group: GroupSet, path) -> None:
-    """Write ``SZQ <q> <order>`` then one hex matrix per line.
-
-    A sidecar ``<path>.gens`` keeps the generating set so a reloaded
-    group supports orbit computations.
-    """
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write(f"{CACHE_MAGIC} {group.ctx.q} {group.order}\n")
-        for row in group.entries:
-            fh.write(" ".join(format(int(v), "x") for v in row) + "\n")
-    with _gens_path(path).open("w") as fh:
-        fh.write(f"{CACHE_MAGIC}-GENS {group.ctx.q} {len(group.generators)}\n")
-        for g in group.generators:
-            fh.write(la.mat_to_hex(g) + "\n")
-
-
-def load_group(ctx: SuzukiContext, path) -> GroupSet:
-    """Reload a cached group, re-verifying order and every element's membership.
-
-    The ``.gens`` sidecar is required, and its generators must generate
-    the cached group: orbit computations run over the generators, so a
-    missing or partial generating set would give wrong orbits rather
-    than an error.  Any malformed input raises SzVerifyError.
-    """
-    path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != CACHE_MAGIC:
-            raise SzVerifyError(f"bad cache header in {path}")
-        try:
-            q, order = int(header[1]), int(header[2])
-        except ValueError:
-            raise SzVerifyError(f"bad cache header in {path}") from None
-        if q != ctx.q:
-            raise SzVerifyError(f"cache is for q={q}, context has q={ctx.q}")
-        if not 1 <= order <= ctx.group_order:
-            raise SzVerifyError(
-                f"cache order {order} outside 1..{ctx.group_order}")
-        ents = np.empty((order, 16), dtype=np.uint8)
-        for i in range(order):
-            parts = fh.readline().split()
-            if len(parts) != 16:
-                raise SzVerifyError(f"cache truncated at line {i + 2}")
-            try:
-                ents[i] = [int(p, 16) for p in parts]
-            except (ValueError, OverflowError):
-                raise SzVerifyError(
-                    f"cache line {i + 2} is not 16 hex bytes") from None
-        if fh.readline():
-            raise SzVerifyError("cache has trailing data")
-    if (ents >= ctx.q).any():
-        raise SzVerifyError("cache entry out of field range")
-    rows = kn.pack_rows(ctx, ents)
-    ents = ents[kn.canonical_order(rows)]
-    gpath = _gens_path(path)
-    if not gpath.is_file():
-        raise SzVerifyError(f"generator sidecar {gpath} is missing")
-    with gpath.open() as fh:
-        ghead = fh.readline().split()
-        if len(ghead) != 3 or ghead[0] != f"{CACHE_MAGIC}-GENS":
-            raise SzVerifyError(f"bad generator sidecar header in {gpath}")
-        try:
-            gens = tuple(la.mat_from_hex(fh.readline())
-                         for _ in range(int(ghead[2])))
-        except ValueError as ex:
-            raise SzVerifyError(f"bad generator sidecar {gpath}: {ex}")
-    group = GroupSet(ctx=ctx, entries=ents, generators=gens)
-    if group.order != order:
-        raise SzVerifyError("cache contains duplicate elements")
-    for g in gens:
-        if g not in group:
-            raise SzVerifyError("sidecar generator not in the cached group")
-    if closure(ctx, gens, order).order != order:
-        raise SzVerifyError(
-            "sidecar generators do not generate the cached group")
-    if not kn.suzuki_mask(ctx, group.entries).all():
-        raise SzVerifyError("cached element failed the membership test")
-    return group
-
-
-def get_group(ctx: SuzukiContext, cache_dir=None, jobs: int = 1,
-              ceiling: Optional[int] = None) -> GroupSet:
-    """Cached build: load from ``cache_dir`` if present, else build and save."""
-    if cache_dir is None:
-        return build_suzuki(ctx, ceiling=ceiling, jobs=jobs)
-    cache = Path(cache_dir) / f"sz{ctx.q}.grp"
-    if cache.is_file():
-        return load_group(ctx, cache)
-    group = build_suzuki(ctx, ceiling=ceiling, jobs=jobs)
-    cache.parent.mkdir(parents=True, exist_ok=True)
-    save_group(group, cache)
-    return group

@@ -135,21 +135,6 @@ def batch_matmul(ctx: SuzukiContext, a: np.ndarray, b: np.ndarray,
     return out.reshape(-1, 16)
 
 
-def batch_left_mul(ctx: SuzukiContext, h: Mat4, ents: np.ndarray,
-                   chunk: int = 1 << 16) -> np.ndarray:
-    """h . x for a fixed h over an (n, 16) batch."""
-    mul, _, _ = field_tables(ctx)
-    h4 = np.array(h, dtype=np.uint8).reshape(4, 4)
-    e4 = ents.reshape(-1, 4, 4)
-    n = e4.shape[0]
-    out = np.empty((n, 4, 4), dtype=np.uint8)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        prod = mul[h4[None, :, :, None], e4[lo:hi, None, :, :]]
-        out[lo:hi] = np.bitwise_xor.reduce(prod, axis=2)
-    return out.reshape(-1, 16)
-
-
 def symplectic_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
     """Which matrices satisfy x^T iota x == iota."""
     mul, _, _ = field_tables(ctx)

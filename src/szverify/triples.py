@@ -243,7 +243,7 @@ def _iota_pair_rejections(ctx: SuzukiContext) -> int:
 
 
 def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
-                         count: int = 3, jobs: int = 1) -> List[Witness]:
+                         count: int = 3) -> List[Witness]:
     """Generating triples meeting every involution condition.
 
     Deterministic: sigma1 = iota*w1 with w1 the canonically first
@@ -271,7 +271,7 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
             raise VerificationError("witness construction lost the product")
         if not all(involution_conditions(ctx, triple)):
             raise VerificationError("witness construction lost a condition")
-        sub = gr.closure(ctx, triple.mats(), group.order, jobs=jobs)
+        sub = gr.closure(ctx, triple.mats(), group.order)
         if sub.order != group.order:
             continue
         if not fixed_set_membership_lemma(ctx, triple):
@@ -298,7 +298,7 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
     return out
 
 
-def search_rank4(ctx: SuzukiContext, group: gr.GroupSet, jobs: int = 1,
+def search_rank4(ctx: SuzukiContext, group: gr.GroupSet,
                  witness_count: Optional[int] = None) -> TripleReport:
     """The restricted search plus its completeness audit.
 
@@ -323,7 +323,7 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet, jobs: int = 1,
                 raise VerificationError(
                     "constructed candidate failed an involution condition")
             lemma_held &= fixed_set_membership_lemma(ctx, triple)
-            sub = gr.closure(ctx, triple.mats(), group.order, jobs=jobs)
+            sub = gr.closure(ctx, triple.mats(), group.order)
             orders = tuple(gr.element_order(ctx, s) for s in triple.mats())
             details.append(PairDetail(
                 a=s1_inv, b=s3_inv, triple=triple, subgroup_order=sub.order,
@@ -334,8 +334,7 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet, jobs: int = 1,
 
     if witness_count is None:
         witness_count = 3 if ctx.q == 8 else 1
-    witnesses = find_rank4_witnesses(ctx, group, count=witness_count,
-                                     jobs=jobs)
+    witnesses = find_rank4_witnesses(ctx, group, count=witness_count)
     reduction = ReductionStatus(
         closed_form_size=len(result.closed_form),
         scan_size=len(result.brute_force),

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from szverify import groups as gr
@@ -24,16 +22,8 @@ def ctx32():
 
 
 @pytest.fixture(scope="session")
-def cache_dir(tmp_path_factory):
-    env = os.environ.get("SUZUKI_CACHE_DIR")
-    if env:
-        return env
-    return str(tmp_path_factory.mktemp("szcache"))
-
-
-@pytest.fixture(scope="session")
-def group8(ctx8, cache_dir):
-    return gr.get_group(ctx8, cache_dir=cache_dir, jobs=2)
+def group8(ctx8):
+    return gr.build_suzuki(ctx8)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -37,13 +37,13 @@ SZ8_ORDER = 29120
 
 def test_criterion_1_group_construction(ctx8):
     t0 = time.monotonic()
-    group = gr.build_suzuki(ctx8, jobs=1)
+    group = gr.build_suzuki(ctx8)
     elapsed = time.monotonic() - t0
     filt = int(kn.suzuki_mask(ctx8, kn.sylow_candidates(ctx8)).sum())
     ok = group.order == SZ8_ORDER and filt == 64 and elapsed < 30.0
     record_criterion(1, ok,
                      f"order {group.order}, sylow filter {filt}, "
-                     f"{elapsed:.1f}s single worker")
+                     f"{elapsed:.1f}s")
     assert group.order == SZ8_ORDER == 8 ** 2 * (8 ** 2 + 1) * 7
     assert filt == 64
     assert elapsed < 30.0
@@ -145,7 +145,7 @@ def test_criterion_4_involution_class(ctx8, group8):
     assert single
 
 
-def test_criterion_5_rank4_search(ctx8, group8, cache_dir, tmp_path):
+def test_criterion_5_rank4_search(ctx8, group8, tmp_path):
     """The certification that no rank-4 generating triple exists.
 
     The certification is refuted; this criterion asserts the
@@ -167,8 +167,7 @@ def test_criterion_5_rank4_search(ctx8, group8, cache_dir, tmp_path):
     t0 = time.monotonic()
     report = tr.search_rank4(ctx8, group8)
     rpt = tmp_path / "verify_all.json"
-    rc = cli.main(["verify-all", "--q", "8", "--cache-dir", cache_dir,
-                   "--report", str(rpt)])
+    rc = cli.main(["verify-all", "--q", "8", "--report", str(rpt)])
     elapsed = time.monotonic() - t0
     stages = (json.loads(rpt.read_text())["stages"] if rpt.is_file()
               else [])
@@ -263,8 +262,7 @@ def test_criterion_8_stretch_q32(ctx32):
         pytest.skip("q=32 stretch run is opt-in (SZVERIFY_STRETCH=1)")
 
     t0 = time.monotonic()
-    group = gr.build_suzuki(ctx32, jobs=int(os.environ.get("SZVERIFY_JOBS",
-                                                           "2")))
+    group = gr.build_suzuki(ctx32)
     order_ok = group.order == 32_537_600
     res = fs.fixed_set_result(ctx32, group)
     n_scan = len(res.brute_force)
@@ -325,16 +323,10 @@ def test_criterion_9_property_suites(ctx8):
             lhs = _bullet_np(mul, frob, mul[np.uint8(c), ublock], vblock)
             semi_ok &= bool(np.array_equal(lhs, mul[frob[c], uv]))
 
-    g1 = gr.build_suzuki(ctx8, jobs=1)
-    g8 = gr.build_suzuki(ctx8, jobs=8)
-    det_ok = np.array_equal(g1.entries, g8.entries)
-
-    ok = field_ok and sym_ok and semi_ok and det_ok
+    ok = field_ok and sym_ok and semi_ok
     record_criterion(9, ok,
                      "field axioms, twist, bullet symmetry and "
-                     "semilinearity all exhaustive; closure determinism "
-                     "jobs 1 vs 8")
+                     "semilinearity all exhaustive")
     assert field_ok
     assert sym_ok, "bullet symmetry failed somewhere in 16M pairs"
     assert semi_ok, "semilinearity failed somewhere in 134M triples"
-    assert det_ok

@@ -1,6 +1,4 @@
 import json
-import os
-import shutil
 
 import pytest
 
@@ -28,9 +26,17 @@ def test_field_selftest_passes(capsys):
     assert "[field" in out and "PASS" in out
 
 
-def test_usage_error_exit_2(capsys):
+@pytest.mark.parametrize("argv", [
+    ["no-such-command"],
+    ["build-group", "--budget", "0"],
+    ["verify-all", "--budget", "-5"],
+    ["verify-all", "--cache-dir", "d"],
+    ["verify-all", "--jobs", "2"],
+], ids=["unknown-command", "budget-zero", "budget-negative",
+        "no-cache-dir-option", "no-jobs-option"])
+def test_usage_error_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as ex:
-        cli.main(["no-such-command"])
+        cli.main(argv)
     assert ex.value.code == 2
 
 
@@ -40,7 +46,7 @@ def test_missing_subcommand_exit_2(capsys):
     assert ex.value.code == 2
 
 
-def test_enumerate_x_closed_form(capsys, cache_dir):
+def test_enumerate_x_closed_form(capsys):
     rc, out, _ = run(capsys, "enumerate-x", "--q", "8",
                      "--mode", "closed-form")
     assert rc == 0
@@ -48,18 +54,16 @@ def test_enumerate_x_closed_form(capsys, cache_dir):
     assert len([l for l in out.splitlines() if l.startswith("  ")]) == 8
 
 
-def test_enumerate_x_scan(capsys, cache_dir, group8):
-    rc, out, _ = run(capsys, "enumerate-x", "--q", "8", "--mode", "scan",
-                     "--cache-dir", cache_dir)
+def test_enumerate_x_scan(capsys):
+    rc, out, _ = run(capsys, "enumerate-x", "--q", "8", "--mode", "scan")
     assert rc == 0
     assert "scan: 456 matrices" in out
 
 
-def test_enumerate_x_both_detects_mismatch(capsys, cache_dir, group8,
-                                           tmp_path):
+def test_enumerate_x_both_detects_mismatch(capsys, tmp_path):
     rpt = tmp_path / "x.json"
     rc, out, _ = run(capsys, "enumerate-x", "--q", "8", "--mode", "both",
-                     "--cache-dir", cache_dir, "--report", str(rpt))
+                     "--report", str(rpt))
     assert rc == 3
     assert "closed form == brute force: false" in out
     payload = json.loads(rpt.read_text())
@@ -69,10 +73,10 @@ def test_enumerate_x_both_detects_mismatch(capsys, cache_dir, group8,
     assert list(payload)[0] == "schema"
 
 
-def test_check_equations(capsys, cache_dir, group8, tmp_path):
+def test_check_equations(capsys, tmp_path):
     rpt = tmp_path / "eq.json"
     rc, out, _ = run(capsys, "check-equations", "--q", "8",
-                     "--cache-dir", cache_dir, "--report", str(rpt))
+                     "--report", str(rpt))
     assert rc == 0
     assert "scan members: 456" in out
     assert "S11" in out and "[not perpendicular]" in out
@@ -83,17 +87,16 @@ def test_check_equations(capsys, cache_dir, group8, tmp_path):
     assert payload["solutions_match_closed_form"] is True
 
 
-def test_involutions_command(capsys, cache_dir, group8):
-    rc, out, _ = run(capsys, "involutions", "--q", "8",
-                     "--cache-dir", cache_dir)
+def test_involutions_command(capsys):
+    rc, out, _ = run(capsys, "involutions", "--q", "8",)
     assert rc == 0
     assert "455" in out
 
 
-def test_search_rank4_exit_3(capsys, cache_dir, group8, tmp_path):
+def test_search_rank4_exit_3(capsys, tmp_path):
     rpt = tmp_path / "r4.json"
     rc, out, _ = run(capsys, "search-rank4", "--q", "8",
-                     "--cache-dir", cache_dir, "--report", str(rpt))
+                     "--report", str(rpt))
     assert rc == 3
     assert "candidates: 49, successes: 0" in out
     assert "restriction incomplete: 3 generating triple(s)" in out
@@ -102,54 +105,17 @@ def test_search_rank4_exit_3(capsys, cache_dir, group8, tmp_path):
     assert payload["certifies_nonexistence"] is False
 
 
-def test_budget_exit_4(capsys, tmp_path):
+def test_budget_exit_4(capsys):
     rc, _, err = run(capsys, "build-group", "--q", "8",
-                     "--cache-dir", str(tmp_path / "fresh"),
                      "--budget", "200")
     assert rc == 4
     assert "budget exhausted" in err
 
 
-def test_corrupt_cache_exit_5(capsys, tmp_path):
-    bad = tmp_path / "cachedir"
-    bad.mkdir()
-    (bad / "sz8.grp").write_text("SZQ 8 2\nnot hex at all\n")
-    rc, _, err = run(capsys, "involutions", "--q", "8",
-                     "--cache-dir", str(bad))
-    assert rc == 5
-    assert "verification error" in err
-
-
-def test_non_hex_cache_exit_5(capsys, tmp_path):
-    # a well-formed header over a line of non-hex tokens is an input
-    # fault (exit 5), not a traceback (exit 1)
-    bad = tmp_path / "cachedir"
-    bad.mkdir()
-    (bad / "sz8.grp").write_text("SZQ 8 1\n" + " ".join(["z"] * 16) + "\n")
-    rc, _, err = run(capsys, "involutions", "--q", "8",
-                     "--cache-dir", str(bad))
-    assert rc == cli.EXIT_INTERNAL
-    assert "not 16 hex bytes" in err
-
-
-def test_verify_all_missing_sidecar_exit_5(capsys, cache_dir, group8,
-                                          tmp_path):
-    # a cache without its generator sidecar is an input fault (exit 5);
-    # it must never surface as a contradicted claim (exit 3)
-    stripped = tmp_path / "nogens"
-    stripped.mkdir()
-    shutil.copy(os.path.join(cache_dir, "sz8.grp"), stripped / "sz8.grp")
-    rc, out, err = run(capsys, "verify-all", "--q", "8",
-                       "--cache-dir", str(stripped))
-    assert rc == cli.EXIT_INTERNAL
-    assert "sidecar" in err and "missing" in err
-    assert "[involutions" not in out
-
-
-def test_verify_all_exit_3_and_report(capsys, cache_dir, group8, tmp_path):
+def test_verify_all_exit_3_and_report(capsys, tmp_path):
     rpt1 = tmp_path / "run1.json"
     rc, out, _ = run(capsys, "verify-all", "--q", "8",
-                     "--cache-dir", cache_dir, "--report", str(rpt1))
+                     "--report", str(rpt1))
     assert rc == 3
     for name in ("field", "wilson", "group", "fixed-set", "involutions",
                  "rank4"):
@@ -168,14 +134,8 @@ def test_verify_all_exit_3_and_report(capsys, cache_dir, group8, tmp_path):
 
     rpt2 = tmp_path / "run2.json"
     rc2, _, _ = run(capsys, "verify-all", "--q", "8",
-                    "--cache-dir", cache_dir, "--report", str(rpt2))
+                    "--report", str(rpt2))
     assert rc2 == 3
     a = strip_elapsed(json.loads(rpt1.read_text()))
     b = strip_elapsed(json.loads(rpt2.read_text()))
     assert a == b
-
-
-def test_cache_dir_env_default(capsys, cache_dir, group8, monkeypatch):
-    monkeypatch.setenv("SUZUKI_CACHE_DIR", cache_dir)
-    rc, out, _ = run(capsys, "involutions", "--q", "8")
-    assert rc == 0

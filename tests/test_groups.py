@@ -1,12 +1,9 @@
-import numpy as np
 import pytest
 
 from szverify import fixed_set as fs
 from szverify import groups as gr
-from szverify import kernels as kn
 from szverify import linalg4 as la
-from szverify.errors import (BudgetExceededError, DepthLimitError,
-                             SzVerifyError)
+from szverify.errors import BudgetExceededError, DepthLimitError
 
 SZ8_ORDER = 29120
 
@@ -36,22 +33,13 @@ def test_closure_dihedral(ctx8):
     assert ctx8.iota in g
 
 
-def test_closure_jobs_deterministic(ctx8):
-    a = gr.closure(ctx8, dihedral_gens(ctx8), ceiling=100, jobs=1)
-    b = gr.closure(ctx8, dihedral_gens(ctx8), ceiling=100, jobs=8)
-    assert np.array_equal(a.entries, b.entries)
-
-
 def test_closure_budget(ctx8):
     with pytest.raises(BudgetExceededError):
         gr.build_suzuki(ctx8, ceiling=500)
 
 
 def test_build_suzuki_order_and_determinism(ctx8):
-    g1 = gr.build_suzuki(ctx8, jobs=1)
-    g8 = gr.build_suzuki(ctx8, jobs=8)
-    assert g1.order == SZ8_ORDER
-    assert np.array_equal(g1.entries, g8.entries)
+    assert gr.build_suzuki(ctx8).order == SZ8_ORDER
 
 
 def test_group8_fixture_facts(ctx8, group8):
@@ -120,94 +108,3 @@ def test_derived_series_depth_limit(ctx8):
     d = gr.closure(ctx8, dihedral_gens(ctx8), ceiling=100)
     with pytest.raises(DepthLimitError):
         gr.derived_series(ctx8, d, depth_limit=1)
-
-
-def test_save_load_round_trip(ctx8, tmp_path):
-    d = gr.closure(ctx8, dihedral_gens(ctx8), ceiling=100)
-    path = tmp_path / "d14.grp"
-    gr.save_group(d, path)
-    back = gr.load_group(ctx8, path)
-    assert np.array_equal(back.entries, d.entries)
-    assert len(back.generators) == len(d.generators)
-
-
-def test_load_rejects_corruption(ctx8, tmp_path):
-    d = gr.closure(ctx8, dihedral_gens(ctx8), ceiling=100)
-    path = tmp_path / "d14.grp"
-    gr.save_group(d, path)
-    text = path.read_text().splitlines()
-    gens = (tmp_path / "d14.grp.gens").read_text()
-
-    def corrupt(name, lines):
-        # each corrupt file keeps a valid sidecar, so it is rejected for
-        # its own fault and not for a missing sidecar
-        bad = tmp_path / name
-        bad.write_text("\n".join(lines) + "\n")
-        (tmp_path / (name + ".gens")).write_text(gens)
-        return bad
-
-    truncated = corrupt("trunc.grp", text[:-2])
-    with pytest.raises(SzVerifyError, match="truncated"):
-        gr.load_group(ctx8, truncated)
-
-    wrong_q = corrupt("wrongq.grp", ["SZQ 32 14"] + text[1:])
-    with pytest.raises(SzVerifyError, match="q=32"):
-        gr.load_group(ctx8, wrong_q)
-
-    lines = list(text)
-    lines[2] = lines[3]  # same element twice, count unchanged
-    dup = corrupt("dup.grp", lines)
-    with pytest.raises(SzVerifyError, match="duplicate"):
-        gr.load_group(ctx8, dup)
-
-    # malformed tokens are input faults, never a bare ValueError
-    lines = list(text)
-    lines[2] = " ".join(["z"] * 16)
-    not_hex = corrupt("nothex.grp", lines)
-    with pytest.raises(SzVerifyError, match="not 16 hex bytes"):
-        gr.load_group(ctx8, not_hex)
-
-    lines = list(text)
-    lines[2] = " ".join(["100"] * 16)  # past a byte, not only past q
-    too_big = corrupt("toobig.grp", lines)
-    with pytest.raises(SzVerifyError, match="not 16 hex bytes"):
-        gr.load_group(ctx8, too_big)
-
-    bad_q = corrupt("badq.grp", ["SZQ eight 1"] + text[1:2])
-    with pytest.raises(SzVerifyError, match="bad cache header"):
-        gr.load_group(ctx8, bad_q)
-
-    huge = corrupt("huge.grp", ["SZQ 8 999999999"] + text[1:])
-    with pytest.raises(SzVerifyError, match="cache order"):
-        gr.load_group(ctx8, huge)
-
-
-def test_load_rejects_bad_sidecar(ctx8, tmp_path):
-    # a short, empty or missing generator list would reload the group with
-    # too few generators, and every conjugation orbit would come out too
-    # small; each is refused instead
-    d = gr.closure(ctx8, dihedral_gens(ctx8), ceiling=100)
-    path = tmp_path / "d14.grp"
-    gr.save_group(d, path)
-    sidecar = tmp_path / "d14.grp.gens"
-    header, first, _ = sidecar.read_text().splitlines()
-
-    sidecar.write_text(f"{header}\n{first}\n")
-    with pytest.raises(SzVerifyError, match="bad generator sidecar"):
-        gr.load_group(ctx8, path)
-
-    sidecar.write_text("SZQ-GENS 8 0\n")
-    with pytest.raises(SzVerifyError, match="do not generate"):
-        gr.load_group(ctx8, path)
-
-    sidecar.unlink()
-    with pytest.raises(SzVerifyError, match="sidecar .* is missing"):
-        gr.load_group(ctx8, path)
-
-
-def test_get_group_caches(ctx8, tmp_path):
-    d1 = gr.get_group(ctx8, cache_dir=str(tmp_path))
-    assert (tmp_path / "sz8.grp").exists()
-    d2 = gr.get_group(ctx8, cache_dir=str(tmp_path))
-    assert np.array_equal(d1.entries, d2.entries)
-    assert d2.order == SZ8_ORDER

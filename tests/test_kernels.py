@@ -83,15 +83,6 @@ def test_batch_matmul_matches_scalar(ctx8):
         assert kn.entries_to_mat(out[i]) == la.mat_mul(ctx8.field, a[i], b[i])
 
 
-def test_batch_left_mul_matches_scalar(ctx8):
-    rng = random.Random(38)
-    h = wl.random_symplectic(ctx8, rng)
-    b = rand_mats(rng, 30)
-    out = kn.batch_left_mul(ctx8, h, kn.mats_to_entries(b))
-    for i in range(30):
-        assert kn.entries_to_mat(out[i]) == la.mat_mul(ctx8.field, h, b[i])
-
-
 def test_symplectic_mask_matches_scalar(ctx8):
     rng = random.Random(39)
     mats = rand_mats(rng, 100) + [la.identity(), ctx8.iota,

@@ -132,17 +132,6 @@ def test_rejects_constructed_nonmembers(ctx8):
     assert n == 100
 
 
-def test_oracle_agreement_200(ctx8, group8):
-    """is_suzuki vs the all-perpendicular-pairs oracle on 200 matrices:
-    40 group elements and 160 symplectic outsiders."""
-    for m in group8.sample(40, seed=21):
-        assert wl.is_suzuki_bruteforce(ctx8, m)
-        assert wl.is_suzuki(ctx8, m)
-    for k in range(160):
-        m = wl.random_symplectic(ctx8, random.Random(2000 + k))
-        assert wl.is_suzuki(ctx8, m) == wl.is_suzuki_bruteforce(ctx8, m)
-
-
 def test_oracle_rejects_e1_transvection(ctx8):
     assert not wl.is_suzuki_bruteforce(ctx8, wl.e1_transvection(ctx8))
 
