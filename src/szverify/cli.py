@@ -141,8 +141,7 @@ def _stage_wilson(ctx: SuzukiContext) -> StageResult:
     return _timed(run, "wilson")
 
 
-def _stage_group(ctx: SuzukiContext, args) -> Tuple[StageResult,
-                                                    Optional[gr.GroupSet]]:
+def _stage_group(ctx: SuzukiContext, args) -> Tuple[StageResult, gr.GroupSet]:
     holder = {}
 
     def run():
@@ -161,7 +160,7 @@ def _stage_group(ctx: SuzukiContext, args) -> Tuple[StageResult,
               and members_ok and group.divides(expected))
         return ok, (f"Sz({ctx.q}) closes to order q^2(q^2+1)(q-1) = "
                     f"{expected} from a q^2-element Sylow filter"), findings
-    return _timed(run, "group"), holder.get("group")
+    return _timed(run, "group"), holder["group"]
 
 
 def _stage_fixed_set(ctx: SuzukiContext, group: gr.GroupSet) -> StageResult:
@@ -319,10 +318,7 @@ def cmd_check_equations(args) -> int:
 
 def cmd_involutions(args) -> int:
     ctx = _ctx_for(args)
-    stage_res, group = _stage_group(ctx, args)
-    if group is None:
-        _print_stage(stage_res)
-        return EXIT_INTERNAL
+    _, group = _stage_group(ctx, args)
     res = _stage_involutions(ctx, group)
     _print_stage(res)
     _write_report(args.report, {"schema": "szverify-run v1", "q": args.q,
@@ -371,8 +367,6 @@ def cmd_verify_all(args) -> int:
             res, rank4_report = _stage_rank4(ctx, group)
         stages.append(res)
         _print_stage(res)
-        if name == "group" and group is None:
-            break
     overall = all(s.passed for s in stages)
     print(f"overall: {'PASS' if overall else 'FAIL'}")
     payload = {"schema": "szverify-run v1", "q": args.q,

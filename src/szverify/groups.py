@@ -6,7 +6,7 @@ conjugation orbits with transversals, element orders and derived series.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,22 +25,18 @@ class GroupSet:
     """An enumerated matrix group.
 
     ``entries`` holds all elements as (n, 16) uint8 in canonical
-    (row-major lexicographic) order; ``_kv`` is the matching sorted key
-    array used for O(log n) membership.  Both are immutable by
-    convention.
+    (row-major lexicographic) order, so its record view
+    (``kernels.entry_keys``) is sorted and O(log n) membership is a
+    binary search.  It is immutable by convention.
     """
 
     ctx: SuzukiContext
     entries: np.ndarray
     generators: Tuple[Mat4, ...]
-    _kv: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self._kv is None:
-            rows = kn.pack_rows(self.ctx, self.entries)
-            kv = np.sort(kn.void_keys(*kn.keys_from_rows(self.ctx, rows)))
-            object.__setattr__(self, "_kv", kv)
-        if len(self._kv) > 1 and (self._kv[1:] == self._kv[:-1]).any():
+        keys = kn.entry_keys(self.entries)
+        if (keys[1:] == keys[:-1]).any():
             raise VerificationError("group contains duplicate elements")
         if la.identity() not in self:
             raise VerificationError("group does not contain the identity")
@@ -53,10 +49,10 @@ class GroupSet:
         return self.order
 
     def __contains__(self, mat: Mat4) -> bool:
-        rows = kn.pack_rows(self.ctx, kn.mats_to_entries([mat]))
-        key = kn.void_keys(*kn.keys_from_rows(self.ctx, rows))
-        pos = int(np.searchsorted(self._kv, key[0]))
-        return pos < len(self._kv) and self._kv[pos] == key[0]
+        keys = kn.entry_keys(self.entries)
+        key = kn.entry_keys(kn.mats_to_entries([mat]))[0]
+        pos = int(np.searchsorted(keys, key))
+        return pos < len(keys) and keys[pos] == key
 
     def __iter__(self) -> Iterator[Mat4]:
         for row in self.entries:
@@ -88,36 +84,36 @@ def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
             ceiling: int) -> GroupSet:
     """Breadth-first product closure of the generators.
 
-    Deterministic: the result depends only on the generator set.  Raises
-    BudgetExceededError as soon as the element count would pass
-    ``ceiling``.
+    The elements seen so far are kept as sorted packed-row keys
+    (kernels.row_keys), whose order is the canonical order, so the
+    entries come out sorted.  Deterministic: the result depends only on
+    the generator set.  Raises BudgetExceededError as soon as the
+    element count would pass ``ceiling``.
     """
     if ceiling < 1:
         raise ValueError("ceiling must be >= 1")
     gens = _dedup_generators(ctx, generators)
     tables = [kn.row_action_table(ctx, g) for g in gens]
 
-    ident_rows = kn.pack_rows(ctx, kn.mats_to_entries([la.identity()]))
-    seen_kv = np.sort(kn.void_keys(*kn.keys_from_rows(ctx, ident_rows)))
-    frontier = ident_rows
-    while frontier.shape[0] and tables:
-        cand = np.concatenate([t[frontier] for t in tables], axis=0)
-        ckv = np.unique(kn.void_keys(*kn.keys_from_rows(ctx, cand)))
-        pos = np.searchsorted(seen_kv, ckv)
-        pos_c = np.minimum(pos, len(seen_kv) - 1)
-        fresh = seen_kv[pos_c] != ckv
-        new_kv = ckv[fresh]
-        if len(seen_kv) + len(new_kv) > ceiling:
-            raise BudgetExceededError(len(seen_kv) + len(new_kv), ceiling)
-        if not len(new_kv):
+    seen = kn.row_keys(kn.pack_rows(ctx, kn.mats_to_entries([la.identity()])))
+    frontier = seen
+    while tables:
+        rows = kn.rows_of_keys(frontier)
+        cand = np.unique(kn.row_keys(
+            np.concatenate([t[rows] for t in tables])))
+        pos = np.searchsorted(seen, cand)
+        fresh = seen[np.minimum(pos, len(seen) - 1)] != cand
+        frontier = cand[fresh]
+        if len(seen) + len(frontier) > ceiling:
+            raise BudgetExceededError(len(seen) + len(frontier), ceiling)
+        if not len(frontier):
             break
-        seen_kv = np.unique(np.concatenate([seen_kv, new_kv]))
-        frontier = kn.rows_from_keys(ctx, *kn.keys_from_void(new_kv))
+        # a merge, not a re-sort: both sides are sorted and disjoint
+        seen = np.insert(seen, pos[fresh], frontier)
 
-    rows = kn.rows_from_keys(ctx, *kn.keys_from_void(seen_kv))
-    ents = kn.unpack_rows(ctx, rows)[kn.canonical_order(rows)]
+    ents = kn.unpack_rows(ctx, kn.rows_of_keys(seen))
     return GroupSet(ctx=ctx, entries=ents,
-                    generators=tuple(gens) or (la.identity(),), _kv=seen_kv)
+                    generators=tuple(gens) or (la.identity(),))
 
 
 def build_suzuki(ctx: SuzukiContext,
@@ -143,7 +139,7 @@ def build_suzuki(ctx: SuzukiContext,
         raise VerificationError(
             f"Sylow filter yielded {sylow_ents.shape[0]} elements, "
             f"expected q^2 = {ctx.sylow_order}: field or product-table bug")
-    order_idx = kn.canonical_order(kn.pack_rows(ctx, sylow_ents))
+    order_idx = np.argsort(kn.entry_keys(sylow_ents))
     sylow = [kn.entries_to_mat(sylow_ents[i]) for i in order_idx]
 
     iota = tuple(ctx.iota)

@@ -4,15 +4,17 @@ The closure engine and the membership test work on numpy arrays rather
 than tuples.  Two layouts are used:
 
 * entries: (n, 16) uint8, row-major field elements, same order as Mat4;
-* packed rows: (n, 4) uint32, each row's four entries concatenated
-  big-endian with b = field degree bits per entry, so packed values run
-  over exactly [0, q^4) and numeric order equals entrywise lexicographic
-  order.
+* packed rows: (n, 4) big-endian uint32, each row's four entries
+  concatenated with b = field degree bits per entry, so packed values
+  run over exactly [0, q^4) and numeric order equals entrywise
+  lexicographic order.
 
-The packed form keys a whole-group dedup (two uint64 per matrix) and
-makes right multiplication by a fixed matrix a single table gather:
-row * g depends only on the row, so a precomputed table of length q^4
-maps packed row to packed row.
+Either layout, viewed as one 16-byte record per matrix, is its sort key:
+records compare bytewise, and in both layouts that order is the
+canonical (row-major lexicographic) order of the matrices.  The packed
+form also makes right multiplication by a fixed matrix a single table
+gather: row * g depends only on the row, so a precomputed table of
+length q^4 maps packed row to packed row.
 
 All tables are uint8-indexed, which caps the batch layer at field degree
 7; group enumeration is only supported through q = 32 anyway.
@@ -60,11 +62,16 @@ def entries_to_mat(row: np.ndarray) -> Mat4:
     return tuple(int(x) for x in row)
 
 
+_RECORD = np.dtype((np.void, 16))
+_PACKED = np.dtype(">u4")
+
+
 def pack_rows(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
     b = ctx.field.degree
     e = ents.astype(np.uint32).reshape(-1, 4, 4)
-    return (e[:, :, 0] << (3 * b)) | (e[:, :, 1] << (2 * b)) \
+    rows = (e[:, :, 0] << (3 * b)) | (e[:, :, 1] << (2 * b)) \
         | (e[:, :, 2] << b) | e[:, :, 3]
+    return rows.astype(_PACKED)
 
 
 def unpack_rows(ctx: SuzukiContext, rows: np.ndarray) -> np.ndarray:
@@ -80,28 +87,26 @@ def unpack_rows(ctx: SuzukiContext, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def keys_from_rows(ctx: SuzukiContext, rows: np.ndarray):
-    """Each matrix as (hi, lo) uint64: rows 0,1 and rows 2,3 concatenated."""
-    b = 4 * ctx.field.degree
-    r = rows.astype(np.uint64)
-    hi = (r[:, 0] << np.uint64(b)) | r[:, 1]
-    lo = (r[:, 2] << np.uint64(b)) | r[:, 3]
-    return hi, lo
+def entry_keys(ents: np.ndarray) -> np.ndarray:
+    """Sort keys of an (n, 16) entries batch: a zero-copy record view."""
+    return np.ascontiguousarray(ents, dtype=np.uint8).view(_RECORD).reshape(-1)
 
 
-def void_keys(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """(hi, lo) pairs as opaque 16-byte records for sort/searchsorted."""
-    pairs = np.ascontiguousarray(np.column_stack((hi, lo)))
-    return pairs.view(np.dtype((np.void, 16))).reshape(-1)
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Sort keys of an (n, 4) packed batch; zero-copy for big-endian rows."""
+    return np.ascontiguousarray(rows, dtype=_PACKED).view(_RECORD).reshape(-1)
 
 
-def canonical_order(rows: np.ndarray) -> np.ndarray:
-    """Argsort by entrywise lexicographic (= numeric packed-row) order."""
-    return np.lexsort((rows[:, 3], rows[:, 2], rows[:, 1], rows[:, 0]))
+def rows_of_keys(keys: np.ndarray) -> np.ndarray:
+    """Inverse of row_keys: the (n, 4) big-endian packed rows, as a view."""
+    return keys.view(_PACKED).reshape(-1, 4)
 
 
 def row_action_table(ctx: SuzukiContext, g: Mat4) -> np.ndarray:
-    """table[r] = packed(unpacked(r) . g) over all q^4 packed rows."""
+    """table[r] = packed(unpacked(r) . g) over all q^4 packed rows.
+
+    Big-endian, like pack_rows, so gathered rows are already sort keys.
+    """
     mul, _, _ = field_tables(ctx)
     q = ctx.q
     b = ctx.field.degree
@@ -117,7 +122,7 @@ def row_action_table(ctx: SuzukiContext, g: Mat4) -> np.ndarray:
             if gij:
                 acc ^= mul[ent[i], gij]
         out |= acc.astype(np.uint32) << np.uint32((3 - j) * b)
-    return out
+    return out.astype(_PACKED)
 
 
 def batch_matmul(ctx: SuzukiContext, a: np.ndarray, b: np.ndarray,
@@ -266,21 +271,3 @@ def sylow_candidates(ctx: SuzukiContext) -> np.ndarray:
     ents[:, 12] = g
     ents[:, 13] = c ^ mul[g, p]
     return ents
-
-
-def rows_from_keys(ctx: SuzukiContext, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Inverse of keys_from_rows."""
-    b = np.uint64(4 * ctx.field.degree)
-    mask = np.uint64((1 << int(b)) - 1)
-    rows = np.empty((hi.shape[0], 4), dtype=np.uint32)
-    rows[:, 0] = (hi >> b) & mask
-    rows[:, 1] = hi & mask
-    rows[:, 2] = (lo >> b) & mask
-    rows[:, 3] = lo & mask
-    return rows
-
-
-def keys_from_void(kv: np.ndarray):
-    """Inverse of void_keys: the (hi, lo) columns of a 16-byte record array."""
-    pairs = kv.view(np.uint64).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]

@@ -45,10 +45,6 @@ def transpose(m: Mat4) -> Mat4:
     return tuple(m[4 * j + i] for i in range(4) for j in range(4))
 
 
-def mat_add(a: Mat4, b: Mat4) -> Mat4:
-    return tuple(x ^ y for x, y in zip(a, b))
-
-
 def vec_add(u: Vec4, v: Vec4) -> Vec4:
     return tuple(x ^ y for x, y in zip(u, v))
 
@@ -150,7 +146,3 @@ def mat_from_hex(s: str) -> Mat4:
     if len(parts) != 16:
         raise ValueError(f"expected 16 hex fields, got {len(parts)}")
     return tuple(int(p, 16) for p in parts)
-
-
-def vec_to_hex(u: Vec4) -> str:
-    return " ".join(format(x, "x") for x in u)

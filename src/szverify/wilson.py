@@ -101,15 +101,8 @@ def _bruteforce_tables(ctx: SuzukiContext):
     hit = _BRUTEFORCE_CACHE.get(key)
     if hit is not None:
         return hit
-    f = ctx.field
     q = ctx.q
-    mul = np.zeros((q, q), dtype=np.uint8)
-    frob = np.zeros(q, dtype=np.uint8)
-    for a in range(q):
-        frob[a] = f.frobenius_t(a)
-        for b in range(q):
-            mul[a, b] = f.mul(a, b)
-
+    mul, frob, _ = kn.field_tables(ctx)
     n = q ** 4
     idx = np.arange(n)
     vecs = np.stack(

@@ -3,6 +3,7 @@ import pytest
 from szverify import fixed_set as fs
 from szverify import groups as gr
 from szverify import linalg4 as la
+from szverify import wilson as wl
 from szverify.errors import BudgetExceededError, DepthLimitError
 
 SZ8_ORDER = 29120
@@ -33,6 +34,23 @@ def test_closure_dihedral(ctx8):
     assert ctx8.iota in g
 
 
+def test_closure_dihedral_q32(ctx32):
+    g = gr.closure(ctx32, dihedral_gens(ctx32), ceiling=100)
+    assert g.order == 62
+    # the same group by a tuple-level breadth-first closure
+    f = ctx32.field
+    members = {la.identity()}
+    frontier = [la.identity()]
+    while frontier:
+        frontier = [y for y in {la.mat_mul(f, x, s) for x in frontier
+                                for s in dihedral_gens(ctx32)}
+                    if y not in members]
+        members.update(frontier)
+    assert list(g) == sorted(members)
+    assert all(m in g for m in members)
+    assert wl.e1_transvection(ctx32) not in g
+
+
 def test_closure_budget(ctx8):
     with pytest.raises(BudgetExceededError):
         gr.build_suzuki(ctx8, ceiling=500)
@@ -58,7 +76,6 @@ def test_membership_and_sampling(ctx8, group8):
         assert m in group8
         assert la.invert(ctx8.field, m) in group8
     # a symplectic outsider is not found
-    from szverify import wilson as wl
     assert wl.e1_transvection(ctx8) not in group8
 
 

@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from szverify import fixed_set as fs
 from szverify import kernels as kn
@@ -29,34 +30,29 @@ def test_pack_unpack_round_trip(ctx8):
     assert np.array_equal(kn.unpack_rows(ctx8, rows), ents)
 
 
-def test_key_round_trip(ctx8):
+@pytest.mark.parametrize("ctx_name", ["ctx8", "ctx32"])
+def test_sort_keys_are_canonical(request, ctx_name):
+    ctx = request.getfixturevalue(ctx_name)
+    q = ctx.q
     rng = random.Random(33)
-    ents = kn.mats_to_entries(rand_mats(rng, 200))
-    rows = kn.pack_rows(ctx8, ents)
-    hi, lo = kn.keys_from_rows(ctx8, rows)
-    back = kn.rows_from_keys(ctx8, hi, lo)
-    assert np.array_equal(back, rows)
-    kv = kn.void_keys(hi, lo)
-    h2, l2 = kn.keys_from_void(kv)
-    assert np.array_equal(h2, hi) and np.array_equal(l2, lo)
-
-
-def test_void_keys_dedup_matches_tuples(ctx8):
-    rng = random.Random(34)
-    mats = rand_mats(rng, 100) * 3
+    mats = [tuple(rng.randrange(q) for _ in range(16)) for _ in range(150)]
+    # neighbours that differ in one entry, so every position breaks a tie
+    mats += [m[:k] + ((m[k] + 1) % q,) + m[k + 1:]
+             for k, m in zip(range(16), mats)]
+    mats *= 2
     ents = kn.mats_to_entries(mats)
-    kv = kn.void_keys(*kn.keys_from_rows(ctx8, kn.pack_rows(ctx8, ents)))
-    assert len(np.unique(kv)) == len(set(mats))
-
-
-def test_canonical_order_is_lex(ctx8):
-    rng = random.Random(35)
-    mats = rand_mats(rng, 80)
-    ents = kn.mats_to_entries(mats)
-    rows = kn.pack_rows(ctx8, ents)
-    order = kn.canonical_order(rows)
-    sorted_mats = [kn.entries_to_mat(ents[i]) for i in order]
-    assert sorted_mats == sorted(mats)
+    rows = kn.pack_rows(ctx, ents)
+    ekeys = kn.entry_keys(ents)
+    rkeys = kn.row_keys(rows)
+    assert np.array_equal(kn.row_keys(rows.astype(np.uint32)), rkeys)
+    want = sorted(mats)
+    assert [mats[i] for i in np.argsort(ekeys)] == want
+    assert [mats[i] for i in np.argsort(rkeys)] == want
+    back = kn.unpack_rows(ctx, kn.rows_of_keys(np.sort(rkeys)))
+    assert [kn.entries_to_mat(r) for r in back] == want
+    assert len(np.unique(ekeys)) == len(np.unique(rkeys)) == len(set(mats))
+    assert np.array_equal(kn.rows_of_keys(rkeys), rows)
+    assert np.array_equal(ekeys.view(np.uint8).reshape(-1, 16), ents)
 
 
 def test_row_action_table_matches_vec_mat(ctx8):
