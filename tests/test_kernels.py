@@ -30,6 +30,26 @@ def test_pack_unpack_round_trip(ctx8):
     assert np.array_equal(kn.unpack_rows(ctx8, rows), ents)
 
 
+def test_key_round_trip(ctx8):
+    rng = random.Random(33)
+    ents = kn.mats_to_entries(rand_mats(rng, 200))
+    rows = kn.pack_rows(ctx8, ents)
+    rkeys = kn.row_keys(rows)
+    assert np.array_equal(kn.rows_of_keys(rkeys), rows)
+    assert np.array_equal(kn.row_keys(rows.astype(np.uint32)), rkeys)
+    ekeys = kn.entry_keys(ents)
+    assert np.array_equal(ekeys.view(np.uint8).reshape(-1, 16), ents)
+
+
+def test_void_keys_dedup_matches_tuples(ctx8):
+    rng = random.Random(34)
+    mats = rand_mats(rng, 100) * 3
+    ents = kn.mats_to_entries(mats)
+    rkeys = kn.row_keys(kn.pack_rows(ctx8, ents))
+    assert len(np.unique(rkeys)) == len(set(mats))
+    assert len(np.unique(kn.entry_keys(ents))) == len(set(mats))
+
+
 @pytest.mark.parametrize("ctx_name", ["ctx8", "ctx32"])
 def test_sort_keys_are_canonical(request, ctx_name):
     ctx = request.getfixturevalue(ctx_name)
@@ -44,15 +64,12 @@ def test_sort_keys_are_canonical(request, ctx_name):
     rows = kn.pack_rows(ctx, ents)
     ekeys = kn.entry_keys(ents)
     rkeys = kn.row_keys(rows)
-    assert np.array_equal(kn.row_keys(rows.astype(np.uint32)), rkeys)
     want = sorted(mats)
     assert [mats[i] for i in np.argsort(ekeys)] == want
     assert [mats[i] for i in np.argsort(rkeys)] == want
     back = kn.unpack_rows(ctx, kn.rows_of_keys(np.sort(rkeys)))
     assert [kn.entries_to_mat(r) for r in back] == want
     assert len(np.unique(ekeys)) == len(np.unique(rkeys)) == len(set(mats))
-    assert np.array_equal(kn.rows_of_keys(rkeys), rows)
-    assert np.array_equal(ekeys.view(np.uint8).reshape(-1, 16), ents)
 
 
 def test_row_action_table_matches_vec_mat(ctx8):
