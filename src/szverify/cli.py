@@ -204,7 +204,7 @@ def _stage_involutions(ctx: SuzukiContext, group: gr.GroupSet) -> StageResult:
 
 
 def _stage_rank4(ctx: SuzukiContext, group: gr.GroupSet
-                 ) -> Tuple[StageResult, Optional[tr.TripleReport]]:
+                 ) -> Tuple[StageResult, tr.TripleReport]:
     holder = {}
 
     def run():
@@ -227,7 +227,7 @@ def _stage_rank4(ctx: SuzukiContext, group: gr.GroupSet
         return ok, ("no generating triple with the three involution "
                     "conditions exists (restricted search plus "
                     "completeness audit)"), findings
-    return _timed(run, "rank4"), holder.get("report")
+    return _timed(run, "rank4"), holder["report"]
 
 
 def _write_report(path: Optional[str], payload: dict) -> None:
@@ -351,7 +351,6 @@ def cmd_verify_all(args) -> int:
     ctx = _ctx_for(args)
     stages: List[StageResult] = []
     group = None
-    rank4_report = None
     for name in STAGE_ORDER:
         if name == "field":
             res = _stage_field(ctx)
@@ -371,9 +370,8 @@ def cmd_verify_all(args) -> int:
     print(f"overall: {'PASS' if overall else 'FAIL'}")
     payload = {"schema": "szverify-run v1", "q": args.q,
                "stages": [s.to_json_dict() for s in stages],
-               "overall": overall}
-    if rank4_report is not None:
-        payload["rank4_report"] = rank4_report.to_json_dict()
+               "overall": overall,
+               "rank4_report": rank4_report.to_json_dict()}
     _write_report(args.report, payload)
     return EXIT_PASS if overall else EXIT_THEOREM
 

@@ -24,10 +24,11 @@ from .wilson import is_suzuki
 class GroupSet:
     """An enumerated matrix group.
 
-    ``entries`` holds all elements as (n, 16) uint8 in canonical
-    (row-major lexicographic) order, so its record view
-    (``kernels.entry_keys``) is sorted and O(log n) membership is a
-    binary search.  It is immutable by convention.
+    ``entries`` holds all elements as (n, 16) uint8 in strictly
+    increasing canonical (row-major lexicographic) order, which
+    ``__post_init__`` checks, so its record view (``kernels.entry_keys``)
+    is sorted and O(log n) membership is a binary search.  It is
+    immutable by convention.
     """
 
     ctx: SuzukiContext
@@ -35,9 +36,15 @@ class GroupSet:
     generators: Tuple[Mat4, ...]
 
     def __post_init__(self):
-        keys = kn.entry_keys(self.entries)
-        if (keys[1:] == keys[:-1]).any():
-            raise VerificationError("group contains duplicate elements")
+        # each row must be below the next at their first differing entry;
+        # equal rows differ nowhere, so duplicates fail too
+        a, b = self.entries[:-1], self.entries[1:]
+        first = (a != b).argmax(axis=1)
+        rows = np.arange(len(first))
+        if not (a[rows, first] < b[rows, first]).all():
+            raise VerificationError(
+                "group entries are not strictly increasing "
+                "(out of canonical order, or a duplicate element)")
         if la.identity() not in self:
             raise VerificationError("group does not contain the identity")
 
@@ -114,6 +121,24 @@ def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
     ents = kn.unpack_rows(ctx, kn.rows_of_keys(seen))
     return GroupSet(ctx=ctx, entries=ents,
                     generators=tuple(gens) or (la.identity(),))
+
+
+def subgroup(ctx: SuzukiContext, generators: Sequence[Mat4],
+             group: GroupSet) -> GroupSet:
+    """The subgroup of ``group`` generated by ``generators``.
+
+    Closes with ceiling |group| / 2.  Past it the subgroup has index
+    less than 2 (Lagrange), so it is ``group`` itself, which is then
+    returned instead of finishing the closure.  Raises
+    VerificationError if a generator is not an element of ``group``.
+    """
+    for g in generators:
+        if g not in group:
+            raise VerificationError("generator outside the group")
+    try:
+        return closure(ctx, generators, max(1, group.order // 2))
+    except BudgetExceededError:
+        return group
 
 
 def build_suzuki(ctx: SuzukiContext,

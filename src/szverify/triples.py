@@ -10,7 +10,7 @@ direct construction showing the restriction misses generating triples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fixed_set as fs
 from . import groups as gr
@@ -243,7 +243,9 @@ def _iota_pair_rejections(ctx: SuzukiContext) -> int:
 
 
 def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
-                         count: int = 3) -> List[Witness]:
+                         count: int = 3,
+                         scan: Optional[Sequence[Mat4]] = None
+                         ) -> List[Witness]:
     """Generating triples meeting every involution condition.
 
     Deterministic: sigma1 = iota*w1 with w1 the canonically first
@@ -254,12 +256,18 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
     products involutions, so only generation needs searching.  Taking
     w1 or w3 equal to iota collapses a sigma to the identity and the
     subgroup to a dihedral one, so those are skipped.
+
+    Generation is decided by groups.subgroup: a closure that passes
+    half the group order has index 1 by Lagrange's theorem, so it stops
+    there and no generating triple is closed to the end.  ``scan`` is
+    the fixed-set scan (fixed_set.brute_force_X) if the caller already
+    has it.
     """
     f = ctx.field
     iota = tuple(ctx.iota)
     invs = [w for w in gr.involutions(group) if w != iota]
     closed = set(fs.closed_form_X(ctx))
-    scan = set(fs.brute_force_X(ctx, group))
+    scan = set(fs.brute_force_X(ctx, group) if scan is None else scan)
     w1 = invs[0]
     out: List[Witness] = []
     for w3 in invs[1:]:
@@ -271,7 +279,7 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
             raise VerificationError("witness construction lost the product")
         if not all(involution_conditions(ctx, triple)):
             raise VerificationError("witness construction lost a condition")
-        sub = gr.closure(ctx, triple.mats(), group.order)
+        sub = gr.subgroup(ctx, triple.mats(), group)
         if sub.order != group.order:
             continue
         if not fixed_set_membership_lemma(ctx, triple):
@@ -323,7 +331,7 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet,
                 raise VerificationError(
                     "constructed candidate failed an involution condition")
             lemma_held &= fixed_set_membership_lemma(ctx, triple)
-            sub = gr.closure(ctx, triple.mats(), group.order)
+            sub = gr.subgroup(ctx, triple.mats(), group)
             orders = tuple(gr.element_order(ctx, s) for s in triple.mats())
             details.append(PairDetail(
                 a=s1_inv, b=s3_inv, triple=triple, subgroup_order=sub.order,
@@ -334,7 +342,8 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet,
 
     if witness_count is None:
         witness_count = 3 if ctx.q == 8 else 1
-    witnesses = find_rank4_witnesses(ctx, group, count=witness_count)
+    witnesses = find_rank4_witnesses(ctx, group, count=witness_count,
+                                     scan=result.brute_force)
     reduction = ReductionStatus(
         closed_form_size=len(result.closed_form),
         scan_size=len(result.brute_force),

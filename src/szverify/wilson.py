@@ -102,7 +102,7 @@ def _bruteforce_tables(ctx: SuzukiContext):
     if hit is not None:
         return hit
     q = ctx.q
-    mul, frob, _ = kn.field_tables(ctx)
+    mul, frob, inv = kn.field_tables(ctx)
     n = q ** 4
     idx = np.arange(n)
     vecs = np.stack(
@@ -110,11 +110,32 @@ def _bruteforce_tables(ctx: SuzukiContext):
         axis=1,
     ).astype(np.uint8)
 
-    # all perpendicular ordered pairs, via the full n x n form table
-    gram = np.zeros((n, n), dtype=np.uint8)
-    for i in range(4):
-        gram ^= mul[vecs[:, i][:, None], vecs[:, 3 - i][None, :]]
-    ui, vi = np.nonzero(gram == 0)
+    # all perpendicular ordered pairs (u, v), f(u, v) = sum_i u_i v_{3-i}.
+    # u = 0 pairs with every v.  Otherwise let k be the last nonzero
+    # coordinate of u: for each w with w_{3-k} = 0, exactly one v = w +
+    # c e_{3-k} is perpendicular to u, with c = f(u, w) / u_k.
+    # Coordinate j of a vector has weight q^(3-j) in its index.  The
+    # pairs are written in place as int32 to keep the peak memory low.
+    nonzero = vecs != 0
+    last = np.where(nonzero.any(axis=1),
+                    3 - np.argmax(nonzero[:, ::-1], axis=1), -1)
+    ui = np.zeros(n + (n - 1) * q ** 3, dtype=np.int32)
+    vi = np.empty_like(ui)
+    vi[:n] = idx
+    lo = n
+    for k in range(4):
+        us = np.flatnonzero(last == k)
+        ws = np.flatnonzero(vecs[:, 3 - k] == 0)
+        form = np.zeros((len(us), len(ws)), dtype=np.uint8)
+        for i in range(4):
+            form ^= mul[vecs[us, i][:, None], vecs[ws, 3 - i][None, :]]
+        hi = lo + form.size
+        ui[lo:hi].reshape(form.shape)[:] = us[:, None]
+        v = vi[lo:hi].reshape(form.shape)
+        v[:] = mul[inv[vecs[us, k]][:, None], form]
+        v *= q ** k
+        v += ws
+        lo = hi
     _BRUTEFORCE_CACHE[key] = (mul, frob, vecs, ui, vi)
     return _BRUTEFORCE_CACHE[key]
 

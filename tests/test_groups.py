@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 
 from szverify import fixed_set as fs
 from szverify import groups as gr
 from szverify import linalg4 as la
 from szverify import wilson as wl
-from szverify.errors import BudgetExceededError, DepthLimitError
+from szverify.errors import (BudgetExceededError, DepthLimitError,
+                             VerificationError)
 
 SZ8_ORDER = 29120
 
@@ -49,6 +51,63 @@ def test_closure_dihedral_q32(ctx32):
     assert list(g) == sorted(members)
     assert all(m in g for m in members)
     assert wl.e1_transvection(ctx32) not in g
+
+
+def test_groupset_requires_strictly_increasing_entries(ctx8):
+    d = gr.closure(ctx8, dihedral_gens(ctx8), ceiling=100)
+    ident = d.entries[:1]
+    bad = [
+        d.entries[::-1],
+        np.concatenate([d.entries[:3], d.entries[2:]]),  # a duplicate row
+        np.concatenate([ident, d.entries[::-1]]),
+    ]
+    for ents in bad:
+        with pytest.raises(VerificationError):
+            gr.GroupSet(ctx=ctx8, entries=ents, generators=d.generators)
+    assert gr.GroupSet(ctx=ctx8, entries=d.entries.copy(),
+                       generators=d.generators).order == 14
+
+
+def _walk_triples(ctx, group, count):
+    """The triples (iota w1, w1 w3 iota, iota w3) of the rank-4 witness
+    walk: w1 the first involution other than iota, then ``count`` w3."""
+    f = ctx.field
+    iota = ctx.iota
+    invs = [w for w in gr.involutions(group) if w != iota]
+    w1 = invs[0]
+    for w3 in invs[1:1 + count]:
+        yield (la.mat_mul(f, iota, w1),
+               la.mat_mul(f, w1, la.mat_mul(f, w3, iota)),
+               la.mat_mul(f, iota, w3))
+
+
+def test_subgroup_agrees_with_full_closure(ctx8, group8):
+    generating = proper = 0
+    for triple in _walk_triples(ctx8, group8, 40):
+        sub = gr.subgroup(ctx8, triple, group8)
+        full = gr.closure(ctx8, triple, SZ8_ORDER)
+        assert sub.order == full.order
+        if full.order == SZ8_ORDER:
+            assert sub is group8
+            generating += 1
+        else:
+            assert np.array_equal(sub.entries, full.entries)
+            proper += 1
+    assert generating and proper
+
+
+def test_subgroup_of_index_two(ctx8):
+    """A subgroup of exactly half the order is closed, not taken for
+    the whole group."""
+    d14 = gr.closure(ctx8, dihedral_gens(ctx8), ceiling=100)
+    c7 = gr.subgroup(ctx8, [fs.torus_element(ctx8, 2)], d14)
+    assert c7.order == 7
+    assert gr.subgroup(ctx8, dihedral_gens(ctx8), d14) is d14
+
+
+def test_subgroup_rejects_outside_generator(ctx8, group8):
+    with pytest.raises(VerificationError):
+        gr.subgroup(ctx8, [ctx8.iota, wl.e1_transvection(ctx8)], group8)
 
 
 def test_closure_budget(ctx8):

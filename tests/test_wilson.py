@@ -91,6 +91,21 @@ def test_semilinearity_exhaustive_q8(ctx8):
             assert np.array_equal(lhs, rhs)
 
 
+def test_oracle_pairs_are_all_perpendicular_pairs(ctx8):
+    """The oracle's directly enumerated pairs are exactly the zeros of
+    the full 4096 x 4096 form table, each once."""
+    mul, _, _ = kn.field_tables(ctx8)
+    vecs = _all_vecs(8)
+    n = len(vecs)
+    gram = np.zeros((n, n), dtype=np.uint8)
+    for i in range(4):
+        gram ^= mul[vecs[:, i][:, None], vecs[:, 3 - i][None, :]]
+    want = np.flatnonzero(gram == 0)
+    _, _, oracle_vecs, ui, vi = wl._bruteforce_tables(ctx8)
+    assert np.array_equal(oracle_vecs, vecs)
+    assert np.array_equal(np.sort(ui.astype(np.int64) * n + vi), want)
+
+
 def test_perp_basis_pairs_count(ctx8):
     assert len(wl.PERP_BASIS_PAIRS) == 8
     for (i, j) in wl.PERP_BASIS_PAIRS:
