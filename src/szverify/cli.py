@@ -166,7 +166,7 @@ def _stage_group(ctx: SuzukiContext, args) -> Tuple[StageResult, gr.GroupSet]:
 def _stage_fixed_set(ctx: SuzukiContext, group: gr.GroupSet) -> StageResult:
     def run():
         result = fs.fixed_set_result(ctx, group)
-        census = fs.equation_census(ctx, group)
+        census = fs.equation_census(ctx, result.brute_force)
         findings = {
             "closed_form_size": len(result.closed_form),
             "scan_size": len(result.brute_force),
@@ -290,7 +290,7 @@ def cmd_enumerate_x(args) -> int:
 def cmd_check_equations(args) -> int:
     ctx = _ctx_for(args)
     group = gr.build_suzuki(ctx, ceiling=args.budget)
-    census = fs.equation_census(ctx, group)
+    census = fs.equation_census(ctx, fs.brute_force_X(ctx, group))
     print(f"scan members: {census.total}")
     print(f"{'label':<6} {'satisfied':>9}  origin")
     for eq in fs.EQUATIONS:

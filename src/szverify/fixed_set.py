@@ -13,7 +13,7 @@ a small subset.  ``fixed_set_result`` reports both sides; see README.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -282,15 +282,16 @@ class EquationCensus:
         return self.full_solutions == self.closed_form
 
 
-def equation_census(ctx: SuzukiContext, group) -> EquationCensus:
+def equation_census(ctx: SuzukiContext,
+                    scan: Sequence[Mat4]) -> EquationCensus:
     """Per-equation satisfaction counts over the scanned fixed set.
 
-    The ten twisted product equations and the two Gram-position
-    equations hold on every scan member; the eight detwisted equations
-    from non-perpendicular pairs do not, and exactly the closed-form
-    matrices satisfy the full system.
+    ``scan`` is the fixed-set scan of the group (brute_force_X), which
+    callers usually have already.  The ten twisted product equations
+    and the two Gram-position equations hold on every scan member; the
+    eight detwisted equations from non-perpendicular pairs do not, and
+    exactly the closed-form matrices satisfy the full system.
     """
-    scan = brute_force_X(ctx, group)
     counts = {eq.label: 0 for eq in EQUATIONS}
     full: List[Mat4] = []
     for x in scan:

@@ -91,23 +91,25 @@ def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
             ceiling: int) -> GroupSet:
     """Breadth-first product closure of the generators.
 
-    The elements seen so far are kept as sorted packed-row keys
-    (kernels.row_keys), whose order is the canonical order, so the
-    entries come out sorted.  Deterministic: the result depends only on
-    the generator set.  Raises BudgetExceededError as soon as the
+    The elements seen so far are kept as sorted entry records
+    (kernels.entry_keys), whose order is the canonical order, so the
+    entries come out sorted.  Each level multiplies the frontier on the
+    right by every generator through its row tables
+    (kernels.row_action_table).  Deterministic: the result depends only
+    on the generator set.  Raises BudgetExceededError as soon as the
     element count would pass ``ceiling``.
     """
     if ceiling < 1:
         raise ValueError("ceiling must be >= 1")
     gens = _dedup_generators(ctx, generators)
-    tables = [kn.row_action_table(ctx, g) for g in gens]
+    tables = np.array([kn.row_action_table(ctx, g) for g in gens],
+                      dtype=np.uint32).reshape(len(gens), 4, ctx.q)
 
-    seen = kn.row_keys(kn.pack_rows(ctx, kn.mats_to_entries([la.identity()])))
+    seen = kn.entry_keys(kn.mats_to_entries([la.identity()]))
     frontier = seen
-    while tables:
-        rows = kn.rows_of_keys(frontier)
-        cand = np.unique(kn.row_keys(
-            np.concatenate([t[rows] for t in tables])))
+    while gens:
+        cand = np.unique(kn.entry_keys(
+            kn.row_action(tables, frontier.view(np.uint8))))
         pos = np.searchsorted(seen, cand)
         fresh = seen[np.minimum(pos, len(seen) - 1)] != cand
         frontier = cand[fresh]
@@ -118,8 +120,7 @@ def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
         # a merge, not a re-sort: both sides are sorted and disjoint
         seen = np.insert(seen, pos[fresh], frontier)
 
-    ents = kn.unpack_rows(ctx, kn.rows_of_keys(seen))
-    return GroupSet(ctx=ctx, entries=ents,
+    return GroupSet(ctx=ctx, entries=seen.view(np.uint8).reshape(-1, 16),
                     generators=tuple(gens) or (la.identity(),))
 
 

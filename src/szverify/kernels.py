@@ -1,20 +1,15 @@
-"""Vectorised batch operations on packed 4x4 matrices.
+"""Vectorised batch operations on 4x4 matrices.
 
 The closure engine and the membership test work on numpy arrays rather
-than tuples.  Two layouts are used:
+than tuples, in one layout: entries, (n, 16) uint8, row-major field
+elements, same order as Mat4.  Viewed as one 16-byte record per matrix
+(entry_keys), a batch is its own sort key: records compare bytewise,
+which is the canonical (row-major lexicographic) order of the matrices.
 
-* entries: (n, 16) uint8, row-major field elements, same order as Mat4;
-* packed rows: (n, 4) big-endian uint32, each row's four entries
-  concatenated with b = field degree bits per entry, so packed values
-  run over exactly [0, q^4) and numeric order equals entrywise
-  lexicographic order.
-
-Either layout, viewed as one 16-byte record per matrix, is its sort key:
-records compare bytewise, and in both layouts that order is the
-canonical (row-major lexicographic) order of the matrices.  The packed
-form also makes right multiplication by a fixed matrix a single table
-gather: row * g depends only on the row, so a precomputed table of
-length q^4 maps packed row to packed row.
+Right multiplication by a fixed g acts on each row separately, and
+linearly: r g = r_0 (row 0 of g) + ... + r_3 (row 3 of g).  So four
+q-entry tables of 4-byte rows (row_action_table) turn a whole batch
+product into four gathers and three XORs (row_action).
 
 All tables are uint8-indexed, which caps the batch layer at field degree
 7; group enumeration is only supported through q = 32 anyway.
@@ -63,28 +58,6 @@ def entries_to_mat(row: np.ndarray) -> Mat4:
 
 
 _RECORD = np.dtype((np.void, 16))
-_PACKED = np.dtype(">u4")
-
-
-def pack_rows(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
-    b = ctx.field.degree
-    e = ents.astype(np.uint32).reshape(-1, 4, 4)
-    rows = (e[:, :, 0] << (3 * b)) | (e[:, :, 1] << (2 * b)) \
-        | (e[:, :, 2] << b) | e[:, :, 3]
-    return rows.astype(_PACKED)
-
-
-def unpack_rows(ctx: SuzukiContext, rows: np.ndarray) -> np.ndarray:
-    b = ctx.field.degree
-    mask = np.uint32((1 << b) - 1)
-    out = np.empty(rows.shape[:1] + (16,), dtype=np.uint8)
-    for i in range(4):
-        r = rows[:, i]
-        out[:, 4 * i + 0] = (r >> (3 * b)) & mask
-        out[:, 4 * i + 1] = (r >> (2 * b)) & mask
-        out[:, 4 * i + 2] = (r >> b) & mask
-        out[:, 4 * i + 3] = r & mask
-    return out
 
 
 def entry_keys(ents: np.ndarray) -> np.ndarray:
@@ -92,37 +65,28 @@ def entry_keys(ents: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(ents, dtype=np.uint8).view(_RECORD).reshape(-1)
 
 
-def row_keys(rows: np.ndarray) -> np.ndarray:
-    """Sort keys of an (n, 4) packed batch; zero-copy for big-endian rows."""
-    return np.ascontiguousarray(rows, dtype=_PACKED).view(_RECORD).reshape(-1)
-
-
-def rows_of_keys(keys: np.ndarray) -> np.ndarray:
-    """Inverse of row_keys: the (n, 4) big-endian packed rows, as a view."""
-    return keys.view(_PACKED).reshape(-1, 4)
-
-
 def row_action_table(ctx: SuzukiContext, g: Mat4) -> np.ndarray:
-    """table[r] = packed(unpacked(r) . g) over all q^4 packed rows.
+    """(4, q) uint32: table[i, a] holds the four entries of a (row i of g).
 
-    Big-endian, like pack_rows, so gathered rows are already sort keys.
+    Native byte order, so the bytes of a table entry, in memory order,
+    are the entries of that row.
     """
     mul, _, _ = field_tables(ctx)
-    q = ctx.q
-    b = ctx.field.degree
-    mask = np.uint32((1 << b) - 1)
-    r = np.arange(q ** 4, dtype=np.uint32)
-    ent = [((r >> np.uint32((3 - i) * b)) & mask).astype(np.uint8)
-           for i in range(4)]
-    out = np.zeros(q ** 4, dtype=np.uint32)
-    for j in range(4):
-        acc = np.zeros(q ** 4, dtype=np.uint8)
-        for i in range(4):
-            gij = g[4 * i + j]
-            if gij:
-                acc ^= mul[ent[i], gij]
-        out |= acc.astype(np.uint32) << np.uint32((3 - j) * b)
-    return out.astype(_PACKED)
+    rows = mul[:, np.array(g, dtype=np.uint8).reshape(4, 4)]  # [a, i, j]
+    return np.ascontiguousarray(rows.transpose(1, 0, 2)).view(np.uint32)[..., 0]
+
+
+def row_action(tables: np.ndarray, ents: np.ndarray) -> np.ndarray:
+    """Entries of x g for every x in ents, by the row_action_table of g.
+
+    ``tables`` may stack the tables of k matrices, (k, 4, q); the
+    products then come table by table, k n of them.
+    """
+    x = ents.reshape(-1, 4, 4)
+    rows = np.take(tables[..., 0, :], x[:, :, 0], axis=-1)
+    for i in range(1, 4):
+        rows ^= np.take(tables[..., i, :], x[:, :, i], axis=-1)
+    return rows.view(np.uint8).reshape(-1, 16)
 
 
 def batch_matmul(ctx: SuzukiContext, a: np.ndarray, b: np.ndarray,

@@ -98,7 +98,7 @@ def test_criterion_3_fixed_set(ctx8, group8):
     equations.
     """
     res = fs.fixed_set_result(ctx8, group8)
-    census = fs.equation_census(ctx8, group8)
+    census = fs.equation_census(ctx8, res.brute_force)
     closed, scan = set(res.closed_form), set(res.brute_force)
     licensed = [eq.label for eq in fs.EQUATIONS if eq.origin.perpendicular]
     unlicensed = [eq.label for eq in fs.EQUATIONS

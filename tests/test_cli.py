@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -139,3 +140,20 @@ def test_verify_all_exit_3_and_report(capsys, tmp_path):
     a = strip_elapsed(json.loads(rpt1.read_text()))
     b = strip_elapsed(json.loads(rpt2.read_text()))
     assert a == b
+
+
+# sha256 of the verify-all --q 8 report with every elapsed_s dropped,
+# re-dumped with sorted keys: any change in a finding, a count or a
+# verdict shows here.  Only a change meant to alter the report may
+# record a new digest.
+VERIFY_ALL_Q8_DIGEST = \
+    "74a0ba025f8df0fd2fc328c29b48c9bddf67276767970a965b35042eaabe6f7a"
+
+
+def test_verify_all_q8_report_pinned(capsys, tmp_path):
+    rpt = tmp_path / "run.json"
+    rc, _, _ = run(capsys, "verify-all", "--q", "8", "--report", str(rpt))
+    assert rc == 3
+    body = json.dumps(strip_elapsed(json.loads(rpt.read_text())),
+                      sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == VERIFY_ALL_Q8_DIGEST

@@ -121,7 +121,7 @@ def test_nonperp_equations_cover_both_pairs():
 
 
 def test_census_frozen_counts(ctx8, group8):
-    census = fs.equation_census(ctx8, group8)
+    census = fs.equation_census(ctx8, fs.brute_force_X(ctx8, group8))
     assert census.total == 456
     assert census.per_label == FROZEN_COUNTS
     assert census.closed_form_satisfied

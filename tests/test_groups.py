@@ -36,21 +36,45 @@ def test_closure_dihedral(ctx8):
     assert ctx8.iota in g
 
 
+def tuple_bfs(ctx, gens):
+    """The group generated by ``gens`` by a tuple-level breadth-first
+    closure, and the number of levels that added elements."""
+    f = ctx.field
+    members = {la.identity()}
+    frontier = [la.identity()]
+    levels = 0
+    while True:
+        frontier = [y for y in {la.mat_mul(f, x, s) for x in frontier
+                                for s in gens}
+                    if y not in members]
+        if not frontier:
+            return members, levels
+        members.update(frontier)
+        levels += 1
+
+
 def test_closure_dihedral_q32(ctx32):
     g = gr.closure(ctx32, dihedral_gens(ctx32), ceiling=100)
     assert g.order == 62
-    # the same group by a tuple-level breadth-first closure
-    f = ctx32.field
-    members = {la.identity()}
-    frontier = [la.identity()]
-    while frontier:
-        frontier = [y for y in {la.mat_mul(f, x, s) for x in frontier
-                                for s in dihedral_gens(ctx32)}
-                    if y not in members]
-        members.update(frontier)
+    members, _ = tuple_bfs(ctx32, dihedral_gens(ctx32))
     assert list(g) == sorted(members)
     assert all(m in g for m in members)
     assert wl.e1_transvection(ctx32) not in g
+
+
+def test_closure_borel_many_levels(ctx8):
+    """A torus element and a Sylow element (the 8th non-identity one of
+    the sorted Sylow filter) generate the Borel subgroup of order
+    q^2(q - 1) = 448, the largest proper subgroup.  Its elements lie up
+    to 11 levels from the identity, so the closure runs 12 levels, the
+    last of which finds nothing new."""
+    gens = [fs.torus_element(ctx8, 2),
+            la.mat_from_hex("1 1 0 0 0 1 0 0 0 1 1 1 1 1 0 1")]
+    members, levels = tuple_bfs(ctx8, gens)
+    assert (len(members), levels) == (448, 11)
+    assert list(gr.closure(ctx8, gens, ceiling=448)) == sorted(members)
+    with pytest.raises(BudgetExceededError):
+        gr.closure(ctx8, gens, ceiling=447)
 
 
 def test_groupset_requires_strictly_increasing_entries(ctx8):

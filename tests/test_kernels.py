@@ -22,31 +22,17 @@ def test_entries_round_trip(ctx8):
         assert kn.entries_to_mat(ents[i]) == m
 
 
-def test_pack_unpack_round_trip(ctx8):
-    rng = random.Random(32)
-    ents = kn.mats_to_entries(rand_mats(rng, 200))
-    rows = kn.pack_rows(ctx8, ents)
-    assert rows.shape == (200, 4)
-    assert np.array_equal(kn.unpack_rows(ctx8, rows), ents)
-
-
-def test_key_round_trip(ctx8):
+def test_key_round_trip():
     rng = random.Random(33)
     ents = kn.mats_to_entries(rand_mats(rng, 200))
-    rows = kn.pack_rows(ctx8, ents)
-    rkeys = kn.row_keys(rows)
-    assert np.array_equal(kn.rows_of_keys(rkeys), rows)
-    assert np.array_equal(kn.row_keys(rows.astype(np.uint32)), rkeys)
     ekeys = kn.entry_keys(ents)
     assert np.array_equal(ekeys.view(np.uint8).reshape(-1, 16), ents)
 
 
-def test_void_keys_dedup_matches_tuples(ctx8):
+def test_void_keys_dedup_matches_tuples():
     rng = random.Random(34)
     mats = rand_mats(rng, 100) * 3
     ents = kn.mats_to_entries(mats)
-    rkeys = kn.row_keys(kn.pack_rows(ctx8, ents))
-    assert len(np.unique(rkeys)) == len(set(mats))
     assert len(np.unique(kn.entry_keys(ents))) == len(set(mats))
 
 
@@ -60,31 +46,45 @@ def test_sort_keys_are_canonical(request, ctx_name):
     mats += [m[:k] + ((m[k] + 1) % q,) + m[k + 1:]
              for k, m in zip(range(16), mats)]
     mats *= 2
-    ents = kn.mats_to_entries(mats)
-    rows = kn.pack_rows(ctx, ents)
-    ekeys = kn.entry_keys(ents)
-    rkeys = kn.row_keys(rows)
+    ekeys = kn.entry_keys(kn.mats_to_entries(mats))
     want = sorted(mats)
     assert [mats[i] for i in np.argsort(ekeys)] == want
-    assert [mats[i] for i in np.argsort(rkeys)] == want
-    back = kn.unpack_rows(ctx, kn.rows_of_keys(np.sort(rkeys)))
+    back = np.sort(ekeys).view(np.uint8).reshape(-1, 16)
     assert [kn.entries_to_mat(r) for r in back] == want
-    assert len(np.unique(ekeys)) == len(np.unique(rkeys)) == len(set(mats))
+    assert len(np.unique(ekeys)) == len(set(mats))
 
 
-def test_row_action_table_matches_vec_mat(ctx8):
+@pytest.mark.parametrize("ctx_name", ["ctx8", "ctx32"])
+def test_row_action_table_matches_vec_mat(request, ctx_name):
+    ctx = request.getfixturevalue(ctx_name)
+    q = ctx.q
     rng = random.Random(36)
-    g = wl.random_symplectic(ctx8, rng)
-    table = kn.row_action_table(ctx8, g)
-    assert table.shape == (8 ** 4,)
+    g = wl.random_symplectic(ctx, rng)
+    table = kn.row_action_table(ctx, g)
+    assert table.shape == (4, q)
+    assert table.dtype == np.uint32
     for _ in range(50):
-        v = tuple(rng.randrange(8) for _ in range(4))
-        packed = kn.pack_rows(ctx8, np.array(v + (0,) * 12,
-                                             dtype=np.uint8))[0, 0]
-        want = la.vec_mat(ctx8.field, v, g)
-        row4 = np.array([[table[packed], 0, 0, 0]], dtype=np.uint32)
-        got = kn.unpack_rows(ctx8, row4)[0][:4]
-        assert tuple(int(x) for x in got) == want
+        v = tuple(rng.randrange(q) for _ in range(4))
+        row = np.bitwise_xor.reduce([table[i, v[i]] for i in range(4)])
+        got = tuple(int(x) for x in np.array([row]).view(np.uint8))
+        assert got == la.vec_mat(ctx.field, v, g)
+
+
+def test_row_action_batch_matches_mat_mul(ctx8):
+    """The closure's product step: x g for a batch, for one table and
+    for two tables stacked (the products come table by table)."""
+    rng = random.Random(38)
+    f = ctx8.field
+    xs = rand_mats(rng, 30)
+    g, h = (wl.random_symplectic(ctx8, rng) for _ in range(2))
+    ents = kn.mats_to_entries(xs)
+    tg, th = kn.row_action_table(ctx8, g), kn.row_action_table(ctx8, h)
+    want = [la.mat_mul(f, x, m) for m in (g, h) for x in xs]
+    one = kn.row_action(tg, ents)
+    assert one.shape == (30, 16) and one.dtype == np.uint8
+    assert [kn.entries_to_mat(r) for r in one] == want[:30]
+    both = kn.row_action(np.stack([tg, th]), ents)
+    assert [kn.entries_to_mat(r) for r in both] == want
 
 
 def test_batch_matmul_matches_scalar(ctx8):
