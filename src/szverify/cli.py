@@ -17,7 +17,8 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from functools import cached_property, partial
+from typing import List, Optional
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from . import kernels as kn
 from . import linalg4 as la
 from . import triples as tr
 from . import wilson as wl
-from .context import SuzukiContext, make_context
+from .context import make_context
 from .errors import BudgetExceededError, SzVerifyError, VerificationError
 
 EXIT_PASS = 0
@@ -37,6 +38,7 @@ EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
 _E_FOR_Q = {8: 1, 32: 2}
+# The stages verify-all runs, in order; each is a key of STAGES.
 STAGE_ORDER = ("field", "wilson", "group", "fixed-set", "involutions",
                "rank4")
 
@@ -63,171 +65,196 @@ def _print_stage(res: StageResult) -> None:
             print(f"    {k}: {v}")
 
 
-def _timed(fn: Callable[[], Tuple[bool, str, dict]],
-           name: str) -> StageResult:
-    t0 = time.monotonic()
-    passed, claim, findings = fn()
-    return StageResult(name, passed, time.monotonic() - t0, claim, findings)
+class RunState:
+    """What the stages of one subcommand share.
+
+    ``group`` is the only place a subcommand gets Sz(q): it is built on
+    first use, so in verify-all its build is timed inside the group
+    stage.  ``stage`` runs, times and collects one stage of ``STAGES``.
+    """
+
+    def __init__(self, args):
+        self.args = args
+        self.ctx = make_context(_E_FOR_Q[args.q])
+        self.results: List[StageResult] = []
+        self.rank4: Optional[tr.TripleReport] = None
+
+    @cached_property
+    def group(self) -> gr.GroupSet:
+        return gr.build_suzuki(self.ctx, ceiling=self.args.budget)
+
+    def stage(self, name: str) -> StageResult:
+        t0 = time.monotonic()
+        passed, claim, findings = STAGES[name](self)
+        res = StageResult(name, passed, time.monotonic() - t0, claim,
+                          findings)
+        self.results.append(res)
+        return res
+
+    def payload(self) -> dict:
+        return {"schema": "szverify-run v1", "q": self.args.q,
+                "stages": [r.to_json_dict() for r in self.results],
+                "overall": all(r.passed for r in self.results)}
 
 
-def _stage_field(ctx: SuzukiContext) -> StageResult:
-    def run():
-        f = ctx.field
-        q = ctx.q
-        ok = 2 * ctx.t * ctx.t == q
-        ok &= all(f.mul(a, b) == f.mul(b, a)
-                  for a in range(q) for b in range(q))
-        ok &= all(f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                  for a in range(0, q, max(1, q // 8))
-                  for b in range(q) for c in range(q))
-        ok &= all(f.mul(a, b ^ c) == (f.mul(a, b) ^ f.mul(a, c))
-                  for a in range(q) for b in range(q)
-                  for c in range(0, q, max(1, q // 8)))
-        ok &= all(f.mul(a, f.inv(a)) == 1 for a in range(1, q))
-        ok &= all(f.frobenius_t(a ^ b)
-                  == (f.frobenius_t(a) ^ f.frobenius_t(b))
-                  for a in range(q) for b in range(q))
-        ok &= all(f.frobenius_t(f.mul(a, b))
-                  == f.mul(f.frobenius_t(a), f.frobenius_t(b))
-                  for a in range(q) for b in range(q))
-        ok &= all(f.frobenius_t(f.frobenius_t(a)) == f.pow(a, q // 2)
-                  for a in range(1, q))
-        return ok, (f"GF({q}) arithmetic exact; Frobenius twist t={ctx.t} "
-                    f"additive, multiplicative, with 2t^2 = q"), {"q": q}
-    return _timed(run, "field")
+def _stage_field(state: RunState):
+    ctx = state.ctx
+    f = ctx.field
+    q = ctx.q
+    ok = 2 * ctx.t * ctx.t == q
+    ok &= all(f.mul(a, b) == f.mul(b, a)
+              for a in range(q) for b in range(q))
+    ok &= all(f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+              for a in range(0, q, max(1, q // 8))
+              for b in range(q) for c in range(q))
+    ok &= all(f.mul(a, b ^ c) == (f.mul(a, b) ^ f.mul(a, c))
+              for a in range(q) for b in range(q)
+              for c in range(0, q, max(1, q // 8)))
+    ok &= all(f.mul(a, f.inv(a)) == 1 for a in range(1, q))
+    ok &= all(f.frobenius_t(a ^ b)
+              == (f.frobenius_t(a) ^ f.frobenius_t(b))
+              for a in range(q) for b in range(q))
+    ok &= all(f.frobenius_t(f.mul(a, b))
+              == f.mul(f.frobenius_t(a), f.frobenius_t(b))
+              for a in range(q) for b in range(q))
+    ok &= all(f.frobenius_t(f.frobenius_t(a)) == f.pow(a, q // 2)
+              for a in range(1, q))
+    return ok, (f"GF({q}) arithmetic exact; Frobenius twist t={ctx.t} "
+                f"additive, multiplicative, with 2t^2 = q"), {"q": q}
 
 
-def _stage_wilson(ctx: SuzukiContext) -> StageResult:
-    def run():
-        f = ctx.field
-        findings = {}
-        basis = [la.basis_vec(i) for i in range(4)]
-        table_ok = all(
-            wl.bullet(ctx, basis[i], basis[j]) == wl.bullet(ctx, basis[j],
-                                                            basis[i])
-            for i in range(4) for j in range(4))
-        nonzero = sum(any(wl.bullet(ctx, basis[i], basis[j]))
-                      for i in range(4) for j in range(4))
-        findings["nonzero_basis_products"] = nonzero
-        rng = np.random.default_rng(7)
-        semi_ok = True
-        for _ in range(50):
-            u = tuple(int(v) for v in rng.integers(0, ctx.q, 4))
-            v = tuple(int(v) for v in rng.integers(0, ctx.q, 4))
-            c = int(rng.integers(1, ctx.q))
-            lhs = wl.bullet(ctx, la.vec_scale(f, c, u), v)
-            rhs = la.vec_scale(f, f.frobenius_t(c), wl.bullet(ctx, u, v))
-            semi_ok &= lhs == rhs
-        members_ok = wl.is_suzuki(ctx, la.identity())
-        members_ok &= wl.is_suzuki(ctx, tuple(ctx.iota))
-        members_ok &= all(wl.is_suzuki(ctx, fs.torus_element(ctx, a))
-                          for a in range(1, ctx.q))
-        trans_rejected = not wl.is_suzuki(ctx, wl.e1_transvection(ctx))
-        rejected = 0
-        agree = True
-        for k in range(100):
-            m = wl.random_symplectic(ctx, random.Random(1000 + k))
-            mine = wl.is_suzuki(ctx, m)
-            if not mine:
-                rejected += 1
-            if ctx.q == 8 and k < 10:
-                agree &= mine == wl.is_suzuki_bruteforce(ctx, m)
-        findings["random_symplectic_rejected"] = rejected
-        ok = (table_ok and nonzero == 8 and semi_ok and members_ok
-              and trans_rejected and rejected >= 90 and agree)
-        return ok, ("membership test: symmetric 8-entry product table, "
-                    "twisted semilinearity, accepts the torus and iota, "
-                    "rejects transvections"), findings
-    return _timed(run, "wilson")
+def _stage_wilson(state: RunState):
+    ctx = state.ctx
+    f = ctx.field
+    findings = {}
+    basis = [la.basis_vec(i) for i in range(4)]
+    table_ok = all(
+        wl.bullet(ctx, basis[i], basis[j]) == wl.bullet(ctx, basis[j],
+                                                        basis[i])
+        for i in range(4) for j in range(4))
+    nonzero = sum(any(wl.bullet(ctx, basis[i], basis[j]))
+                  for i in range(4) for j in range(4))
+    findings["nonzero_basis_products"] = nonzero
+    rng = np.random.default_rng(7)
+    semi_ok = True
+    for _ in range(50):
+        u = tuple(int(v) for v in rng.integers(0, ctx.q, 4))
+        v = tuple(int(v) for v in rng.integers(0, ctx.q, 4))
+        c = int(rng.integers(1, ctx.q))
+        lhs = wl.bullet(ctx, la.vec_scale(f, c, u), v)
+        rhs = la.vec_scale(f, f.frobenius_t(c), wl.bullet(ctx, u, v))
+        semi_ok &= lhs == rhs
+    members_ok = wl.is_suzuki(ctx, la.identity())
+    members_ok &= wl.is_suzuki(ctx, tuple(ctx.iota))
+    members_ok &= all(wl.is_suzuki(ctx, fs.torus_element(ctx, a))
+                      for a in range(1, ctx.q))
+    trans_rejected = not wl.is_suzuki(ctx, wl.e1_transvection(ctx))
+    rejected = 0
+    agree = True
+    for k in range(100):
+        m = wl.random_symplectic(ctx, random.Random(1000 + k))
+        mine = wl.is_suzuki(ctx, m)
+        if not mine:
+            rejected += 1
+        if ctx.q == 8 and k < 10:
+            agree &= mine == wl.is_suzuki_bruteforce(ctx, m)
+    findings["random_symplectic_rejected"] = rejected
+    ok = (table_ok and nonzero == 8 and semi_ok and members_ok
+          and trans_rejected and rejected >= 90 and agree)
+    return ok, ("membership test: symmetric 8-entry product table, "
+                "twisted semilinearity, accepts the torus and iota, "
+                "rejects transvections"), findings
 
 
-def _stage_group(ctx: SuzukiContext, args) -> Tuple[StageResult, gr.GroupSet]:
-    holder = {}
-
-    def run():
-        expected = ctx.group_order
-        group = gr.build_suzuki(ctx, ceiling=args.budget)
-        holder["group"] = group
-        filt = int(kn.suzuki_mask(ctx, kn.sylow_candidates(ctx)).sum())
-        verified = int(kn.suzuki_mask(ctx, group.entries).sum())
-        # "spot_membership" keeps its name for readers of the report; it
-        # now says that every element passed
-        members_ok = verified == group.order
-        findings = {"order": group.order, "expected": expected,
-                    "sylow_filter": filt, "spot_membership": members_ok,
-                    "members_verified": verified}
-        ok = (group.order == expected and filt == ctx.sylow_order
-              and members_ok and group.divides(expected))
-        return ok, (f"Sz({ctx.q}) closes to order q^2(q^2+1)(q-1) = "
-                    f"{expected} from a q^2-element Sylow filter"), findings
-    return _timed(run, "group"), holder["group"]
+def _stage_group(state: RunState):
+    ctx = state.ctx
+    expected = ctx.group_order
+    group = state.group
+    filt = int(kn.suzuki_mask(ctx, kn.sylow_candidates(ctx)).sum())
+    verified = int(kn.suzuki_mask(ctx, group.entries).sum())
+    # "spot_membership" keeps its name for readers of the report; it
+    # now says that every element passed
+    members_ok = verified == group.order
+    findings = {"order": group.order, "expected": expected,
+                "sylow_filter": filt, "spot_membership": members_ok,
+                "members_verified": verified}
+    ok = (group.order == expected and filt == ctx.sylow_order
+          and members_ok and group.divides(expected))
+    return ok, (f"Sz({ctx.q}) closes to order q^2(q^2+1)(q-1) = "
+                f"{expected} from a q^2-element Sylow filter"), findings
 
 
-def _stage_fixed_set(ctx: SuzukiContext, group: gr.GroupSet) -> StageResult:
-    def run():
-        result = fs.fixed_set_result(ctx, group)
-        census = fs.equation_census(ctx, result.brute_force)
-        findings = {
-            "closed_form_size": len(result.closed_form),
-            "scan_size": len(result.brute_force),
-            "scan_size_is_involutions_plus_one":
-                len(result.brute_force) == fs.expected_scan_size(ctx),
-            "scan_all_symmetric": all(la.transpose(x) == x
-                                      for x in result.brute_force),
-            "closed_form_satisfies_all_equations":
-                census.closed_form_satisfied,
-            "full_system_solutions": len(census.full_solutions),
-            "full_system_solutions_equal_closed_form":
-                census.solutions_match_closed_form,
-            "equations_holding_on_every_scan_member":
-                sorted(lab for lab, n in census.per_label.items()
-                       if n == census.total),
-        }
-        return result.equal, ("the set {x : x iota x = iota} in Sz(q) "
-                              "equals {iota} union the diagonal torus "
-                              f"({1 + (ctx.q - 1)} matrices)"), findings
-    return _timed(run, "fixed-set")
+def _stage_fixed_set(state: RunState):
+    ctx = state.ctx
+    result = fs.fixed_set_result(ctx, state.group)
+    census = fs.equation_census(ctx, result.brute_force)
+    findings = {
+        "closed_form_size": len(result.closed_form),
+        "scan_size": len(result.brute_force),
+        "scan_size_is_involutions_plus_one":
+            len(result.brute_force) == fs.expected_scan_size(ctx),
+        "scan_all_symmetric": all(la.transpose(x) == x
+                                  for x in result.brute_force),
+        "closed_form_satisfies_all_equations":
+            census.closed_form_satisfied,
+        "full_system_solutions": len(census.full_solutions),
+        "full_system_solutions_equal_closed_form":
+            census.solutions_match_closed_form,
+        "equations_holding_on_every_scan_member":
+            sorted(lab for lab, n in census.per_label.items()
+                   if n == census.total),
+    }
+    return result.equal, ("the set {x : x iota x = iota} in Sz(q) "
+                          "equals {iota} union the diagonal torus "
+                          f"({1 + (ctx.q - 1)} matrices)"), findings
 
 
-def _stage_involutions(ctx: SuzukiContext, group: gr.GroupSet) -> StageResult:
-    def run():
-        invs = gr.involutions(group)
-        expected = ctx.involution_count
-        orbit = gr.conjugation_orbit(ctx, tuple(ctx.iota), group)
-        single = set(orbit) == set(invs)
-        findings = {"count": len(invs), "expected": expected,
-                    "orbit_of_iota": len(orbit), "single_class": single}
-        ok = len(invs) == expected and single
-        return ok, (f"Sz({ctx.q}) has exactly (q^2+1)(q-1) = {expected} "
-                    "involutions forming a single conjugacy class"), findings
-    return _timed(run, "involutions")
+def _stage_involutions(state: RunState):
+    ctx = state.ctx
+    group = state.group
+    invs = gr.involutions(group)
+    expected = ctx.involution_count
+    orbit = gr.conjugation_orbit(ctx, tuple(ctx.iota), group)
+    single = set(orbit) == set(invs)
+    findings = {"count": len(invs), "expected": expected,
+                "orbit_of_iota": len(orbit), "single_class": single}
+    ok = len(invs) == expected and single
+    return ok, (f"Sz({ctx.q}) has exactly (q^2+1)(q-1) = {expected} "
+                "involutions forming a single conjugacy class"), findings
 
 
-def _stage_rank4(ctx: SuzukiContext, group: gr.GroupSet
-                 ) -> Tuple[StageResult, tr.TripleReport]:
-    holder = {}
+def _stage_rank4(state: RunState):
+    """Also keeps the search's report as ``state.rank4``."""
+    ctx = state.ctx
+    report = state.rank4 = tr.search_rank4(ctx, state.group)
+    inv_ok = tr.torus_inversion_check(ctx)
+    comm_ok = tr.torus_commutation_check(ctx)
+    findings = {
+        "candidates": report.candidates,
+        "successes": len(report.successes),
+        "subgroup_orders": sorted({d.subgroup_order
+                                   for d in report.details}),
+        "all_solvable": all(d.solvable for d in report.details),
+        "torus_inversion": inv_ok,
+        "torus_commutation": comm_ok,
+        "reduction_complete": report.reduction.fixed_set_equal,
+        "generating_triples_outside_restriction": len(report.witnesses),
+    }
+    ok = report.certifies_nonexistence and inv_ok and comm_ok
+    return ok, ("no generating triple with the three involution "
+                "conditions exists (restricted search plus "
+                "completeness audit)"), findings
 
-    def run():
-        report = tr.search_rank4(ctx, group)
-        holder["report"] = report
-        inv_ok = tr.torus_inversion_check(ctx)
-        comm_ok = tr.torus_commutation_check(ctx)
-        findings = {
-            "candidates": report.candidates,
-            "successes": len(report.successes),
-            "subgroup_orders": sorted({d.subgroup_order
-                                       for d in report.details}),
-            "all_solvable": all(d.solvable for d in report.details),
-            "torus_inversion": inv_ok,
-            "torus_commutation": comm_ok,
-            "reduction_complete": report.reduction.fixed_set_equal,
-            "generating_triples_outside_restriction": len(report.witnesses),
-        }
-        ok = report.certifies_nonexistence and inv_ok and comm_ok
-        return ok, ("no generating triple with the three involution "
-                    "conditions exists (restricted search plus "
-                    "completeness audit)"), findings
-    return _timed(run, "rank4"), holder["report"]
+
+# Each stage returns (passed, claim, findings).
+STAGES = {
+    "field": _stage_field,
+    "wilson": _stage_wilson,
+    "group": _stage_group,
+    "fixed-set": _stage_fixed_set,
+    "involutions": _stage_involutions,
+    "rank4": _stage_rank4,
+}
 
 
 def _write_report(path: Optional[str], payload: dict) -> None:
@@ -237,32 +264,18 @@ def _write_report(path: Optional[str], payload: dict) -> None:
             fh.write("\n")
 
 
-def _ctx_for(args) -> SuzukiContext:
-    return make_context(_E_FOR_Q[args.q])
-
-
-def cmd_field_selftest(args) -> int:
-    res = _stage_field(_ctx_for(args))
+def cmd_stage(name: str, args) -> int:
+    """One stage alone: field-selftest, build-group and involutions."""
+    state = RunState(args)
+    res = state.stage(name)
     _print_stage(res)
-    _write_report(args.report, {"schema": "szverify-run v1", "q": args.q,
-                                "stages": [res.to_json_dict()],
-                                "overall": res.passed})
-    return EXIT_PASS if res.passed else EXIT_THEOREM
-
-
-def cmd_build_group(args) -> int:
-    ctx = _ctx_for(args)
-    res, _ = _stage_group(ctx, args)
-    _print_stage(res)
-    _write_report(args.report, {"schema": "szverify-run v1", "q": args.q,
-                                "stages": [res.to_json_dict()],
-                                "overall": res.passed})
+    _write_report(args.report, state.payload())
     return EXIT_PASS if res.passed else EXIT_THEOREM
 
 
 def cmd_enumerate_x(args) -> int:
-    ctx = _ctx_for(args)
-    closed = fs.closed_form_X(ctx)
+    state = RunState(args)
+    closed = fs.closed_form_X(state.ctx)
     payload = {"schema": "szverify-fixed-set v1", "q": args.q,
                "mode": args.mode}
     status = EXIT_PASS
@@ -272,8 +285,7 @@ def cmd_enumerate_x(args) -> int:
             print("  " + la.mat_to_hex(x))
         payload["closed_form"] = [la.mat_to_hex(x) for x in closed]
     if args.mode in ("scan", "both"):
-        group = gr.build_suzuki(ctx, ceiling=args.budget)
-        scan = fs.brute_force_X(ctx, group)
+        scan = fs.brute_force_X(state.ctx, state.group)
         payload["scan_size"] = len(scan)
         payload["scan_sample"] = [la.mat_to_hex(x) for x in scan[:16]]
         print(f"scan: {len(scan)} matrices with x.iota.x = iota")
@@ -288,9 +300,9 @@ def cmd_enumerate_x(args) -> int:
 
 
 def cmd_check_equations(args) -> int:
-    ctx = _ctx_for(args)
-    group = gr.build_suzuki(ctx, ceiling=args.budget)
-    census = fs.equation_census(ctx, fs.brute_force_X(ctx, group))
+    state = RunState(args)
+    census = fs.equation_census(state.ctx,
+                                fs.brute_force_X(state.ctx, state.group))
     print(f"scan members: {census.total}")
     print(f"{'label':<6} {'satisfied':>9}  origin")
     for eq in fs.EQUATIONS:
@@ -316,21 +328,10 @@ def cmd_check_equations(args) -> int:
     return EXIT_PASS if ok else EXIT_THEOREM
 
 
-def cmd_involutions(args) -> int:
-    ctx = _ctx_for(args)
-    _, group = _stage_group(ctx, args)
-    res = _stage_involutions(ctx, group)
-    _print_stage(res)
-    _write_report(args.report, {"schema": "szverify-run v1", "q": args.q,
-                                "stages": [res.to_json_dict()],
-                                "overall": res.passed})
-    return EXIT_PASS if res.passed else EXIT_THEOREM
-
-
 def cmd_search_rank4(args) -> int:
-    ctx = _ctx_for(args)
-    group = gr.build_suzuki(ctx, ceiling=args.budget)
-    res, report = _stage_rank4(ctx, group)
+    state = RunState(args)
+    res = state.stage("rank4")
+    report = state.rank4
     print(f"candidates: {report.candidates}, successes: "
           f"{len(report.successes)}")
     _print_stage(res)
@@ -348,32 +349,14 @@ def cmd_search_rank4(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    ctx = _ctx_for(args)
-    stages: List[StageResult] = []
-    group = None
+    state = RunState(args)
     for name in STAGE_ORDER:
-        if name == "field":
-            res = _stage_field(ctx)
-        elif name == "wilson":
-            res = _stage_wilson(ctx)
-        elif name == "group":
-            res, group = _stage_group(ctx, args)
-        elif name == "fixed-set":
-            res = _stage_fixed_set(ctx, group)
-        elif name == "involutions":
-            res = _stage_involutions(ctx, group)
-        else:
-            res, rank4_report = _stage_rank4(ctx, group)
-        stages.append(res)
-        _print_stage(res)
-    overall = all(s.passed for s in stages)
-    print(f"overall: {'PASS' if overall else 'FAIL'}")
-    payload = {"schema": "szverify-run v1", "q": args.q,
-               "stages": [s.to_json_dict() for s in stages],
-               "overall": overall,
-               "rank4_report": rank4_report.to_json_dict()}
+        _print_stage(state.stage(name))
+    payload = state.payload()
+    print(f"overall: {'PASS' if payload['overall'] else 'FAIL'}")
+    payload["rank4_report"] = state.rank4.to_json_dict()
     _write_report(args.report, payload)
-    return EXIT_PASS if overall else EXIT_THEOREM
+    return EXIT_PASS if payload["overall"] else EXIT_THEOREM
 
 
 def _positive_int(text: str) -> int:
@@ -400,11 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "generating-triple claims.")
     sub = parser.add_subparsers(dest="command", required=True)
     specs = (
-        ("field-selftest", cmd_field_selftest, False),
-        ("build-group", cmd_build_group, False),
+        ("field-selftest", partial(cmd_stage, "field"), False),
+        ("build-group", partial(cmd_stage, "group"), False),
         ("enumerate-x", cmd_enumerate_x, True),
         ("check-equations", cmd_check_equations, False),
-        ("involutions", cmd_involutions, False),
+        ("involutions", partial(cmd_stage, "involutions"), False),
         ("search-rank4", cmd_search_rank4, False),
         ("verify-all", cmd_verify_all, False),
     )

@@ -14,16 +14,14 @@ from dataclasses import dataclass, field as dc_field
 from .errors import SzVerifyError
 from .field import BinaryField, TwistedField, clmul, polymod
 
-# Defining polynomials, keyed by degree 2e+1.  Enumeration only ever runs
-# at e <= 3; the larger degrees exist so that scalar arithmetic works for
-# any context this package will construct.
+# Defining polynomials, keyed by degree 2e+1.  The group is enumerated
+# only at q = 8 and 32; degrees 7 and 9 (q = 128 and 512) give contexts
+# for scalar arithmetic.  Every field here is small enough to be tabled.
 MODULI = {
     3: 0b1011,            # x^3 + x + 1
     5: 0b100101,          # x^5 + x^2 + 1
     7: 0b10000011,        # x^7 + x + 1
     9: 0b1000010001,      # x^9 + x^4 + 1
-    11: 0b100000000101,   # x^11 + x^2 + 1
-    13: 0b10000000011011, # x^13 + x^4 + x^3 + x + 1
 }
 
 IOTA = (

@@ -5,17 +5,15 @@ coefficient of x^i, so 0b110 stands for x^2 + x.  Addition is xor.
 Multiplication reduces modulo a fixed irreducible polynomial, given in the
 same encoding (0b1011 is x^3 + x + 1).
 
-For small fields (q <= 512) full multiplication and inverse tables are
-built eagerly; larger fields fall back to shift-and-xor per operation so
-that construction stays cheap.  Inverses come from a^(q-2) by square and
-multiply, never from the extended Euclidean algorithm.
+Full multiplication, inverse and twist tables are built eagerly, which
+is cheap for every field in ``context.MODULI`` (q <= 512).  Inverses come
+from a^(q-2) by square and multiply, never from the extended Euclidean
+algorithm.
 """
 
 from __future__ import annotations
 
 from .errors import SingularMatrixError
-
-_TABLE_LIMIT = 512
 
 
 def clmul(a: int, b: int) -> int:
@@ -55,16 +53,13 @@ class BinaryField:
         self.modulus = modulus
         self.degree = degree
         self.q = 1 << degree
-        self._mul_table = None
-        self._inv_table = None
-        if self.q <= _TABLE_LIMIT:
-            self._mul_table = [
-                [polymod(clmul(a, b), modulus) for b in range(self.q)]
-                for a in range(self.q)
-            ]
-            self._inv_table = [0] * self.q
-            for a in range(1, self.q):
-                self._inv_table[a] = self._pow_raw(a, self.q - 2)
+        self._mul_table = [
+            [polymod(clmul(a, b), modulus) for b in range(self.q)]
+            for a in range(self.q)
+        ]
+        self._inv_table = [0] * self.q
+        for a in range(1, self.q):
+            self._inv_table[a] = self._pow_raw(a, self.q - 2)
 
     def __repr__(self):
         return f"BinaryField(degree={self.degree}, modulus={bin(self.modulus)})"
@@ -73,9 +68,7 @@ class BinaryField:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return polymod(clmul(a, b), self.modulus)
+        return self._mul_table[a][b]
 
     def sqr(self, a: int) -> int:
         return self.mul(a, a)
@@ -106,9 +99,7 @@ class BinaryField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise SingularMatrixError("0 has no inverse")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self._pow_raw(a, self.q - 2)
+        return self._inv_table[a]
 
     def elements(self):
         return range(self.q)
@@ -132,9 +123,7 @@ class TwistedField(BinaryField):
         self.e = e
         self.t = 1 << e
         assert 2 * self.t * self.t == self.q
-        self._frob_table = None
-        if self.q <= _TABLE_LIMIT:
-            self._frob_table = [self._frob_raw(a) for a in range(self.q)]
+        self._frob_table = [self._frob_raw(a) for a in range(self.q)]
 
     def _frob_raw(self, a: int) -> int:
         for _ in range(self.e):
@@ -142,7 +131,5 @@ class TwistedField(BinaryField):
         return a
 
     def frobenius_t(self, a: int) -> int:
-        """The twist a -> a^t = a^(2^e), computed by e successive squarings."""
-        if self._frob_table is not None:
-            return self._frob_table[a]
-        return self._frob_raw(a)
+        """The twist a -> a^t = a^(2^e), tabled from e successive squarings."""
+        return self._frob_table[a]

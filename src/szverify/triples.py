@@ -243,9 +243,8 @@ def _iota_pair_rejections(ctx: SuzukiContext) -> int:
 
 
 def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
-                         count: int = 3,
-                         scan: Optional[Sequence[Mat4]] = None
-                         ) -> List[Witness]:
+                         scan: Sequence[Mat4],
+                         count: int = 3) -> List[Witness]:
     """Generating triples meeting every involution condition.
 
     Deterministic: sigma1 = iota*w1 with w1 the canonically first
@@ -259,15 +258,19 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
 
     Generation is decided by groups.subgroup: a closure that passes
     half the group order has index 1 by Lagrange's theorem, so it stops
-    there and no generating triple is closed to the end.  ``scan`` is
-    the fixed-set scan (fixed_set.brute_force_X) if the caller already
-    has it.
+    there and no generating triple is closed to the end.
+
+    ``scan`` is the fixed-set scan (fixed_set.brute_force_X).  Since
+    x iota x = iota iff (x iota)^2 = I, x -> x iota maps it onto the
+    involutions and I, so the involutions other than iota are listed
+    from it without another pass over the group.
     """
     f = ctx.field
     iota = tuple(ctx.iota)
-    invs = [w for w in gr.involutions(group) if w != iota]
+    skip = (iota, la.identity())
+    invs = sorted(la.mat_mul(f, x, iota) for x in scan if x not in skip)
     closed = set(fs.closed_form_X(ctx))
-    scan = set(fs.brute_force_X(ctx, group) if scan is None else scan)
+    scan = set(scan)
     w1 = invs[0]
     out: List[Witness] = []
     for w3 in invs[1:]:
@@ -342,8 +345,8 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet,
 
     if witness_count is None:
         witness_count = 3 if ctx.q == 8 else 1
-    witnesses = find_rank4_witnesses(ctx, group, count=witness_count,
-                                     scan=result.brute_force)
+    witnesses = find_rank4_witnesses(ctx, group, result.brute_force,
+                                     count=witness_count)
     reduction = ReductionStatus(
         closed_form_size=len(result.closed_form),
         scan_size=len(result.brute_force),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -157,3 +158,42 @@ def test_verify_all_q8_report_pinned(capsys, tmp_path):
     body = json.dumps(strip_elapsed(json.loads(rpt.read_text())),
                       sort_keys=True)
     assert hashlib.sha256(body.encode()).hexdigest() == VERIFY_ALL_Q8_DIGEST
+
+
+# sha256 of stdout, with the "(  0.00s)" stage timings cut out, and of
+# the --report JSON, with every elapsed_s dropped and keys sorted, for
+# each of the other subcommands at q = 8.
+SUBCOMMAND_Q8_DIGESTS = {
+    "field-selftest": (
+        0, "cdc9289753e5f0918575a2d3ee21b897580d0b2e2c2ab563f414f601b24a8eac",
+        "032cb3fe09189fcd12d524bbd887f80d0338acb333e860b66566a0e65ba3faca"),
+    "build-group": (
+        0, "d0db901b50d2c1633b8b5ab481e424cf4ca3d7d417a0f26abec3608d6fb8d177",
+        "e4272c596c29e8330f5b8b2b2c7f2d96ea0605691587df1f9a0822739d21f30b"),
+    "involutions": (
+        0, "b4451df17c7ccd0f439dd250c432573f71107224173e28d49f484e7a1b7d49f5",
+        "e530d804ceb3a5a3538715760bd9b9cf11956f1d24fb51a5b4876409bf8640b6"),
+    "search-rank4": (
+        3, "cfc2eef5fd333d1fcda7c3291946dc8ff21991845faeda46a02791c1b2c40366",
+        "f87486fe13ddfb64bc78c5ef9ba21948160ceaa7151e33096aece104acaeeb5d"),
+    "enumerate-x": (
+        3, "5c16b6290467ee7f32ce0631589445018d9198fab2a8abe5ce88e19313562747",
+        "3f87214e12d671465e5def1e353c1f5dc20fe33144d7af9987dc3f0a1f82cdbd"),
+    "check-equations": (
+        0, "a8b395cb732a316dd84ed5036e61c164bb11997ec3af8b8b5be4fe6c63c99001",
+        "d16404d7fe097b379f369f78409953dc104241b931c51670a7d86e99de869cb5"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_Q8_DIGESTS))
+def test_subcommand_q8_pinned(capsys, tmp_path, command):
+    rpt = tmp_path / "run.json"
+    extra = ["--mode", "both"] if command == "enumerate-x" else []
+    rc, out, _ = run(capsys, command, "--q", "8", *extra,
+                     "--report", str(rpt))
+    out = re.sub(r"\(\s*\d+\.\d+s\)", "", out)
+    body = json.dumps(strip_elapsed(json.loads(rpt.read_text())),
+                      sort_keys=True)
+    assert (rc, hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(body.encode()).hexdigest()) \
+        == SUBCOMMAND_Q8_DIGESTS[command]

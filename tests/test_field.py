@@ -104,6 +104,8 @@ def test_make_context_rejects_bad_e():
     with pytest.raises(ValueError):
         make_context(0)
     with pytest.raises(ValueError):
+        make_context(5)  # q = 2^11: no modulus, no untabled field
+    with pytest.raises(ValueError):
         make_context(7)
 
 

@@ -67,6 +67,10 @@ def test_scan_is_involutions_times_iota(ctx8, group8):
     image = {la.mat_mul(f, w, ctx8.iota) for w in gr.involutions(group8)}
     image.add(ctx8.iota)  # w = I
     assert image == scan
+    # the walk order of triples.find_rank4_witnesses
+    walk = sorted(la.mat_mul(f, x, ctx8.iota) for x in scan
+                  if x not in (ctx8.iota, la.identity()))
+    assert walk == [w for w in gr.involutions(group8) if w != ctx8.iota]
 
 
 def test_every_scan_member_symmetric(ctx8, group8):

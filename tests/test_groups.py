@@ -143,6 +143,15 @@ def test_build_suzuki_order_and_determinism(ctx8):
     assert gr.build_suzuki(ctx8).order == SZ8_ORDER
 
 
+def test_build_suzuki_rejects_wrong_order(ctx8, monkeypatch):
+    # seeds that close to a proper subgroup are an error, not a retry
+    close = gr.closure
+    monkeypatch.setattr(gr, "closure", lambda ctx, gens, ceiling:
+                        close(ctx, gens[:1], ceiling))
+    with pytest.raises(VerificationError, match="expected 29120"):
+        gr.build_suzuki(ctx8)
+
+
 def test_group8_fixture_facts(ctx8, group8):
     assert group8.order == SZ8_ORDER
     assert group8.divides(SZ8_ORDER)

@@ -143,6 +143,7 @@ def test_torus_checks_q32(ctx32):
 
 
 def test_witness_triples_from_fresh_search(ctx8, group8):
-    ws = tr.find_rank4_witnesses(ctx8, group8, count=1)
+    ws = tr.find_rank4_witnesses(ctx8, group8,
+                                 fs.brute_force_X(ctx8, group8), count=1)
     assert len(ws) == 1
     assert ws[0].subgroup_order == group8.order
