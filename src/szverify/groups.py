@@ -1,13 +1,13 @@
 """Exhaustive group machinery over 4x4 matrices.
 
-Breadth-first closure with canonical dedup, the Sz(q) construction,
-conjugation orbits with transversals, element orders and derived series.
+Breadth-first closure with canonical dedup, subgroups decided by index,
+the Sz(q) construction, conjugation orbits, element orders, derived series.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -186,29 +186,24 @@ def build_suzuki(ctx: SuzukiContext,
 
 
 def conjugation_orbit(ctx: SuzukiContext, seed: Mat4,
-                      group: GroupSet) -> Dict[Mat4, Mat4]:
-    """Orbit of ``seed`` under conjugation by the group generators.
-
-    Returns {y: h} with h^-1 . seed . h = y for every orbit element y,
-    so h conjugates the seed onto y (the transversal).
-    """
+                      group: GroupSet) -> Set[Mat4]:
+    """Orbit of ``seed`` under conjugation by the group generators."""
     if seed not in group:
         raise ValueError("seed is not an element of the group")
     f = ctx.field
     inv_gens = [(g, la.invert(f, g)) for g in group.generators]
-    transversal: Dict[Mat4, Mat4] = {seed: la.identity()}
+    orbit = {seed}
     frontier = [seed]
     while frontier:
         nxt: List[Mat4] = []
         for y in frontier:
-            h = transversal[y]
             for g, g_inv in inv_gens:
                 y2 = la.mat_mul(f, g_inv, la.mat_mul(f, y, g))
-                if y2 not in transversal:
-                    transversal[y2] = la.mat_mul(f, h, g)
+                if y2 not in orbit:
+                    orbit.add(y2)
                     nxt.append(y2)
         frontier = nxt
-    return transversal
+    return orbit
 
 
 def element_order(ctx: SuzukiContext, g: Mat4, cap: int = 1 << 20) -> int:

@@ -89,21 +89,6 @@ def row_action(tables: np.ndarray, ents: np.ndarray) -> np.ndarray:
     return rows.view(np.uint8).reshape(-1, 16)
 
 
-def batch_matmul(ctx: SuzukiContext, a: np.ndarray, b: np.ndarray,
-                 chunk: int = 1 << 15) -> np.ndarray:
-    """Entrywise-layout product of two (n, 16) batches."""
-    mul, _, _ = field_tables(ctx)
-    a4 = a.reshape(-1, 4, 4)
-    b4 = b.reshape(-1, 4, 4)
-    n = a4.shape[0]
-    out = np.empty((n, 4, 4), dtype=np.uint8)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        prod = mul[a4[lo:hi, :, :, None], b4[lo:hi, None, :, :]]
-        out[lo:hi] = np.bitwise_xor.reduce(prod, axis=2)
-    return out.reshape(-1, 16)
-
-
 def symplectic_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
     """Which matrices satisfy x^T iota x == iota."""
     mul, _, _ = field_tables(ctx)
@@ -133,12 +118,14 @@ def fixed_point_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
 
 
 def involution_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
-    """Which matrices square to the identity without being it."""
-    sq = batch_matmul(ctx, ents, ents).reshape(-1, 4, 4)
-    ident = np.eye(4, dtype=np.uint8)
-    is_sq_id = np.all(sq == ident, axis=(1, 2))
-    is_id = np.all(ents.reshape(-1, 4, 4) == ident, axis=(1, 2))
-    return is_sq_id & ~is_id
+    """Which matrices square to the identity without being it.
+
+    x iota is x with its columns reversed, and x^2 = I exactly when
+    (x iota) iota (x iota) = iota, so the fixed-point test decides it.
+    """
+    x = ents.reshape(-1, 4, 4)
+    is_id = np.all(x == np.eye(4, dtype=np.uint8), axis=(1, 2))
+    return fixed_point_mask(ctx, x[:, :, ::-1]) & ~is_id
 
 
 def suzuki_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:

@@ -6,11 +6,13 @@ sigma2*sigma3 and sigma1*sigma2 all involutions.  This module machine
 checks the claimed reduction of that condition and runs two searches:
 the restricted one over pairs from the closed-form fixed set, and a
 direct construction showing the restriction misses generating triples.
+Both build each triple from (sigma1^-1, sigma3^-1) with product iota,
+and both check and close it in one walk (_closed_triples).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import fixed_set as fs
 from . import groups as gr
@@ -34,13 +36,6 @@ class ChiralTriple:
         return la.mat_mul(f, la.mat_mul(f, self.sigma1, self.sigma2),
                           self.sigma3)
 
-    def conjugate(self, ctx: SuzukiContext, h: Mat4) -> "ChiralTriple":
-        """Entrywise h . sigma . h^-1."""
-        f = ctx.field
-        h_inv = la.invert(f, h)
-        return ChiralTriple(*(la.mat_mul(f, h, la.mat_mul(f, s, h_inv))
-                              for s in self.mats()))
-
     def to_json_dict(self) -> dict:
         return {"sigma1": la.mat_to_hex(self.sigma1),
                 "sigma2": la.mat_to_hex(self.sigma2),
@@ -54,34 +49,6 @@ def involution_conditions(ctx: SuzukiContext,
     s1, s2, s3 = triple.mats()
     prods = (triple.product(ctx), la.mat_mul(f, s2, s3), la.mat_mul(f, s1, s2))
     return tuple(gr.element_order(ctx, p) == 2 for p in prods)
-
-
-def normalize_triple(ctx: SuzukiContext, triple: ChiralTriple,
-                     group: gr.GroupSet,
-                     transversal: Optional[Dict[Mat4, Mat4]] = None
-                     ) -> ChiralTriple:
-    """Conjugate the triple so its product becomes iota exactly.
-
-    Uses the conjugation-orbit transversal of iota.  If the product is
-    an involution whose orbit misses iota, the single-conjugacy-class
-    property has failed, which is a theorem-level contradiction.
-    """
-    iota = tuple(ctx.iota)
-    p = triple.product(ctx)
-    if gr.element_order(ctx, p) != 2:
-        raise ValueError("triple product is not an involution")
-    if transversal is None:
-        transversal = gr.conjugation_orbit(ctx, iota, group)
-    if p == iota:
-        return triple
-    if p not in transversal:
-        raise VerificationError(
-            "involution outside the conjugacy class of iota")
-    h = transversal[p]
-    out = triple.conjugate(ctx, h)
-    if out.product(ctx) != iota:
-        raise VerificationError("normalisation failed to reach iota")
-    return out
 
 
 def fixed_set_membership_lemma(ctx: SuzukiContext,
@@ -226,6 +193,29 @@ def _triple_from_inverse_pair(ctx: SuzukiContext, s1_inv: Mat4,
     return ChiralTriple(la.invert(f, s1_inv), sigma2, la.invert(f, s3_inv))
 
 
+def _closed_triples(ctx: SuzukiContext, group: gr.GroupSet,
+                    inverse_pairs: Iterable[Tuple[Mat4, Mat4]]
+                    ) -> Iterator[Tuple[Mat4, Mat4, ChiralTriple,
+                                        gr.GroupSet]]:
+    """Build, check and close the triple of each (sigma1^-1, sigma3^-1).
+
+    Yields (sigma1^-1, sigma3^-1, triple, subgroup it generates), lazily,
+    so a caller may stop early.  Both searches walk only pairs whose
+    triple meets every involution condition by construction, so a
+    triple that does not raises VerificationError; its product iota is
+    certified by fixed_set_membership_lemma wherever a caller keeps it.
+    The subgroup comes from groups.subgroup: a closure that passes half
+    the group order has index 1 by Lagrange's theorem, so it stops there
+    and no generating triple is closed to the end.
+    """
+    for s1_inv, s3_inv in inverse_pairs:
+        triple = _triple_from_inverse_pair(ctx, s1_inv, s3_inv)
+        if not all(involution_conditions(ctx, triple)):
+            raise VerificationError(
+                "constructed triple failed an involution condition")
+        yield s1_inv, s3_inv, triple, gr.subgroup(ctx, triple.mats(), group)
+
+
 def _iota_pair_rejections(ctx: SuzukiContext) -> int:
     """Every pair using iota as an inverse fails an involution condition."""
     iota = tuple(ctx.iota)
@@ -247,48 +237,34 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
                          count: int = 3) -> List[Witness]:
     """Generating triples meeting every involution condition.
 
-    Deterministic: sigma1 = iota*w1 with w1 the canonically first
-    involution other than iota, then w3 walks the remaining
-    involutions; the first ``count`` pairs whose triple generates the
-    whole group are kept.  For any involutions w1, w3 the triple
-    (iota*w1, w1*w3*iota, iota*w3) has product iota and both partial
-    products involutions, so only generation needs searching.  Taking
-    w1 or w3 equal to iota collapses a sigma to the identity and the
-    subgroup to a dihedral one, so those are skipped.
+    For any involutions w1, w3 the triple (iota*w1, w1*w3*iota, iota*w3)
+    has product iota and both partial products involutions, so only
+    generation needs searching.  Its inverses sigma1^-1 = w1*iota and
+    sigma3^-1 = w3*iota are members of ``scan``, the fixed-set scan
+    (fixed_set.brute_force_X): x iota x = iota iff (x iota)^2 = I, so
+    x -> x iota maps the scan onto the involutions and I.  Taking w1 or
+    w3 equal to iota collapses a sigma to the identity and the subgroup
+    to a dihedral one, so x = I and x = iota are skipped.
 
-    Generation is decided by groups.subgroup: a closure that passes
-    half the group order has index 1 by Lagrange's theorem, so it stops
-    there and no generating triple is closed to the end.
-
-    ``scan`` is the fixed-set scan (fixed_set.brute_force_X).  Since
-    x iota x = iota iff (x iota)^2 = I, x -> x iota maps it onto the
-    involutions and I, so the involutions other than iota are listed
-    from it without another pass over the group.
+    Deterministic: w1 is the canonically first involution other than
+    iota, then w3 walks the remaining ones in canonical order; the first
+    ``count`` pairs whose triple generates the whole group are kept.
     """
     f = ctx.field
     iota = tuple(ctx.iota)
     skip = (iota, la.identity())
-    invs = sorted(la.mat_mul(f, x, iota) for x in scan if x not in skip)
+    # scan members, in the canonical order of their involutions x iota
+    xs = [x for _, x in sorted((la.mat_mul(f, x, iota), x)
+                               for x in scan if x not in skip)]
     closed = set(fs.closed_form_X(ctx))
     scan = set(scan)
-    w1 = invs[0]
+    pairs = ((xs[0], x3) for x3 in xs[1:])
     out: List[Witness] = []
-    for w3 in invs[1:]:
-        s1 = la.mat_mul(f, iota, w1)
-        s2 = la.mat_mul(f, w1, la.mat_mul(f, w3, iota))
-        s3 = la.mat_mul(f, iota, w3)
-        triple = ChiralTriple(s1, s2, s3)
-        if triple.product(ctx) != iota:
-            raise VerificationError("witness construction lost the product")
-        if not all(involution_conditions(ctx, triple)):
-            raise VerificationError("witness construction lost a condition")
-        sub = gr.subgroup(ctx, triple.mats(), group)
+    for s1_inv, s3_inv, triple, sub in _closed_triples(ctx, group, pairs):
         if sub.order != group.order:
             continue
         if not fixed_set_membership_lemma(ctx, triple):
             raise VerificationError("witness violated the membership lemma")
-        s1_inv = la.invert(f, s1)
-        s3_inv = la.invert(f, s3)
         wit = Witness(
             triple=triple,
             subgroup_order=sub.order,
@@ -298,8 +274,6 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
             sigma3_inv_in_scan=s3_inv in scan,
             sigma3_inv_in_closed_form=s3_inv in closed,
         )
-        if not (wit.sigma1_inv_in_scan and wit.sigma3_inv_in_scan):
-            raise VerificationError("witness inverse left the fixed set")
         if wit.sigma1_inv_in_closed_form and wit.sigma3_inv_in_closed_form:
             raise VerificationError(
                 "generating triple with both inverses in the closed form")
@@ -314,34 +288,29 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet,
     """The restricted search plus its completeness audit.
 
     Walks every ordered pair of torus elements as (sigma1^-1,
-    sigma3^-1), builds the forced sigma2, certifies the involution
-    conditions and the membership lemma, and closes each triple.  The
-    audit side records that the closed form does not exhaust the
-    scanned fixed set and exhibits generating triples built from fixed
-    set members outside it, so ``certifies_nonexistence`` stays False.
+    sigma3^-1), certifies the membership lemma for each triple, and
+    records the subgroup it generates.  The audit side records that the
+    closed form does not exhaust the scanned fixed set and exhibits
+    generating triples built from fixed set members outside it, so
+    ``certifies_nonexistence`` stays False.
     """
     result = fs.fixed_set_result(ctx, group)
     reduction_rejected = _iota_pair_rejections(ctx)
 
     torus = fs.torus_elements(ctx)
+    pairs = ((a, b) for a in torus for b in torus)
     details: List[PairDetail] = []
     successes: List[ChiralTriple] = []
     lemma_held = True
-    for s1_inv in torus:
-        for s3_inv in torus:
-            triple = _triple_from_inverse_pair(ctx, s1_inv, s3_inv)
-            if not all(involution_conditions(ctx, triple)):
-                raise VerificationError(
-                    "constructed candidate failed an involution condition")
-            lemma_held &= fixed_set_membership_lemma(ctx, triple)
-            sub = gr.subgroup(ctx, triple.mats(), group)
-            orders = tuple(gr.element_order(ctx, s) for s in triple.mats())
-            details.append(PairDetail(
-                a=s1_inv, b=s3_inv, triple=triple, subgroup_order=sub.order,
-                solvable=gr.derived_series_solvable(ctx, sub),
-                sigma_orders=orders))
-            if sub.order == group.order:
-                successes.append(triple)
+    for s1_inv, s3_inv, triple, sub in _closed_triples(ctx, group, pairs):
+        lemma_held &= fixed_set_membership_lemma(ctx, triple)
+        orders = tuple(gr.element_order(ctx, s) for s in triple.mats())
+        details.append(PairDetail(
+            a=s1_inv, b=s3_inv, triple=triple, subgroup_order=sub.order,
+            solvable=gr.derived_series_solvable(ctx, sub),
+            sigma_orders=orders))
+        if sub.order == group.order:
+            successes.append(triple)
 
     if witness_count is None:
         witness_count = 3 if ctx.q == 8 else 1

@@ -192,12 +192,6 @@ def test_conjugation_orbit_single_class(ctx8, group8):
     orbit = gr.conjugation_orbit(ctx8, ctx8.iota, group8)
     invs = gr.involutions(group8)
     assert set(orbit) == set(invs)
-    f = ctx8.field
-    # transversal property, spot-checked
-    items = sorted(orbit.items())[::37]
-    for y, h in items:
-        hi = la.invert(f, h)
-        assert la.mat_mul(f, la.mat_mul(f, hi, ctx8.iota), h) == y
 
 
 def test_derived_series_simple_group(ctx8, group8):

@@ -87,15 +87,6 @@ def test_row_action_batch_matches_mat_mul(ctx8):
     assert [kn.entries_to_mat(r) for r in both] == want
 
 
-def test_batch_matmul_matches_scalar(ctx8):
-    rng = random.Random(37)
-    a = rand_mats(rng, 30)
-    b = rand_mats(rng, 30)
-    out = kn.batch_matmul(ctx8, kn.mats_to_entries(a), kn.mats_to_entries(b))
-    for i in range(30):
-        assert kn.entries_to_mat(out[i]) == la.mat_mul(ctx8.field, a[i], b[i])
-
-
 def test_symplectic_mask_matches_scalar(ctx8):
     rng = random.Random(39)
     mats = rand_mats(rng, 100) + [la.identity(), ctx8.iota,
@@ -109,6 +100,16 @@ def test_involution_mask(ctx8):
     mats = [la.identity(), ctx8.iota, fs.torus_element(ctx8, 3)]
     mask = kn.involution_mask(ctx8, kn.mats_to_entries(mats))
     assert list(mask) == [False, True, False]
+
+
+def test_involution_mask_matches_scalar_squaring(ctx8, group8):
+    """Over all of Sz(8), against squaring by linalg4.mat_mul."""
+    f = ctx8.field
+    mask = kn.involution_mask(ctx8, group8.entries)
+    want = [x != la.identity() and la.mat_mul(f, x, x) == la.identity()
+            for x in group8]
+    assert mask.tolist() == want
+    assert sum(want) == 455
 
 
 def test_fixed_point_mask_matches_definition(ctx8):

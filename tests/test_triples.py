@@ -96,30 +96,6 @@ def test_involution_conditions_negative(ctx8):
     assert conds == (True, False, False)
 
 
-def test_normalize_triple_is_identity_on_iota_product(ctx8, group8, report):
-    w = report.witnesses[0]
-    out = tr.normalize_triple(ctx8, w.triple, group8)
-    assert out.mats() == w.triple.mats()
-
-
-def test_normalize_triple_conjugated(ctx8, group8, report):
-    f = ctx8.field
-    w = report.witnesses[0]
-    h = group8.sample(1, seed=77)[0]
-    moved = w.triple.conjugate(ctx8, h)
-    assert moved.product(ctx8) != ctx8.iota
-    back = tr.normalize_triple(ctx8, moved, group8)
-    assert back.product(ctx8) == ctx8.iota
-    conds = tr.involution_conditions(ctx8, back)
-    assert conds == (True, True, True)
-
-
-def test_normalize_rejects_non_involution_product(ctx8, group8):
-    trip = tr.ChiralTriple(la.identity(), la.identity(), la.identity())
-    with pytest.raises(ValueError):
-        tr.normalize_triple(ctx8, trip, group8)
-
-
 def test_membership_lemma_preconditions(ctx8):
     trip = tr.ChiralTriple(la.identity(), la.identity(), ctx8.iota)
     # product is iota but partial product sigma1 sigma2 = I is not an
@@ -147,3 +123,23 @@ def test_witness_triples_from_fresh_search(ctx8, group8):
                                  fs.brute_force_X(ctx8, group8), count=1)
     assert len(ws) == 1
     assert ws[0].subgroup_order == group8.order
+
+
+def test_witness_walk_order(ctx8, group8):
+    """The walk builds (iota w1, w1 w3 iota, iota w3): w1 the first
+    involution other than iota, then w3 in increasing canonical order."""
+    f = ctx8.field
+    iota = ctx8.iota
+    ws = tr.find_rank4_witnesses(ctx8, group8,
+                                 fs.brute_force_X(ctx8, group8), count=3)
+    invs = [w for w in gr.involutions(group8) if w != iota]
+    w1 = invs[0]
+    # position of each candidate triple in the walk, w3 increasing
+    walk = {(la.mat_mul(f, iota, w1),
+             la.mat_mul(f, w1, la.mat_mul(f, w3, iota)),
+             la.mat_mul(f, iota, w3)): i for i, w3 in enumerate(invs[1:])}
+    got = [w.triple.mats() for w in ws]
+    assert len(got) == 3
+    assert all(mats in walk for mats in got)
+    steps = [walk[mats] for mats in got]
+    assert steps == sorted(set(steps))
