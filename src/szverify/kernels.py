@@ -122,6 +122,9 @@ def involution_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
 
     x iota is x with its columns reversed, and x^2 = I exactly when
     (x iota) iota (x iota) = iota, so the fixed-point test decides it.
+    No szverify code calls it: groups.involutions reads the involutions
+    off GroupSet.fixed_points, and the tests use this whole-group pass
+    as the independent oracle for that list.
     """
     x = ents.reshape(-1, 4, 4)
     is_id = np.all(x == np.eye(4, dtype=np.uint8), axis=(1, 2))

@@ -12,7 +12,7 @@ and both check and close it in one walk (_closed_triples).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from . import fixed_set as fs
 from . import groups as gr
@@ -233,32 +233,29 @@ def _iota_pair_rejections(ctx: SuzukiContext) -> int:
 
 
 def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
-                         scan: Sequence[Mat4],
                          count: int = 3) -> List[Witness]:
     """Generating triples meeting every involution condition.
 
     For any involutions w1, w3 the triple (iota*w1, w1*w3*iota, iota*w3)
     has product iota and both partial products involutions, so only
     generation needs searching.  Its inverses sigma1^-1 = w1*iota and
-    sigma3^-1 = w3*iota are members of ``scan``, the fixed-set scan
-    (fixed_set.brute_force_X): x iota x = iota iff (x iota)^2 = I, so
-    x -> x iota maps the scan onto the involutions and I.  Taking w1 or
-    w3 equal to iota collapses a sigma to the identity and the subgroup
-    to a dihedral one, so x = I and x = iota are skipped.
+    sigma3^-1 = w3*iota are members of the fixed-set scan
+    (fixed_set.brute_force_X): x iota x = iota iff (x iota)^2 = I.
+    Taking w1 or w3 equal to iota collapses a sigma to the identity and
+    the subgroup to a dihedral one, so iota is skipped.
 
-    Deterministic: w1 is the canonically first involution other than
-    iota, then w3 walks the remaining ones in canonical order; the first
-    ``count`` pairs whose triple generates the whole group are kept.
+    Deterministic: w1 is the canonically first involution
+    (groups.involutions) other than iota, then w3 walks the remaining
+    ones in canonical order; the first ``count`` pairs whose triple
+    generates the whole group are kept.
     """
     f = ctx.field
     iota = tuple(ctx.iota)
-    skip = (iota, la.identity())
-    # scan members, in the canonical order of their involutions x iota
-    xs = [x for _, x in sorted((la.mat_mul(f, x, iota), x)
-                               for x in scan if x not in skip)]
+    ws = [w for w in gr.involutions(group) if w != iota]
     closed = set(fs.closed_form_X(ctx))
-    scan = set(scan)
-    pairs = ((xs[0], x3) for x3 in xs[1:])
+    scan = set(fs.brute_force_X(ctx, group))
+    pairs = ((la.mat_mul(f, ws[0], iota), la.mat_mul(f, w3, iota))
+             for w3 in ws[1:])
     out: List[Witness] = []
     for s1_inv, s3_inv, triple, sub in _closed_triples(ctx, group, pairs):
         if sub.order != group.order:
@@ -314,8 +311,7 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet,
 
     if witness_count is None:
         witness_count = 3 if ctx.q == 8 else 1
-    witnesses = find_rank4_witnesses(ctx, group, result.brute_force,
-                                     count=witness_count)
+    witnesses = find_rank4_witnesses(ctx, group, count=witness_count)
     reduction = ReductionStatus(
         closed_form_size=len(result.closed_form),
         scan_size=len(result.brute_force),

@@ -1,6 +1,7 @@
 import pytest
 
 from szverify import groups as gr
+from szverify import kernels as kn
 from szverify.context import make_context
 
 # Filled in by test_acceptance.py; printed at the end of the run.
@@ -24,6 +25,15 @@ def ctx32():
 @pytest.fixture(scope="session")
 def group8(ctx8):
     return gr.build_suzuki(ctx8)
+
+
+@pytest.fixture(scope="session")
+def involutions8(ctx8, group8):
+    """The involutions of Sz(8) from a whole-group kernels.involution_mask
+    pass: the reference for groups.involutions, which reads them off
+    the fixed-point scan instead."""
+    mask = kn.involution_mask(ctx8, group8.entries)
+    return [kn.entries_to_mat(row) for row in group8.entries[mask]]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -135,13 +135,20 @@ def test_criterion_3_fixed_set(ctx8, group8):
     assert system_cuts
 
 
-def test_criterion_4_involution_class(ctx8, group8):
+def test_criterion_4_involution_class(ctx8, group8, involutions8):
+    """(q^2 + 1)(q - 1) = 455 involutions in one conjugacy class.
+
+    Count and class are taken on ``involutions8``, a whole-group
+    kernels.involution_mask pass, which groups.involutions (read off
+    the fixed-point scan) must equal.
+    """
     invs = gr.involutions(group8)
     orbit = gr.conjugation_orbit(ctx8, ctx8.iota, group8)
-    single = set(orbit) == set(invs)
-    ok = len(invs) == 455 and single
-    record_criterion(4, ok, f"{len(invs)} involutions, single class")
-    assert len(invs) == 455 == (8 ** 2 + 1) * 7
+    single = orbit == set(involutions8)
+    ok = len(involutions8) == 455 and invs == involutions8 and single
+    record_criterion(4, ok, f"{len(involutions8)} involutions, single class")
+    assert len(involutions8) == 455 == (8 ** 2 + 1) * 7
+    assert invs == involutions8
     assert single
 
 

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from szverify import cli
+from szverify import kernels as kn
 
 
 def run(capsys, *argv):
@@ -164,6 +165,9 @@ def test_verify_all_q8_report_pinned(capsys, tmp_path):
 # the --report JSON, with every elapsed_s dropped and keys sorted, for
 # each of the other subcommands at q = 8.
 SUBCOMMAND_Q8_DIGESTS = {
+    "verify-all": (
+        3, "f29904b06f870cc4aa94fdd1ab8c0f3b0b1055b0a7c6fd4d7a1fa4ee1ddd0a37",
+        VERIFY_ALL_Q8_DIGEST),
     "field-selftest": (
         0, "cdc9289753e5f0918575a2d3ee21b897580d0b2e2c2ab563f414f601b24a8eac",
         "032cb3fe09189fcd12d524bbd887f80d0338acb333e860b66566a0e65ba3faca"),
@@ -197,3 +201,18 @@ def test_subcommand_q8_pinned(capsys, tmp_path, command):
     assert (rc, hashlib.sha256(out.encode()).hexdigest(),
             hashlib.sha256(body.encode()).hexdigest()) \
         == SUBCOMMAND_Q8_DIGESTS[command]
+
+
+def test_verify_all_scans_fixed_points_once(capsys, monkeypatch):
+    """One verify-all makes one whole-group fixed-point pass: the
+    fixed-set stage, the involutions and the rank-4 walk all read
+    GroupSet.fixed_points, and involution_mask is left to the tests."""
+    calls = {"fixed_point_mask": 0, "involution_mask": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(kn, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(kn, name, counted)
+    rc, _, _ = run(capsys, "verify-all", "--q", "8")
+    assert rc == 3
+    assert calls == {"fixed_point_mask": 1, "involution_mask": 0}

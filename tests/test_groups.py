@@ -3,6 +3,7 @@ import pytest
 
 from szverify import fixed_set as fs
 from szverify import groups as gr
+from szverify import kernels as kn
 from szverify import linalg4 as la
 from szverify import wilson as wl
 from szverify.errors import (BudgetExceededError, DepthLimitError,
@@ -62,14 +63,20 @@ def test_closure_dihedral_q32(ctx32):
     assert wl.e1_transvection(ctx32) not in g
 
 
+def borel_gens(ctx):
+    # a torus element and the 8th non-identity element of the sorted
+    # Sylow filter: the Borel subgroup, order q^2(q - 1) = 448 at q = 8
+    return [fs.torus_element(ctx, 2),
+            la.mat_from_hex("1 1 0 0 0 1 0 0 0 1 1 1 1 1 0 1")]
+
+
 def test_closure_borel_many_levels(ctx8):
     """A torus element and a Sylow element (the 8th non-identity one of
     the sorted Sylow filter) generate the Borel subgroup of order
     q^2(q - 1) = 448, the largest proper subgroup.  Its elements lie up
     to 11 levels from the identity, so the closure runs 12 levels, the
     last of which finds nothing new."""
-    gens = [fs.torus_element(ctx8, 2),
-            la.mat_from_hex("1 1 0 0 0 1 0 0 0 1 1 1 1 1 0 1")]
+    gens = borel_gens(ctx8)
     members, levels = tuple_bfs(ctx8, gens)
     assert (len(members), levels) == (448, 11)
     assert list(gr.closure(ctx8, gens, ceiling=448)) == sorted(members)
@@ -92,12 +99,46 @@ def test_groupset_requires_strictly_increasing_entries(ctx8):
                        generators=d.generators).order == 14
 
 
-def _walk_triples(ctx, group, count):
+def test_entries_read_only(group8):
+    # writes back the value it reads, so a failure leaves group8 intact
+    with pytest.raises(ValueError):
+        group8.entries[0, 0] = group8.entries[0, 0]
+
+
+def test_fixed_points_cached_and_read_only(group8):
+    fp = group8.fixed_points
+    assert fp is group8.fixed_points
+    assert len(fp) == 456
+    with pytest.raises(ValueError):
+        fp[0, 0] = fp[0, 0]
+
+
+@pytest.mark.parametrize("gens", [dihedral_gens, borel_gens],
+                         ids=["d14", "borel"])
+def test_fixed_points_of_closure_match_kernel(ctx8, gens):
+    g = gr.closure(ctx8, gens(ctx8), ceiling=448)
+    want = g.entries[kn.fixed_point_mask(ctx8, g.entries)]
+    assert np.array_equal(g.fixed_points, want)
+
+
+def test_involutions_match_kernel_oracle(ctx8, group8, involutions8):
+    assert gr.involutions(group8) == involutions8
+    d14 = gr.closure(ctx8, dihedral_gens(ctx8), ceiling=100)
+    mask = kn.involution_mask(ctx8, d14.entries)
+    assert gr.involutions(d14) == [kn.entries_to_mat(r)
+                                   for r in d14.entries[mask]]
+    # the Borel subgroup lacks iota, so x -> x iota leaves it
+    with pytest.raises(ValueError):
+        gr.involutions(gr.closure(ctx8, borel_gens(ctx8), ceiling=448))
+
+
+def _walk_triples(ctx, invs, count):
     """The triples (iota w1, w1 w3 iota, iota w3) of the rank-4 witness
-    walk: w1 the first involution other than iota, then ``count`` w3."""
+    walk: w1 the first involution other than iota, then ``count`` w3;
+    ``invs`` lists the involutions in canonical order."""
     f = ctx.field
     iota = ctx.iota
-    invs = [w for w in gr.involutions(group) if w != iota]
+    invs = [w for w in invs if w != iota]
     w1 = invs[0]
     for w3 in invs[1:1 + count]:
         yield (la.mat_mul(f, iota, w1),
@@ -105,9 +146,9 @@ def _walk_triples(ctx, group, count):
                la.mat_mul(f, iota, w3))
 
 
-def test_subgroup_agrees_with_full_closure(ctx8, group8):
+def test_subgroup_agrees_with_full_closure(ctx8, group8, involutions8):
     generating = proper = 0
-    for triple in _walk_triples(ctx8, group8, 40):
+    for triple in _walk_triples(ctx8, involutions8, 40):
         sub = gr.subgroup(ctx8, triple, group8)
         full = gr.closure(ctx8, triple, SZ8_ORDER)
         assert sub.order == full.order
@@ -181,9 +222,9 @@ def test_element_orders(ctx8, group8):
 
 def test_involutions_count(ctx8, group8):
     invs = gr.involutions(group8)
-    assert len(invs) == 455
+    assert len(invs) == 455 == ctx8.involution_count
     f = ctx8.field
-    for w in invs[:40]:
+    for w in invs:
         assert w != la.identity()
         assert la.mat_mul(f, w, w) == la.identity()
 

@@ -2,8 +2,6 @@ import json
 
 import pytest
 
-from szverify import fixed_set as fs
-from szverify import groups as gr
 from szverify import linalg4 as la
 from szverify import triples as tr
 from szverify.errors import VerificationError
@@ -119,20 +117,19 @@ def test_torus_checks_q32(ctx32):
 
 
 def test_witness_triples_from_fresh_search(ctx8, group8):
-    ws = tr.find_rank4_witnesses(ctx8, group8,
-                                 fs.brute_force_X(ctx8, group8), count=1)
+    ws = tr.find_rank4_witnesses(ctx8, group8, count=1)
     assert len(ws) == 1
     assert ws[0].subgroup_order == group8.order
 
 
-def test_witness_walk_order(ctx8, group8):
+def test_witness_walk_order(ctx8, group8, involutions8):
     """The walk builds (iota w1, w1 w3 iota, iota w3): w1 the first
-    involution other than iota, then w3 in increasing canonical order."""
+    involution other than iota, then w3 in increasing canonical order.
+    The involutions come from kernels.involution_mask."""
     f = ctx8.field
     iota = ctx8.iota
-    ws = tr.find_rank4_witnesses(ctx8, group8,
-                                 fs.brute_force_X(ctx8, group8), count=3)
-    invs = [w for w in gr.involutions(group8) if w != iota]
+    ws = tr.find_rank4_witnesses(ctx8, group8, count=3)
+    invs = [w for w in involutions8 if w != iota]
     w1 = invs[0]
     # position of each candidate triple in the walk, w3 increasing
     walk = {(la.mat_mul(f, iota, w1),
