@@ -284,7 +284,7 @@ def cmd_enumerate_x(args) -> int:
             print("  " + la.mat_to_hex(x))
         payload["closed_form"] = [la.mat_to_hex(x) for x in closed]
     if args.mode in ("scan", "both"):
-        scan = fs.brute_force_X(state.ctx, state.group)
+        scan = fs.brute_force_X(state.group)
         payload["scan_size"] = len(scan)
         payload["scan_sample"] = [la.mat_to_hex(x) for x in scan[:16]]
         print(f"scan: {len(scan)} matrices with x.iota.x = iota")
@@ -301,7 +301,7 @@ def cmd_enumerate_x(args) -> int:
 def cmd_check_equations(args) -> int:
     state = RunState(args)
     census = fs.equation_census(state.ctx,
-                                fs.brute_force_X(state.ctx, state.group))
+                                fs.brute_force_X(state.group))
     print(f"scan members: {census.total}")
     print(f"{'label':<6} {'satisfied':>9}  origin")
     for eq in fs.EQUATIONS:

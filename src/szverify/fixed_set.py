@@ -197,11 +197,11 @@ def eval_equation_system(ctx: SuzukiContext, x: Mat4) -> EquationReport:
         raise ValueError("equation system is stated for symmetric matrices")
     f = ctx.field
     a = _entries(x)
-    recs = tuple(
-        EquationRecord(eq.label, eq.lhs(f, a), eq.rhs(f, a),
-                       eq.lhs(f, a) == eq.rhs(f, a), eq.origin)
-        for eq in EQUATIONS)
-    return EquationReport(tuple(x), recs)
+    recs = []
+    for eq in EQUATIONS:
+        lhs, rhs = eq.lhs(f, a), eq.rhs(f, a)
+        recs.append(EquationRecord(eq.label, lhs, rhs, lhs == rhs, eq.origin))
+    return EquationReport(tuple(x), tuple(recs))
 
 
 def in_fixed_set(ctx: SuzukiContext, x: Mat4) -> bool:
@@ -237,7 +237,7 @@ def closed_form_X(ctx: SuzukiContext) -> List[Mat4]:
     return sorted([tuple(ctx.iota)] + torus_elements(ctx))
 
 
-def brute_force_X(ctx: SuzukiContext, group) -> List[Mat4]:
+def brute_force_X(group) -> List[Mat4]:
     """Every group element with x . iota . x = iota, canonically sorted.
 
     Read from ``group.fixed_points``, so the whole-group scan runs once
@@ -269,7 +269,7 @@ def fixed_set_result(ctx: SuzukiContext, group) -> FixedSetResult:
     At q = 8 the closed form lists 8 matrices while the scan finds 456
     (every symmetric member), so ``equal`` is False.
     """
-    return FixedSetResult(closed_form_X(ctx), brute_force_X(ctx, group))
+    return FixedSetResult(closed_form_X(ctx), brute_force_X(group))
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,10 @@ class GroupSet:
 
     ``entries`` holds all elements as (n, 16) uint8 in strictly
     increasing canonical (row-major lexicographic) order, which
-    ``__post_init__`` checks, so its record view (``kernels.entry_keys``)
-    is sorted and O(log n) membership is a binary search.  It is
-    read-only: ``__post_init__`` clears its writeable flag, which keeps
-    the cached ``fixed_points`` true to it.
+    ``__post_init__`` checks, so its cached ``keys`` are sorted and
+    O(log n) membership is a binary search.  It is read-only:
+    ``__post_init__`` clears its writeable flag, which keeps the cached
+    ``keys`` and ``fixed_points`` true to it.
     """
 
     ctx: SuzukiContext
@@ -48,9 +48,16 @@ class GroupSet:
             raise VerificationError(
                 "group entries are not strictly increasing "
                 "(out of canonical order, or a duplicate element)")
+        self.entries.flags.writeable = False
         if la.identity() not in self:
             raise VerificationError("group does not contain the identity")
-        self.entries.flags.writeable = False
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """kernels.entry_keys of the entries, read-only and sorted."""
+        keys = kn.entry_keys(self.ctx, self.entries)
+        keys.flags.writeable = False
+        return keys
 
     @cached_property
     def fixed_points(self) -> np.ndarray:
@@ -69,10 +76,9 @@ class GroupSet:
         return self.order
 
     def __contains__(self, mat: Mat4) -> bool:
-        keys = kn.entry_keys(self.entries)
-        key = kn.entry_keys(kn.mats_to_entries([mat]))[0]
-        pos = int(np.searchsorted(keys, key))
-        return pos < len(keys) and keys[pos] == key
+        key = kn.entry_keys(self.ctx, kn.mats_to_entries([mat]))[0]
+        pos = int(np.searchsorted(self.keys, key))
+        return pos < len(self.keys) and self.keys[pos] == key
 
     def __iter__(self) -> Iterator[Mat4]:
         for row in self.entries:
@@ -104,7 +110,7 @@ def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
             ceiling: int) -> GroupSet:
     """Breadth-first product closure of the generators.
 
-    The elements seen so far are kept as sorted entry records
+    The elements seen so far are kept as sorted keys
     (kernels.entry_keys), whose order is the canonical order, so the
     entries come out sorted.  Each level multiplies the frontier on the
     right by every generator through its row tables
@@ -118,11 +124,13 @@ def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
     tables = np.array([kn.row_action_table(ctx, g) for g in gens],
                       dtype=np.uint32).reshape(len(gens), 4, ctx.q)
 
-    seen = kn.entry_keys(kn.mats_to_entries([la.identity()]))
+    seen = kn.entry_keys(ctx, kn.mats_to_entries([la.identity()]))
     frontier = seen
     while gens:
-        cand = np.unique(kn.entry_keys(
-            kn.row_action(tables, frontier.view(np.uint8))))
+        cand = np.sort(kn.entry_keys(
+            ctx, kn.row_action(tables, kn.key_entries(frontier))))
+        # np.unique without its overhead: the first key of each run
+        cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
         pos = np.searchsorted(seen, cand)
         fresh = seen[np.minimum(pos, len(seen) - 1)] != cand
         frontier = cand[fresh]
@@ -133,7 +141,7 @@ def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
         # a merge, not a re-sort: both sides are sorted and disjoint
         seen = np.insert(seen, pos[fresh], frontier)
 
-    return GroupSet(ctx=ctx, entries=seen.view(np.uint8).reshape(-1, 16),
+    return GroupSet(ctx=ctx, entries=kn.key_entries(seen),
                     generators=tuple(gens) or (la.identity(),))
 
 
@@ -179,7 +187,7 @@ def build_suzuki(ctx: SuzukiContext,
         raise VerificationError(
             f"Sylow filter yielded {sylow_ents.shape[0]} elements, "
             f"expected q^2 = {ctx.sylow_order}: field or product-table bug")
-    order_idx = np.argsort(kn.entry_keys(sylow_ents))
+    order_idx = np.argsort(kn.entry_keys(ctx, sylow_ents))
     sylow = [kn.entries_to_mat(sylow_ents[i]) for i in order_idx]
 
     iota = tuple(ctx.iota)
@@ -307,6 +315,6 @@ def involutions(group: GroupSet) -> List[Mat4]:
         raise ValueError("involutions are read off the fixed points only "
                          "in a group that contains iota")
     ws = group.fixed_points.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
-    ws = np.sort(kn.entry_keys(ws)).view(np.uint8).reshape(-1, 16)
+    ws = kn.key_entries(np.sort(kn.entry_keys(group.ctx, ws)))
     return [w for w in map(kn.entries_to_mat, ws) if w != la.identity()]
 

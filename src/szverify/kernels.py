@@ -2,9 +2,11 @@
 
 The closure engine and the membership test work on numpy arrays rather
 than tuples, in one layout: entries, (n, 16) uint8, row-major field
-elements, same order as Mat4.  Viewed as one 16-byte record per matrix
-(entry_keys), a batch is its own sort key: records compare bytewise,
-which is the canonical (row-major lexicographic) order of the matrices.
+elements, same order as Mat4.  Sorting and searching go through one key
+per matrix (entry_keys, inverted by key_entries) whose order is the
+canonical (row-major lexicographic) order of the matrices: for q <= 16
+the 16 entries as big-endian nibbles of a uint64, otherwise a 16-byte
+record that compares bytewise.
 
 Right multiplication by a fixed g acts on each row separately, and
 linearly: r g = r_0 (row 0 of g) + ... + r_3 (row 3 of g).  So four
@@ -60,9 +62,34 @@ def entries_to_mat(row: np.ndarray) -> Mat4:
 _RECORD = np.dtype((np.void, 16))
 
 
-def entry_keys(ents: np.ndarray) -> np.ndarray:
-    """Sort keys of an (n, 16) entries batch: a zero-copy record view."""
-    return np.ascontiguousarray(ents, dtype=np.uint8).view(_RECORD).reshape(-1)
+def entry_keys(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
+    """Sort keys of an (n, 16) entries batch, one per matrix.
+
+    For q <= 16 every entry fits a nibble, so the key is a uint64 with
+    entry 0 in its top nibble and entry 15 in its bottom one; numpy
+    sorts those natively.  A wider q (32 needs 80 bits) gets a zero-copy
+    16-byte record view instead, which sorts through a generic byte
+    compare.  Both orders are the canonical order.
+    """
+    ents = np.ascontiguousarray(ents, dtype=np.uint8).reshape(-1, 16)
+    if ctx.q > 16:
+        return ents.view(_RECORD).reshape(-1)
+    if ents.size and ents.max() > 15:
+        raise ValueError(f"entry {ents.max()} does not fit a nibble")
+    pairs = ents[:, 0::2] << 4
+    pairs |= ents[:, 1::2]
+    return pairs.view(">u8").reshape(-1).astype(np.uint64)
+
+
+def key_entries(keys: np.ndarray) -> np.ndarray:
+    """The (n, 16) uint8 entries that entry_keys made ``keys`` from."""
+    if keys.dtype == _RECORD:
+        return keys.view(np.uint8).reshape(-1, 16)
+    pairs = keys.astype(">u8").view(np.uint8).reshape(-1, 8)
+    ents = np.empty((len(keys), 16), dtype=np.uint8)
+    ents[:, 0::2] = pairs >> 4
+    ents[:, 1::2] = pairs & 15
+    return ents
 
 
 def row_action_table(ctx: SuzukiContext, g: Mat4) -> np.ndarray:

@@ -253,7 +253,7 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
     iota = tuple(ctx.iota)
     ws = [w for w in gr.involutions(group) if w != iota]
     closed = set(fs.closed_form_X(ctx))
-    scan = set(fs.brute_force_X(ctx, group))
+    scan = set(fs.brute_force_X(group))
     pairs = ((la.mat_mul(f, ws[0], iota), la.mat_mul(f, w3, iota))
              for w3 in ws[1:])
     out: List[Witness] = []

@@ -298,7 +298,7 @@ def test_criterion_8_stretch_q32(ctx32):
     assert not res.equal
 
 
-def test_criterion_9_property_suites(ctx8):
+def test_criterion_9_property_suites(ctx8, bullet_sweep8):
     f = ctx8.field
     field_ok = True
     for a in range(8):
@@ -314,22 +314,7 @@ def test_criterion_9_property_suites(ctx8):
     field_ok &= all(f.mul(a, f.inv(a)) == 1 for a in range(1, 8))
     field_ok &= 2 * ctx8.t * ctx8.t == ctx8.q
 
-    from test_wilson import _all_vecs, _bullet_np
-    mul, frob, _ = kn.field_tables(ctx8)
-    vecs = _all_vecs(8)
-    n = len(vecs)
-    sym_ok = True
-    semi_ok = True
-    for lo in range(0, n, 64):
-        ublock = np.repeat(vecs[lo:lo + 64], n, axis=0)
-        vblock = np.tile(vecs, (64, 1))
-        uv = _bullet_np(mul, frob, ublock, vblock)
-        vu = _bullet_np(mul, frob, vblock, ublock)
-        sym_ok &= bool(np.array_equal(uv, vu))
-        for c in range(8):
-            lhs = _bullet_np(mul, frob, mul[np.uint8(c), ublock], vblock)
-            semi_ok &= bool(np.array_equal(lhs, mul[frob[c], uv]))
-
+    sym_ok, semi_ok = bullet_sweep8
     ok = field_ok and sym_ok and semi_ok
     record_criterion(9, ok,
                      "field axioms, twist, bullet symmetry and "

@@ -54,7 +54,7 @@ def test_closed_form_members(ctx8, group8):
 
 def test_scan_size_is_involution_count_plus_one(ctx8, group8,
                                                 involutions8):
-    scan = fs.brute_force_X(ctx8, group8)
+    scan = fs.brute_force_X(group8)
     assert len(scan) == fs.expected_scan_size(ctx8) == 456
     assert len(scan) == len(involutions8) + 1
 
@@ -64,7 +64,7 @@ def test_scan_is_involutions_times_iota(ctx8, group8, involutions8):
     scan set: x iota x = iota iff (x iota)^2 = I.  The involutions come
     from kernels.involution_mask, not from the scan."""
     f = ctx8.field
-    scan = set(fs.brute_force_X(ctx8, group8))
+    scan = set(fs.brute_force_X(group8))
     image = {la.mat_mul(f, w, ctx8.iota) for w in involutions8}
     image.add(ctx8.iota)  # w = I
     assert image == scan
@@ -75,7 +75,7 @@ def test_scan_is_involutions_times_iota(ctx8, group8, involutions8):
 
 
 def test_every_scan_member_symmetric(ctx8, group8):
-    for x in fs.brute_force_X(ctx8, group8):
+    for x in fs.brute_force_X(group8):
         assert fs.symmetry_lemma_check(ctx8, x)
 
 
@@ -126,7 +126,7 @@ def test_nonperp_equations_cover_both_pairs():
 
 
 def test_census_frozen_counts(ctx8, group8):
-    census = fs.equation_census(ctx8, fs.brute_force_X(ctx8, group8))
+    census = fs.equation_census(ctx8, fs.brute_force_X(group8))
     assert census.total == 456
     assert census.per_label == FROZEN_COUNTS
     assert census.closed_form_satisfied
@@ -139,7 +139,7 @@ def test_equation_residual_correspondence(ctx8, group8):
     residual g(ei) . g(ej) + g(ei . ej), checked on scan members (all
     symmetric, so row and column action agree)."""
     f = ctx8.field
-    scan = fs.brute_force_X(ctx8, group8)
+    scan = fs.brute_force_X(group8)
     for x in scan[::11]:
         rep = fs.eval_equation_system(ctx8, x)
         for eq in fs.EQUATIONS:
@@ -158,7 +158,7 @@ def test_equation_residual_correspondence(ctx8, group8):
 def test_sound_equations_hold_on_iota_conjugates(ctx8, group8):
     """The 10 twisted and 2 Gram equations hold on every scan member,
     not only the closed form; spot-checked off the torus."""
-    scan = fs.brute_force_X(ctx8, group8)
+    scan = fs.brute_force_X(group8)
     off_closed = [x for x in scan if x not in set(fs.closed_form_X(ctx8))]
     sound = [f"S{i}" for i in range(1, 11)] + ["P14", "P23"]
     for x in off_closed[::29]:
@@ -175,6 +175,32 @@ def test_perturbed_identity_failing_labels(ctx8):
     rep = fs.eval_equation_system(ctx8, tuple(x))
     fails = [r.label for r in rep.records if not r.satisfied]
     assert fails == ["S1", "S5", "S6", "P14"]
+
+
+def test_eval_calls_each_side_once(ctx8, group8, monkeypatch):
+    """Each equation's lhs and rhs run once per matrix, and the record
+    carries the values they returned."""
+    calls = []
+
+    def counted(side, fn):
+        def wrapped(f, a):
+            calls.append(side)
+            return fn(f, a)
+        return wrapped
+
+    monkeypatch.setattr(fs, "EQUATIONS", tuple(
+        fs.Equation(eq.label, eq.text, eq.origin,
+                    counted((eq.label, "lhs"), eq.lhs),
+                    counted((eq.label, "rhs"), eq.rhs))
+        for eq in fs.EQUATIONS))
+    x = fs.brute_force_X(group8)[5]
+    rep = fs.eval_equation_system(ctx8, x)
+    assert sorted(calls) == sorted((eq.label, side) for eq in fs.EQUATIONS
+                                   for side in ("lhs", "rhs"))
+    a = {(i + 1, j + 1): x[4 * i + j] for i in range(4) for j in range(4)}
+    for eq, r in zip(fs.EQUATIONS, rep.records):
+        assert (r.lhs, r.rhs) == (eq.lhs(ctx8.field, a), eq.rhs(ctx8.field, a))
+        assert r.satisfied == (r.lhs == r.rhs)
 
 
 def test_eval_rejects_asymmetric(ctx8):

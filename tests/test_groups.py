@@ -113,6 +113,19 @@ def test_fixed_points_cached_and_read_only(group8):
         fp[0, 0] = fp[0, 0]
 
 
+@pytest.mark.parametrize("ctx_name,kind", [("ctx8", "u"), ("ctx32", "V")])
+def test_keys_cached_and_read_only(request, ctx_name, kind):
+    """Packed uint64 keys at q = 8, 16-byte records at q = 32."""
+    ctx = request.getfixturevalue(ctx_name)
+    g = gr.closure(ctx, dihedral_gens(ctx), ceiling=100)
+    keys = g.keys
+    assert keys is g.keys
+    assert keys.dtype.kind == kind
+    assert np.array_equal(kn.key_entries(keys), g.entries)
+    with pytest.raises(ValueError):
+        keys[0] = keys[0]
+
+
 @pytest.mark.parametrize("gens", [dihedral_gens, borel_gens],
                          ids=["d14", "borel"])
 def test_fixed_points_of_closure_match_kernel(ctx8, gens):

@@ -22,18 +22,23 @@ def test_entries_round_trip(ctx8):
         assert kn.entries_to_mat(ents[i]) == m
 
 
-def test_key_round_trip():
+def test_key_round_trip(ctx8, ctx32):
     rng = random.Random(33)
-    ents = kn.mats_to_entries(rand_mats(rng, 200))
-    ekeys = kn.entry_keys(ents)
-    assert np.array_equal(ekeys.view(np.uint8).reshape(-1, 16), ents)
+    for ctx in (ctx8, ctx32):
+        mats = [tuple(rng.randrange(ctx.q) for _ in range(16))
+                for _ in range(200)]
+        ents = kn.mats_to_entries(mats)
+        assert np.array_equal(kn.key_entries(kn.entry_keys(ctx, ents)), ents)
 
 
-def test_void_keys_dedup_matches_tuples():
+def test_void_keys_dedup_matches_tuples(ctx8, ctx32):
+    """Equal keys exactly for equal matrices, packed (q = 8) or record
+    (q = 32)."""
     rng = random.Random(34)
     mats = rand_mats(rng, 100) * 3
     ents = kn.mats_to_entries(mats)
-    assert len(np.unique(kn.entry_keys(ents))) == len(set(mats))
+    for ctx in (ctx8, ctx32):
+        assert len(np.unique(kn.entry_keys(ctx, ents))) == len(set(mats))
 
 
 @pytest.mark.parametrize("ctx_name", ["ctx8", "ctx32"])
@@ -46,12 +51,55 @@ def test_sort_keys_are_canonical(request, ctx_name):
     mats += [m[:k] + ((m[k] + 1) % q,) + m[k + 1:]
              for k, m in zip(range(16), mats)]
     mats *= 2
-    ekeys = kn.entry_keys(kn.mats_to_entries(mats))
+    ekeys = kn.entry_keys(ctx, kn.mats_to_entries(mats))
     want = sorted(mats)
     assert [mats[i] for i in np.argsort(ekeys)] == want
-    back = np.sort(ekeys).view(np.uint8).reshape(-1, 16)
+    back = kn.key_entries(np.sort(ekeys))
     assert [kn.entries_to_mat(r) for r in back] == want
     assert len(np.unique(ekeys)) == len(set(mats))
+
+
+def test_key_dtype_follows_q(ctx8, ctx32):
+    ents = kn.mats_to_entries([la.identity()])
+    assert kn.entry_keys(ctx8, ents).dtype == np.uint64
+    rec = kn.entry_keys(ctx32, ents)
+    assert rec.dtype.kind == "V" and rec.dtype.itemsize == 16
+
+
+def test_keys_round_trip_all_of_sz8(ctx8, group8):
+    keys = kn.entry_keys(ctx8, group8.entries)
+    assert bool((keys[1:] > keys[:-1]).all())
+    assert np.array_equal(kn.key_entries(keys), group8.entries)
+
+
+def _record_and_packed_sorts_agree(ctx8, ctx32, ents):
+    packed = kn.entry_keys(ctx8, ents)
+    record = kn.entry_keys(ctx32, ents)
+    assert np.array_equal(np.argsort(packed, kind="stable"),
+                          np.argsort(record, kind="stable"))
+
+
+def test_packed_sort_matches_record_sort_on_sz8(ctx8, ctx32, group8):
+    perm = np.random.default_rng(41).permutation(group8.order)
+    _record_and_packed_sorts_agree(ctx8, ctx32, group8.entries[perm])
+
+
+def test_packed_sort_matches_record_sort_on_nibbles(ctx8, ctx32):
+    """Random entries 0..15, the whole nibble range, with ties and
+    one-entry neighbours."""
+    rng = np.random.default_rng(42)
+    ents = rng.integers(0, 16, (4000, 16), dtype=np.uint8)
+    near = ents[:16].copy()
+    near[np.arange(16), np.arange(16)] ^= 1
+    _record_and_packed_sorts_agree(
+        ctx8, ctx32, np.concatenate([ents, ents[:500], near]))
+
+
+def test_packed_keys_refuse_wide_entries(ctx8):
+    ents = kn.mats_to_entries([la.identity()])
+    ents[0, 3] = 16
+    with pytest.raises(ValueError):
+        kn.entry_keys(ctx8, ents)
 
 
 @pytest.mark.parametrize("ctx_name", ["ctx8", "ctx32"])

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import all_vecs, bullet_np
 from szverify import fixed_set as fs
 from szverify import kernels as kn
 from szverify import linalg4 as la
@@ -46,56 +47,32 @@ def test_bullet_biadditive_sampled(ctx8):
         assert lhs == rhs
 
 
-def _all_vecs(q):
-    idx = np.arange(q ** 4)
-    return np.stack([(idx // q ** 3) % q, (idx // q ** 2) % q,
-                     (idx // q) % q, idx % q], axis=1).astype(np.uint8)
-
-
-def _bullet_np(mul, frob, a, b):
-    at, bt = frob[a], frob[b]
-    return np.stack([
-        mul[at[:, 1], bt[:, 3]] ^ mul[at[:, 3], bt[:, 1]],
-        mul[at[:, 0], bt[:, 1]] ^ mul[at[:, 1], bt[:, 0]],
-        mul[at[:, 2], bt[:, 3]] ^ mul[at[:, 3], bt[:, 2]],
-        mul[at[:, 0], bt[:, 2]] ^ mul[at[:, 2], bt[:, 0]],
-    ], axis=1)
-
-
-def test_semilinearity_exhaustive_q8(ctx8):
+def test_semilinearity_exhaustive_q8(ctx8, bullet_sweep8):
     """(c u) . v == c^t (u . v) for every scalar c and every vector pair.
 
-    4096 x 4096 pairs per scalar, vectorised; the scalar bullet is checked
-    against the vectorised one on a sample first.
+    4096 x 4096 pairs per scalar, vectorised in the session's
+    bullet_sweep8, which criterion 9 reads too; the scalar bullet is
+    checked against the vectorised one on a sample first.
     """
     mul, frob, _ = kn.field_tables(ctx8)
-    vecs = _all_vecs(8)
+    vecs = all_vecs(8)
     rng = np.random.default_rng(13)
     sample = rng.integers(0, len(vecs), 64)
     for i in sample:
         for j in sample[:8]:
-            got = _bullet_np(mul, frob, vecs[i:i + 1], vecs[j:j + 1])[0]
+            got = bullet_np(mul, frob, vecs[i:i + 1], vecs[j:j + 1])[0]
             want = wl.bullet(ctx8, tuple(int(x) for x in vecs[i]),
                              tuple(int(x) for x in vecs[j]))
             assert tuple(int(x) for x in got) == want
 
-    n = len(vecs)
-    for lo in range(0, n, 64):
-        ublock = np.repeat(vecs[lo:lo + 64], n, axis=0)
-        vblock = np.tile(vecs, (64, 1))
-        base = _bullet_np(mul, frob, ublock, vblock)
-        for c in range(8):
-            cu = mul[np.uint8(c), ublock]
-            lhs = _bullet_np(mul, frob, cu, vblock)
-            rhs = mul[frob[c], base]
-            assert np.array_equal(lhs, rhs)
+    assert bullet_sweep8.semilinear
 
 
 def test_oracle_pairs_are_all_perpendicular_pairs(ctx8):
     """The oracle's directly enumerated pairs are exactly the zeros of
     the full 4096 x 4096 form table, each once."""
     mul, _, _ = kn.field_tables(ctx8)
-    vecs = _all_vecs(8)
+    vecs = all_vecs(8)
     n = len(vecs)
     gram = np.zeros((n, n), dtype=np.uint8)
     for i in range(4):
