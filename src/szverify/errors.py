@@ -18,6 +18,10 @@ class SingularMatrixError(SzVerifyError):
     """A matrix expected to be invertible is singular."""
 
 
+class NotSymplecticError(SzVerifyError):
+    """A matrix expected in Sp4(q) does not preserve the form."""
+
+
 class DepthLimitError(SzVerifyError):
     """The derived series neither stabilised nor reached the trivial group
     within the depth limit."""

@@ -144,19 +144,6 @@ EQUATIONS: Tuple[Equation, ...] = (
              ^ f.mul(a[2, 2], a[3, 3]) ^ f.mul(a[1, 2], a[3, 4])),
 )
 
-# The four perpendicular pairs contribute 16 coordinate equations but
-# only 10 distinct ones; the remaining coordinates repeat earlier
-# labels.  Keys are (i, j, coord) of the redundant coordinate.
-DUPLICATE_COORDS: Dict[Tuple[int, int, int], str] = {
-    (0, 2, 1): "S4",
-    (1, 3, 1): "S1",
-    (1, 3, 3): "S5",
-    (3, 2, 0): "S9",
-    (3, 2, 1): "S3",
-    (3, 2, 3): "S6",
-}
-
-
 @dataclass(frozen=True)
 class EquationRecord:
     label: str
@@ -208,15 +195,6 @@ def in_fixed_set(ctx: SuzukiContext, x: Mat4) -> bool:
     """True iff x . iota . x = iota."""
     iota = tuple(ctx.iota)
     return la.mat_mul(ctx.field, la.mat_mul(ctx.field, x, iota), x) == iota
-
-
-def symmetry_lemma_check(ctx: SuzukiContext, x: Mat4) -> bool:
-    """transpose(x) = x, for a symplectic member of the fixed set."""
-    if not la.is_symplectic(ctx.field, x):
-        raise ValueError("x is not symplectic")
-    if not in_fixed_set(ctx, x):
-        raise ValueError("x is not in the fixed set")
-    return la.transpose(x) == tuple(x)
 
 
 def torus_element(ctx: SuzukiContext, a: int) -> Mat4:

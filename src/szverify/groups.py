@@ -6,7 +6,6 @@ read off it, conjugation orbits, element orders, derived series.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
@@ -75,10 +74,22 @@ class GroupSet:
     def __len__(self) -> int:
         return self.order
 
+    def member_mask(self, mats) -> np.ndarray:
+        """Which of the matrices (rows of 16 entries) are elements.
+
+        A row with an entry outside GF(q) is no element, at either key
+        layout; it is looked up as the zero matrix, which no group has.
+        """
+        ents = np.asarray(mats).reshape(-1, 16)
+        field = ((ents >= 0) & (ents < self.ctx.q)).all(axis=1)
+        if not field.all():
+            ents = np.where(field[:, None], ents, 0)
+        keys = kn.entry_keys(self.ctx, ents)
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return field & (self.keys[pos] == keys)
+
     def __contains__(self, mat: Mat4) -> bool:
-        key = kn.entry_keys(self.ctx, kn.mats_to_entries([mat]))[0]
-        pos = int(np.searchsorted(self.keys, key))
-        return pos < len(self.keys) and self.keys[pos] == key
+        return bool(self.member_mask([mat])[0])
 
     def __iter__(self) -> Iterator[Mat4]:
         for row in self.entries:
@@ -87,23 +98,16 @@ class GroupSet:
     def element(self, i: int) -> Mat4:
         return kn.entries_to_mat(self.entries[i])
 
-    def sample(self, k: int, seed: int = 0) -> List[Mat4]:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(self.order, size=min(k, self.order), replace=False)
-        return [self.element(int(i)) for i in sorted(idx)]
-
     def divides(self, ambient_order: int) -> bool:
         return ambient_order % self.order == 0
 
 
 def _dedup_generators(ctx: SuzukiContext, generators: Sequence[Mat4]) -> List[Mat4]:
-    out: List[Mat4] = []
-    for g in generators:
-        g = tuple(int(v) for v in g)
-        la.invert(ctx.field, g)
-        if g not in out:
-            out.append(g)
-    return out
+    """The generators in first-seen order without repeats, each checked
+    to lie in Sp4(q) by one kernels.invert_symplectic call."""
+    gens = [tuple(int(v) for v in g) for g in generators]
+    kn.invert_symplectic(ctx, np.array(gens))
+    return list(dict.fromkeys(gens))
 
 
 def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
@@ -154,9 +158,8 @@ def subgroup(ctx: SuzukiContext, generators: Sequence[Mat4],
     returned instead of finishing the closure.  Raises
     VerificationError if a generator is not an element of ``group``.
     """
-    for g in generators:
-        if g not in group:
-            raise VerificationError("generator outside the group")
+    if not group.member_mask(list(generators)).all():
+        raise VerificationError("generator outside the group")
     try:
         return closure(ctx, generators, max(1, group.order // 2))
     except BudgetExceededError:
@@ -200,35 +203,44 @@ def build_suzuki(ctx: SuzukiContext,
         raise VerificationError(
             f"seeds closed to order {group.order}, expected {expected}")
 
-    for s in sylow:
-        if s not in group:
-            raise VerificationError("Sylow element missing from the closure")
+    if not group.member_mask(sylow_ents).all():
+        raise VerificationError("Sylow element missing from the closure")
     return group
 
 
 def conjugation_orbit(ctx: SuzukiContext, seed: Mat4,
                       group: GroupSet) -> Set[Mat4]:
-    """Orbit of ``seed`` under conjugation by the group generators."""
+    """Orbit of ``seed`` under conjugation by the group generators.
+
+    Breadth-first, one batch of products per level: every g^-1 y g for
+    y in the frontier and g a generator, kept as sorted keys like the
+    elements of a closure.
+    """
     if seed not in group:
         raise ValueError("seed is not an element of the group")
-    f = ctx.field
-    inv_gens = [(g, la.invert(f, g)) for g in group.generators]
-    orbit = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt: List[Mat4] = []
-        for y in frontier:
-            for g, g_inv in inv_gens:
-                y2 = la.mat_mul(f, g_inv, la.mat_mul(f, y, g))
-                if y2 not in orbit:
-                    orbit.add(y2)
-                    nxt.append(y2)
-        frontier = nxt
-    return orbit
+    gens = kn.mats_to_entries(group.generators)
+    inv_gens = kn.invert_symplectic(ctx, gens)
+    frontier = kn.mats_to_entries([seed])
+    seen = kn.entry_keys(ctx, frontier)
+    while len(frontier):
+        n = len(frontier)
+        yg = kn.mat_mul_pairs(ctx, np.repeat(frontier, len(gens), axis=0),
+                              np.tile(gens, (n, 1)))
+        conj = kn.mat_mul_pairs(ctx, np.tile(inv_gens, (n, 1)), yg)
+        cand = np.unique(kn.entry_keys(ctx, conj))
+        pos = np.searchsorted(seen, cand)
+        fresh = seen[np.minimum(pos, len(seen) - 1)] != cand
+        seen = np.insert(seen, pos[fresh], cand[fresh])
+        frontier = kn.key_entries(cand[fresh])
+    return set(map(kn.entries_to_mat, kn.key_entries(seen)))
 
 
 def element_order(ctx: SuzukiContext, g: Mat4, cap: int = 1 << 20) -> int:
-    """Least k >= 1 with g^k = I."""
+    """Least k >= 1 with g^k = I, by scalar products.
+
+    szverify takes its orders from kernels.element_orders; this loop is
+    the tests' independent oracle for it.
+    """
     f = ctx.field
     la.invert(f, g)
     ident = la.identity()
@@ -242,39 +254,37 @@ def element_order(ctx: SuzukiContext, g: Mat4, cap: int = 1 << 20) -> int:
     return k
 
 
-def _commutator(f, a: Mat4, b: Mat4) -> Mat4:
-    ab = la.mat_mul(f, a, b)
-    ba = la.mat_mul(f, b, a)
-    return la.mat_mul(f, la.invert(f, ba), ab)
-
-
 def derived_subgroup(ctx: SuzukiContext, group: GroupSet) -> GroupSet:
     """Normal closure of the commutators of the group's generators.
 
     Subgroup closure of generator commutators need not be normal, so
-    conjugates of its generators are folded in until it stabilises;
-    the fixed point is the derived subgroup.
+    conjugates g^-1 d g of its generators d are folded in until it
+    stabilises; the fixed point is the derived subgroup.  Commutators
+    (ba)^-1 ab come a-major and conjugates g-major, each list from one
+    batch of paired products, and the conjugates are looked up in the
+    subgroup in one batch.
     """
-    f = ctx.field
-    gens = group.generators
-    comms = _dedup_generators(ctx, [
-        c for c in (_commutator(f, a, b)
-                    for a, b in itertools.product(gens, gens))
-        if c != la.identity()])
-    if not comms:
+    gens = kn.mats_to_entries(group.generators)
+    k = len(gens)
+    a, b = np.repeat(gens, k, axis=0), np.tile(gens, (k, 1))
+    ba_inv = kn.invert_symplectic(ctx, kn.mat_mul_pairs(ctx, b, a))
+    comms = kn.mat_mul_pairs(ctx, ba_inv, kn.mat_mul_pairs(ctx, a, b))
+    comms = comms[~kn.identity_mask(comms)]
+    if not len(comms):
         return closure(ctx, [], 1)
-    sub = closure(ctx, comms, group.order)
+    sub = closure(ctx, list(map(kn.entries_to_mat, comms)), group.order)
+    inv_gens = kn.invert_symplectic(ctx, gens)
     while True:
-        extra = []
-        for g in gens:
-            g_inv = la.invert(f, g)
-            for d in sub.generators:
-                c = la.mat_mul(f, g_inv, la.mat_mul(f, d, g))
-                if c not in sub:
-                    extra.append(c)
-        if not extra:
+        ds = kn.mats_to_entries(sub.generators)
+        m = len(ds)
+        conj = kn.mat_mul_pairs(ctx, np.repeat(inv_gens, m, axis=0),
+                                kn.mat_mul_pairs(ctx, np.tile(ds, (k, 1)),
+                                                 np.repeat(gens, m, axis=0)))
+        extra = conj[~sub.member_mask(conj)]
+        if not len(extra):
             return sub
-        sub = closure(ctx, list(sub.generators) + extra, group.order)
+        sub = closure(ctx, list(sub.generators)
+                      + list(map(kn.entries_to_mat, extra)), group.order)
 
 
 def derived_series(ctx: SuzukiContext, group: GroupSet,

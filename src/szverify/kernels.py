@@ -11,7 +11,10 @@ record that compares bytewise.
 Right multiplication by a fixed g acts on each row separately, and
 linearly: r g = r_0 (row 0 of g) + ... + r_3 (row 3 of g).  So four
 q-entry tables of 4-byte rows (row_action_table) turn a whole batch
-product into four gathers and three XORs (row_action).
+product into four gathers and three XORs (row_action).  Products
+of paired batches, x_i y_i with a different y per row, go through the
+flat multiplication table instead (mat_mul_pairs); the batch inverse,
+element orders and the order-2 test are built on it.
 
 All tables are uint8-indexed, which caps the batch layer at field degree
 7; group enumeration is only supported through q = 32 anyway.
@@ -24,12 +27,19 @@ from functools import lru_cache
 import numpy as np
 
 from .context import PERP_BASIS_PAIRS, SuzukiContext
+from .errors import NotSymplecticError, SzVerifyError
 from .linalg4 import Mat4
 
 # The basis pairs whose residuals decide membership (see wilson): the
 # eight perpendicular ones, then the two antidiagonal ones, which need
 # only agree with each other.
 _RESIDUAL_PAIRS = PERP_BASIS_PAIRS + ((0, 3), (1, 2))
+
+# Rows per step of the batch kernels, so that their temporaries stay
+# small for a whole Sz(32).
+_CHUNK = 1 << 16
+
+_IDENTITY = np.eye(4, dtype=np.uint8).reshape(16)
 
 
 @lru_cache(maxsize=None)
@@ -56,7 +66,7 @@ def mats_to_entries(mats) -> np.ndarray:
 
 
 def entries_to_mat(row: np.ndarray) -> Mat4:
-    return tuple(int(x) for x in row)
+    return tuple(row.tolist())
 
 
 _RECORD = np.dtype((np.void, 16))
@@ -116,6 +126,91 @@ def row_action(tables: np.ndarray, ents: np.ndarray) -> np.ndarray:
     return rows.view(np.uint8).reshape(-1, 16)
 
 
+def identity_mask(ents: np.ndarray) -> np.ndarray:
+    """Which rows of an (n, 16) batch are the identity."""
+    return (ents.reshape(-1, 16) == _IDENTITY).all(axis=1)
+
+
+def mat_mul_pairs(ctx: SuzukiContext, a: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
+    """Entries of x_i y_i for the rows x_i of ``a`` and y_i of ``b``.
+
+    A batch of one row broadcasts against the other batch.  Entry (i, j)
+    is the XOR over k of x_ik y_kj, each product one gather from the
+    flattened multiplication table at x_ik q + y_kj.
+    """
+    q = ctx.q
+    flat = field_tables(ctx)[0].reshape(-1)
+    x = np.asarray(a, dtype=np.uint8).reshape(-1, 4, 4)
+    y = np.asarray(b, dtype=np.uint8).reshape(-1, 4, 4)
+    n = max(len(x), len(y)) if len(x) and len(y) else 0
+    if len(x) not in (1, n) or len(y) not in (1, n):
+        raise ValueError(f"cannot pair {len(x)} rows with {len(y)}")
+    out = np.empty((n, 4, 4), dtype=np.uint8)
+    for lo in range(0, n, _CHUNK):
+        xs = x if len(x) == 1 else x[lo:lo + _CHUNK]
+        ys = y if len(y) == 1 else y[lo:lo + _CHUNK]
+        xq = xs.astype(np.uint16) * q
+        acc = flat.take(xq[:, :, :1] + ys[:, :1, :])
+        for k in range(1, 4):
+            acc ^= flat.take(xq[:, :, k:k + 1] + ys[:, k:k + 1, :])
+        out[lo:lo + len(acc)] = acc
+    return out.reshape(-1, 16)
+
+
+def invert_symplectic(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
+    """Entries of x^-1 for every x of an (n, 16) batch in Sp4(q).
+
+    x^T iota x = iota gives x^-1 = iota x^T iota, whose entry (i, j) is
+    x[3 - j][3 - i]: one gather.  Every row is checked by x x^-1 = I,
+    which for a square matrix makes it the two-sided inverse, so a row
+    outside Sp4(q) (singular or not) raises NotSymplecticError rather
+    than return a wrong inverse.
+    """
+    x = np.asarray(ents).reshape(-1, 4, 4)
+    if x.size and (x.min() < 0 or x.max() >= ctx.q):
+        raise NotSymplecticError(f"an entry lies outside GF({ctx.q})")
+    x = x.astype(np.uint8)
+    inv = np.ascontiguousarray(x[:, ::-1, ::-1].transpose(0, 2, 1))
+    inv = inv.reshape(-1, 16)
+    bad = ~identity_mask(mat_mul_pairs(ctx, x, inv))
+    if bad.any():
+        row = entries_to_mat(x.reshape(-1, 16)[bad.argmax()])
+        raise NotSymplecticError(f"matrix is not in Sp4({ctx.q}): {row}")
+    return inv
+
+
+def element_orders(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
+    """Least k >= 1 with x^k = I, for every x of a batch in Sp4(q).
+
+    Each step multiplies the powers not yet the identity by their own x.
+    The rows are checked invertible first (invert_symplectic), and an
+    element of GL4(q) has order below q^4, so the loop ends.
+    """
+    x = np.asarray(ents, dtype=np.uint8).reshape(-1, 16)
+    invert_symplectic(ctx, x)
+    orders = np.zeros(len(x), dtype=np.int64)
+    live = np.arange(len(x))
+    power = x
+    k = 1
+    while True:
+        done = identity_mask(power)
+        orders[live[done]] = k
+        live, power = live[~done], power[~done]
+        if not len(live):
+            return orders
+        if k >= ctx.q ** 4:
+            raise SzVerifyError(f"element order exceeds q^4 = {ctx.q ** 4}")
+        power = mat_mul_pairs(ctx, power, x[live])
+        k += 1
+
+
+def order_two_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
+    """Which rows p of a batch are involutions: p != I and p^2 = I."""
+    p = np.asarray(ents, dtype=np.uint8).reshape(-1, 16)
+    return ~identity_mask(p) & identity_mask(mat_mul_pairs(ctx, p, p))
+
+
 def symplectic_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
     """Which matrices satisfy x^T iota x == iota."""
     mul, _, _ = field_tables(ctx)
@@ -167,7 +262,6 @@ def suzuki_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
     R_03 = R_12; the wilson module docstring proves this.  Rows go in
     chunks so that the temporaries stay small for a whole Sz(32).
     """
-    chunk = 1 << 16
     mul, frob, _ = field_tables(ctx)
     basis = ctx.bullet_basis
     # (p, r) pairs feeding coordinate k of a product: e_p * e_r has e_k
@@ -178,8 +272,8 @@ def suzuki_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
     npp = len(PERP_BASIS_PAIRS)
     ok = symplectic_mask(ctx, ents)
     x = ents.reshape(-1, 4, 4)
-    for lo in range(0, x.shape[0], chunk):
-        cols = x[lo:lo + chunk].transpose(0, 2, 1)  # cols[:, i] = x e_i
+    for lo in range(0, x.shape[0], _CHUNK):
+        cols = x[lo:lo + _CHUNK].transpose(0, 2, 1)  # cols[:, i] = x e_i
         tw = frob[cols]
         a, b = tw[:, left], tw[:, right]
         res = np.zeros(a.shape, dtype=np.uint8)
@@ -190,38 +284,9 @@ def suzuki_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
             for k in range(4):
                 if basis[i][j][k]:
                     res[:, n] ^= cols[:, k]
-        ok[lo:lo + chunk] &= ~res[:, :npp].any(axis=(1, 2))
-        ok[lo:lo + chunk] &= (res[:, npp] == res[:, npp + 1]).all(axis=1)
+        ok[lo:lo + _CHUNK] &= ~res[:, :npp].any(axis=(1, 2))
+        ok[lo:lo + _CHUNK] &= (res[:, npp] == res[:, npp + 1]).all(axis=1)
     return ok
-
-
-def unitriangular_candidates(ctx: SuzukiContext) -> np.ndarray:
-    """All q^4 symplectic lower unitriangular matrices, as entries.
-
-    Four free subdiagonal entries; the other two are forced by the form:
-    with rows (1,0,0,0), (a,1,0,0), (b,c,1,0), (d,e,f,1) preservation of
-    iota forces e = b + a*c and f = a.
-    """
-    mul, _, _ = field_tables(ctx)
-    q = ctx.q
-    n = q ** 4
-    idx = np.arange(n)
-    a = (idx % q).astype(np.uint8)
-    b = ((idx // q) % q).astype(np.uint8)
-    c = ((idx // q ** 2) % q).astype(np.uint8)
-    d = ((idx // q ** 3) % q).astype(np.uint8)
-    ents = np.zeros((n, 16), dtype=np.uint8)
-    ents[:, 0] = 1
-    ents[:, 5] = 1
-    ents[:, 10] = 1
-    ents[:, 15] = 1
-    ents[:, 4] = a
-    ents[:, 8] = b
-    ents[:, 9] = c
-    ents[:, 12] = d
-    ents[:, 13] = b ^ mul[a, c]
-    ents[:, 14] = a
-    return ents
 
 
 def sylow_candidates(ctx: SuzukiContext) -> np.ndarray:

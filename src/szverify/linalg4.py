@@ -37,10 +37,6 @@ def basis_vec(i: int) -> Vec4:
     return tuple(v)
 
 
-def entry(m: Mat4, i: int, j: int) -> int:
-    return m[4 * i + j]
-
-
 def transpose(m: Mat4) -> Mat4:
     return tuple(m[4 * j + i] for i in range(4) for j in range(4))
 
@@ -76,18 +72,6 @@ def mat_vec(f: BinaryField, m: Mat4, u: Vec4) -> Vec4:
             if mij and u[j]:
                 acc ^= f.mul(mij, u[j])
         out[i] = acc
-    return tuple(out)
-
-
-def vec_mat(f: BinaryField, u: Vec4, m: Mat4) -> Vec4:
-    """Row vector times matrix."""
-    out = [0, 0, 0, 0]
-    for j in range(4):
-        acc = 0
-        for i in range(4):
-            if u[i] and m[4 * i + j]:
-                acc ^= f.mul(u[i], m[4 * i + j])
-        out[j] = acc
     return tuple(out)
 
 
@@ -140,9 +124,3 @@ def mat_to_hex(m: Mat4) -> str:
     """16 lowercase hex fields, space separated, row major."""
     return " ".join(format(x, "x") for x in m)
 
-
-def mat_from_hex(s: str) -> Mat4:
-    parts = s.split()
-    if len(parts) != 16:
-        raise ValueError(f"expected 16 hex fields, got {len(parts)}")
-    return tuple(int(p, 16) for p in parts)

@@ -6,16 +6,21 @@ sigma2*sigma3 and sigma1*sigma2 all involutions.  This module machine
 checks the claimed reduction of that condition and runs two searches:
 the restricted one over pairs from the closed-form fixed set, and a
 direct construction showing the restriction misses generating triples.
-Both build each triple from (sigma1^-1, sigma3^-1) with product iota,
-and both check and close it in one walk (_closed_triples).
+Both build their triples from (sigma1^-1, sigma3^-1) with product
+iota, all at once as (n, 3, 16) entries, check the whole batch
+(_checked_triples) through the paired products of kernels, and close
+each triple in one walk (_closed_triples).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from . import fixed_set as fs
 from . import groups as gr
+from . import kernels as kn
 from . import linalg4 as la
 from .context import SuzukiContext
 from .errors import VerificationError
@@ -42,13 +47,50 @@ class ChiralTriple:
                 "sigma3": la.mat_to_hex(self.sigma3)}
 
 
+def _column_reversed(ents: np.ndarray) -> np.ndarray:
+    """x iota for every row x: x with its columns reversed."""
+    return ents.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
+
+
+def _partial_products(ctx: SuzukiContext, sigmas: np.ndarray):
+    """(s1 s2 s3, s2 s3, s1 s2) for every row of an (n, 3, 16) batch."""
+    s1, s2, s3 = sigmas[:, 0], sigmas[:, 1], sigmas[:, 2]
+    s12 = kn.mat_mul_pairs(ctx, s1, s2)
+    return (kn.mat_mul_pairs(ctx, s12, s3), kn.mat_mul_pairs(ctx, s2, s3),
+            s12)
+
+
+def _involution_masks(ctx: SuzukiContext, sigmas: np.ndarray) -> np.ndarray:
+    """(n, 3) bool: s1 s2 s3, s2 s3 and s1 s2 are involutions, per row."""
+    prods = np.concatenate(_partial_products(ctx, sigmas))
+    return kn.order_two_mask(ctx, prods).reshape(3, -1).T
+
+
+def _membership_lemma_mask(ctx: SuzukiContext,
+                           sigmas: np.ndarray) -> np.ndarray:
+    """fixed_set_membership_lemma on every row of an (n, 3, 16) batch;
+    raises ValueError if any row misses a precondition."""
+    p123, p23, p12 = _partial_products(ctx, sigmas)
+    iota = np.array(ctx.iota, dtype=np.uint8)
+    if not (p123 == iota).all():
+        raise ValueError("triple product must be iota")
+    if not kn.order_two_mask(ctx, np.concatenate([p12, p23])).all():
+        raise ValueError("partial products must be involutions")
+    x = kn.invert_symplectic(
+        ctx, np.concatenate([sigmas[:, 0], sigmas[:, 2]]))
+    fixed = (kn.mat_mul_pairs(ctx, _column_reversed(x), x) == iota).all(axis=1)
+    return fixed[:len(sigmas)] & fixed[len(sigmas):]
+
+
+def _sigma_rows(triple: ChiralTriple) -> np.ndarray:
+    return kn.mats_to_entries(triple.mats()).reshape(1, 3, 16)
+
+
 def involution_conditions(ctx: SuzukiContext,
                           triple: ChiralTriple) -> Tuple[bool, bool, bool]:
     """Orders of (s1 s2 s3, s2 s3, s1 s2) all equal to 2."""
-    f = ctx.field
-    s1, s2, s3 = triple.mats()
-    prods = (triple.product(ctx), la.mat_mul(f, s2, s3), la.mat_mul(f, s1, s2))
-    return tuple(gr.element_order(ctx, p) == 2 for p in prods)
+    masks = _involution_masks(ctx, _sigma_rows(triple))
+    return tuple(bool(c) for c in masks[0])
 
 
 def fixed_set_membership_lemma(ctx: SuzukiContext,
@@ -57,40 +99,27 @@ def fixed_set_membership_lemma(ctx: SuzukiContext,
 
     Preconditions: the product is exactly iota and the two partial
     products are involutions.  Under them the conclusion is a theorem,
-    so this certifies rather than filters.
+    so this certifies rather than filters.  The sigmas must lie in
+    Sp4(q), where kernels.invert_symplectic inverts them.
     """
-    f = ctx.field
-    if triple.product(ctx) != tuple(ctx.iota):
-        raise ValueError("triple product must be iota")
-    c12 = gr.element_order(ctx, la.mat_mul(f, triple.sigma1, triple.sigma2))
-    c23 = gr.element_order(ctx, la.mat_mul(f, triple.sigma2, triple.sigma3))
-    if c12 != 2 or c23 != 2:
-        raise ValueError("partial products must be involutions")
-    return (fs.in_fixed_set(ctx, la.invert(f, triple.sigma1))
-            and fs.in_fixed_set(ctx, la.invert(f, triple.sigma3)))
+    return bool(_membership_lemma_mask(ctx, _sigma_rows(triple))[0])
 
 
 def torus_inversion_check(ctx: SuzukiContext) -> bool:
-    """iota-conjugation sends every torus element to its inverse."""
-    f = ctx.field
-    iota = tuple(ctx.iota)
-    for a in range(1, ctx.q):
-        d = fs.torus_element(ctx, a)
-        conj = la.mat_mul(f, iota, la.mat_mul(f, d, iota))
-        if conj != la.invert(f, d):
-            return False
-    return True
+    """iota-conjugation sends every torus element to its inverse:
+    d (iota d iota) = I, where iota d iota is d with its rows and
+    columns reversed."""
+    d = kn.mats_to_entries(fs.torus_elements(ctx))
+    conj = d.reshape(-1, 4, 4)[:, ::-1, ::-1].reshape(-1, 16)
+    return bool(kn.identity_mask(kn.mat_mul_pairs(ctx, d, conj)).all())
 
 
 def torus_commutation_check(ctx: SuzukiContext) -> bool:
     """All torus pairs commute."""
-    f = ctx.field
-    tor = fs.torus_elements(ctx)
-    for d1 in tor:
-        for d2 in tor:
-            if la.mat_mul(f, d1, d2) != la.mat_mul(f, d2, d1):
-                return False
-    return True
+    tor = kn.mats_to_entries(fs.torus_elements(ctx))
+    a, b = np.repeat(tor, len(tor), axis=0), np.tile(tor, (len(tor), 1))
+    return np.array_equal(kn.mat_mul_pairs(ctx, a, b),
+                          kn.mat_mul_pairs(ctx, b, a))
 
 
 @dataclass(frozen=True)
@@ -184,36 +213,48 @@ class TripleReport:
         }
 
 
-def _triple_from_inverse_pair(ctx: SuzukiContext, s1_inv: Mat4,
-                              s3_inv: Mat4) -> ChiralTriple:
-    """The triple with sigma1^-1, sigma3^-1 as given and product iota."""
-    f = ctx.field
-    iota = tuple(ctx.iota)
-    sigma2 = la.mat_mul(f, s1_inv, la.mat_mul(f, iota, s3_inv))
-    return ChiralTriple(la.invert(f, s1_inv), sigma2, la.invert(f, s3_inv))
+def _triple_from_inverse_pair(ctx: SuzukiContext, s1_inv: np.ndarray,
+                              s3_inv: np.ndarray) -> np.ndarray:
+    """The triples with sigma1^-1, sigma3^-1 as given and product iota,
+    as (n, 3, 16) entries; a batch of one row broadcasts.
+
+    sigma2 = sigma1^-1 iota sigma3^-1, and sigma1, sigma3 come from
+    kernels.invert_symplectic, which checks every inverse.
+    """
+    s2 = kn.mat_mul_pairs(ctx, _column_reversed(s1_inv), s3_inv)
+    s1 = kn.invert_symplectic(ctx, s1_inv)
+    s3 = kn.invert_symplectic(ctx, s3_inv)
+    return np.stack(np.broadcast_arrays(s1, s2, s3), axis=1)
+
+
+def _checked_triples(ctx: SuzukiContext, s1_inv: np.ndarray,
+                     s3_inv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The triples of the pairs and their membership lemma verdicts.
+
+    Both searches build only pairs whose triple meets every involution
+    condition by construction, so a row that does not raises
+    VerificationError.
+    """
+    sigmas = _triple_from_inverse_pair(ctx, s1_inv, s3_inv)
+    if not _involution_masks(ctx, sigmas).all():
+        raise VerificationError(
+            "constructed triple failed an involution condition")
+    return sigmas, _membership_lemma_mask(ctx, sigmas)
 
 
 def _closed_triples(ctx: SuzukiContext, group: gr.GroupSet,
-                    inverse_pairs: Iterable[Tuple[Mat4, Mat4]]
-                    ) -> Iterator[Tuple[Mat4, Mat4, ChiralTriple,
-                                        gr.GroupSet]]:
-    """Build, check and close the triple of each (sigma1^-1, sigma3^-1).
+                    sigmas: np.ndarray
+                    ) -> Iterator[Tuple[int, ChiralTriple, gr.GroupSet]]:
+    """Close the triple of each row of ``sigmas``, (n, 3, 16) entries.
 
-    Yields (sigma1^-1, sigma3^-1, triple, subgroup it generates), lazily,
-    so a caller may stop early.  Both searches walk only pairs whose
-    triple meets every involution condition by construction, so a
-    triple that does not raises VerificationError; its product iota is
-    certified by fixed_set_membership_lemma wherever a caller keeps it.
-    The subgroup comes from groups.subgroup: a closure that passes half
-    the group order has index 1 by Lagrange's theorem, so it stops there
-    and no generating triple is closed to the end.
+    Yields (row, triple, subgroup it generates), lazily, so a caller may
+    stop early.  The subgroup comes from groups.subgroup: a closure that
+    passes half the group order has index 1 by Lagrange's theorem, so
+    it stops there and no generating triple is closed to the end.
     """
-    for s1_inv, s3_inv in inverse_pairs:
-        triple = _triple_from_inverse_pair(ctx, s1_inv, s3_inv)
-        if not all(involution_conditions(ctx, triple)):
-            raise VerificationError(
-                "constructed triple failed an involution condition")
-        yield s1_inv, s3_inv, triple, gr.subgroup(ctx, triple.mats(), group)
+    for i, row in enumerate(sigmas):
+        triple = ChiralTriple(*map(kn.entries_to_mat, row))
+        yield i, triple, gr.subgroup(ctx, triple.mats(), group)
 
 
 def _iota_pair_rejections(ctx: SuzukiContext) -> int:
@@ -222,14 +263,13 @@ def _iota_pair_rejections(ctx: SuzukiContext) -> int:
     closed = fs.closed_form_X(ctx)
     pairs = [(iota, x) for x in closed] + [(x, iota) for x in closed
                                           if x != iota]
-    rejected = 0
-    for s1_inv, s3_inv in pairs:
-        triple = _triple_from_inverse_pair(ctx, s1_inv, s3_inv)
-        if all(involution_conditions(ctx, triple)):
-            raise VerificationError(
-                "a pair containing iota passed all involution conditions")
-        rejected += 1
-    return rejected
+    sigmas = _triple_from_inverse_pair(
+        ctx, kn.mats_to_entries([a for a, _ in pairs]),
+        kn.mats_to_entries([b for _, b in pairs]))
+    if _involution_masks(ctx, sigmas).all(axis=1).any():
+        raise VerificationError(
+            "a pair containing iota passed all involution conditions")
+    return len(pairs)
 
 
 def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
@@ -247,36 +287,44 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
     Deterministic: w1 is the canonically first involution
     (groups.involutions) other than iota, then w3 walks the remaining
     ones in canonical order; the first ``count`` pairs whose triple
-    generates the whole group are kept.
+    generates the whole group are kept.  Every triple of the walk is
+    built and checked up front, the membership lemma included; only
+    the closures stop at ``count``.
     """
-    f = ctx.field
     iota = tuple(ctx.iota)
-    ws = [w for w in gr.involutions(group) if w != iota]
-    closed = set(fs.closed_form_X(ctx))
-    scan = set(fs.brute_force_X(group))
-    pairs = ((la.mat_mul(f, ws[0], iota), la.mat_mul(f, w3, iota))
-             for w3 in ws[1:])
-    out: List[Witness] = []
-    for s1_inv, s3_inv, triple, sub in _closed_triples(ctx, group, pairs):
+    ws = kn.mats_to_entries([w for w in gr.involutions(group) if w != iota])
+    s1_inv, s3_inv = _column_reversed(ws[:1]), _column_reversed(ws[1:])
+    sigmas, lemma = _checked_triples(ctx, s1_inv, s3_inv)
+    if not lemma.all():
+        raise VerificationError("a walk triple violated the membership lemma")
+    kept: List[Tuple[int, ChiralTriple]] = []
+    for i, triple, sub in _closed_triples(ctx, group, sigmas):
         if sub.order != group.order:
             continue
-        if not fixed_set_membership_lemma(ctx, triple):
-            raise VerificationError("witness violated the membership lemma")
+        kept.append((i, triple))
+        if len(kept) >= count:
+            break
+    rows = [i for i, _ in kept]
+    orders = kn.element_orders(ctx, sigmas[rows].reshape(-1, 16))
+    closed = set(fs.closed_form_X(ctx))
+    scan = set(fs.brute_force_X(group))
+    s1 = kn.entries_to_mat(s1_inv[0])
+    out: List[Witness] = []
+    for (i, triple), sigma_orders in zip(kept, orders.reshape(-1, 3)):
+        s3 = kn.entries_to_mat(s3_inv[i])
         wit = Witness(
             triple=triple,
-            subgroup_order=sub.order,
-            sigma_orders=tuple(gr.element_order(ctx, s) for s in triple.mats()),
-            sigma1_inv_in_scan=s1_inv in scan,
-            sigma1_inv_in_closed_form=s1_inv in closed,
-            sigma3_inv_in_scan=s3_inv in scan,
-            sigma3_inv_in_closed_form=s3_inv in closed,
+            subgroup_order=group.order,
+            sigma_orders=tuple(int(k) for k in sigma_orders),
+            sigma1_inv_in_scan=s1 in scan,
+            sigma1_inv_in_closed_form=s1 in closed,
+            sigma3_inv_in_scan=s3 in scan,
+            sigma3_inv_in_closed_form=s3 in closed,
         )
         if wit.sigma1_inv_in_closed_form and wit.sigma3_inv_in_closed_form:
             raise VerificationError(
                 "generating triple with both inverses in the closed form")
         out.append(wit)
-        if len(out) >= count:
-            break
     return out
 
 
@@ -294,18 +342,19 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet,
     result = fs.fixed_set_result(ctx, group)
     reduction_rejected = _iota_pair_rejections(ctx)
 
-    torus = fs.torus_elements(ctx)
-    pairs = ((a, b) for a in torus for b in torus)
+    torus = kn.mats_to_entries(fs.torus_elements(ctx))
+    s1_inv = np.repeat(torus, len(torus), axis=0)
+    s3_inv = np.tile(torus, (len(torus), 1))
+    sigmas, lemma = _checked_triples(ctx, s1_inv, s3_inv)
+    orders = kn.element_orders(ctx, sigmas.reshape(-1, 16)).reshape(-1, 3)
     details: List[PairDetail] = []
     successes: List[ChiralTriple] = []
-    lemma_held = True
-    for s1_inv, s3_inv, triple, sub in _closed_triples(ctx, group, pairs):
-        lemma_held &= fixed_set_membership_lemma(ctx, triple)
-        orders = tuple(gr.element_order(ctx, s) for s in triple.mats())
+    for i, triple, sub in _closed_triples(ctx, group, sigmas):
         details.append(PairDetail(
-            a=s1_inv, b=s3_inv, triple=triple, subgroup_order=sub.order,
+            a=kn.entries_to_mat(s1_inv[i]), b=kn.entries_to_mat(s3_inv[i]),
+            triple=triple, subgroup_order=sub.order,
             solvable=gr.derived_series_solvable(ctx, sub),
-            sigma_orders=orders))
+            sigma_orders=tuple(int(k) for k in orders[i])))
         if sub.order == group.order:
             successes.append(triple)
 
@@ -317,7 +366,7 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet,
         scan_size=len(result.brute_force),
         fixed_set_equal=result.equal,
         iota_pairs_rejected=reduction_rejected,
-        membership_lemma_held=lemma_held)
+        membership_lemma_held=bool(lemma.all()))
     return TripleReport(
         q=ctx.q, group_order=group.order,
         candidates=len(details), successes=tuple(successes),

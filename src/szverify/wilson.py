@@ -45,12 +45,9 @@ from .linalg4 import (
     Vec4,
     ZERO_VEC,
     basis_vec,
-    form_f,
     identity,
     is_symplectic,
     mat_mul,
-    mat_vec,
-    vec_add,
 )
 
 
@@ -72,20 +69,6 @@ def bullet(ctx: SuzukiContext, u: Vec4, v: Vec4) -> Vec4:
                 if basis[k]:
                     out[k] ^= c
     return tuple(out)
-
-
-def wilson_residual(ctx: SuzukiContext, g: Mat4, u: Vec4, v: Vec4) -> Vec4:
-    """g(u) * g(v) + g(u * v); zero for members on perpendicular pairs.
-
-    Raises ValueError if f(u, v) != 0: the membership condition quantifies
-    over perpendicular pairs only.
-    """
-    f = ctx.field
-    if form_f(f, u, v) != 0:
-        raise ValueError(f"pair is not perpendicular: {u}, {v}")
-    gu = mat_vec(f, g, u)
-    gv = mat_vec(f, g, v)
-    return vec_add(bullet(ctx, gu, gv), mat_vec(f, g, bullet(ctx, u, v)))
 
 
 def is_suzuki(ctx: SuzukiContext, g: Mat4) -> bool:

@@ -1,0 +1,114 @@
+"""Test-only helpers that szverify itself never calls.
+
+Each one is written out here, apart from the package, so that the
+package holds only what its verdicts use.
+"""
+from __future__ import annotations
+
+from typing import Dict, List, Tuple
+
+import numpy as np
+
+from szverify import fixed_set as fs
+from szverify import kernels as kn
+from szverify import linalg4 as la
+from szverify import wilson as wl
+from szverify.context import SuzukiContext
+from szverify.linalg4 import Mat4, Vec4
+
+# The four perpendicular pairs of fixed_set.PERP_PRODUCT_PAIRS give 16
+# coordinate equations but only 10 distinct ones; the remaining
+# coordinates repeat earlier labels.  Keys are (i, j, coord) of the
+# redundant coordinate.
+DUPLICATE_COORDS: Dict[Tuple[int, int, int], str] = {
+    (0, 2, 1): "S4",
+    (1, 3, 1): "S1",
+    (1, 3, 3): "S5",
+    (3, 2, 0): "S9",
+    (3, 2, 1): "S3",
+    (3, 2, 3): "S6",
+}
+
+
+def entry(m: Mat4, i: int, j: int) -> int:
+    return m[4 * i + j]
+
+
+def vec_mat(f, u: Vec4, m: Mat4) -> Vec4:
+    """Row vector times matrix."""
+    out = [0, 0, 0, 0]
+    for j in range(4):
+        acc = 0
+        for i in range(4):
+            if u[i] and m[4 * i + j]:
+                acc ^= f.mul(u[i], m[4 * i + j])
+        out[j] = acc
+    return tuple(out)
+
+
+def mat_from_hex(s: str) -> Mat4:
+    """Inverse of linalg4.mat_to_hex."""
+    parts = s.split()
+    if len(parts) != 16:
+        raise ValueError(f"expected 16 hex fields, got {len(parts)}")
+    return tuple(int(p, 16) for p in parts)
+
+
+def sample(group, k: int, seed: int = 0) -> List[Mat4]:
+    """``k`` distinct elements of ``group``, seeded, in canonical order."""
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(group.order, size=min(k, group.order), replace=False)
+    return [group.element(int(i)) for i in sorted(idx)]
+
+
+def wilson_residual(ctx: SuzukiContext, g: Mat4, u: Vec4, v: Vec4) -> Vec4:
+    """g(u) * g(v) + g(u * v); zero for members on perpendicular pairs.
+
+    Raises ValueError if f(u, v) != 0: the membership condition quantifies
+    over perpendicular pairs only.
+    """
+    f = ctx.field
+    if la.form_f(f, u, v) != 0:
+        raise ValueError(f"pair is not perpendicular: {u}, {v}")
+    gu = la.mat_vec(f, g, u)
+    gv = la.mat_vec(f, g, v)
+    return la.vec_add(wl.bullet(ctx, gu, gv),
+                      la.mat_vec(f, g, wl.bullet(ctx, u, v)))
+
+
+def symmetry_lemma_check(ctx: SuzukiContext, x: Mat4) -> bool:
+    """transpose(x) = x, for a symplectic member of the fixed set."""
+    if not la.is_symplectic(ctx.field, x):
+        raise ValueError("x is not symplectic")
+    if not fs.in_fixed_set(ctx, x):
+        raise ValueError("x is not in the fixed set")
+    return la.transpose(x) == tuple(x)
+
+
+def unitriangular_candidates(ctx: SuzukiContext) -> np.ndarray:
+    """All q^4 symplectic lower unitriangular matrices, as entries.
+
+    Four free subdiagonal entries; the other two are forced by the form:
+    with rows (1,0,0,0), (a,1,0,0), (b,c,1,0), (d,e,f,1) preservation of
+    iota forces e = b + a*c and f = a.
+    """
+    mul, _, _ = kn.field_tables(ctx)
+    q = ctx.q
+    n = q ** 4
+    idx = np.arange(n)
+    a = (idx % q).astype(np.uint8)
+    b = ((idx // q) % q).astype(np.uint8)
+    c = ((idx // q ** 2) % q).astype(np.uint8)
+    d = ((idx // q ** 3) % q).astype(np.uint8)
+    ents = np.zeros((n, 16), dtype=np.uint8)
+    ents[:, 0] = 1
+    ents[:, 5] = 1
+    ents[:, 10] = 1
+    ents[:, 15] = 1
+    ents[:, 4] = a
+    ents[:, 8] = b
+    ents[:, 9] = c
+    ents[:, 12] = d
+    ents[:, 13] = b ^ mul[a, c]
+    ents[:, 14] = a
+    return ents

@@ -23,6 +23,7 @@ import time
 import numpy as np
 import pytest
 
+import helpers as hp
 from conftest import record_criterion
 from szverify import cli
 from szverify import fixed_set as fs
@@ -52,7 +53,8 @@ def test_criterion_1_group_construction(ctx8):
 def test_criterion_2_membership_soundness(ctx8, group8):
     mask = kn.suzuki_mask(ctx8, group8.entries)
     full_sweep = bool(mask.all()) and len(mask) == SZ8_ORDER
-    scalar_ok = all(wl.is_suzuki(ctx8, g) for g in group8.sample(100, seed=2))
+    scalar_ok = all(wl.is_suzuki(ctx8, g)
+                    for g in hp.sample(group8, 100, seed=2))
 
     rejected = 0
     trans = not wl.is_suzuki(ctx8, wl.e1_transvection(ctx8))
@@ -62,7 +64,7 @@ def test_criterion_2_membership_soundness(ctx8, group8):
             rejected += 1
 
     agree = True
-    for m in group8.sample(40, seed=21):
+    for m in hp.sample(group8, 40, seed=21):
         agree &= wl.is_suzuki_bruteforce(ctx8, m)
     for k in range(160):
         m = wl.random_symplectic(ctx8, random.Random(2000 + k))

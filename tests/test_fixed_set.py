@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import helpers as hp
 from szverify import fixed_set as fs
 from szverify import groups as gr
 from szverify import linalg4 as la
@@ -76,15 +77,15 @@ def test_scan_is_involutions_times_iota(ctx8, group8, involutions8):
 
 def test_every_scan_member_symmetric(ctx8, group8):
     for x in fs.brute_force_X(group8):
-        assert fs.symmetry_lemma_check(ctx8, x)
+        assert hp.symmetry_lemma_check(ctx8, x)
 
 
 def test_symmetry_lemma_preconditions(ctx8):
     with pytest.raises(ValueError):
-        fs.symmetry_lemma_check(ctx8, la.diag(1, 1, 1, 3))  # not symplectic
+        hp.symmetry_lemma_check(ctx8, la.diag(1, 1, 1, 3))  # not symplectic
     with pytest.raises(ValueError):
         # symplectic but (x iota)^2 != I
-        fs.symmetry_lemma_check(ctx8, wl.e1_transvection(ctx8))
+        hp.symmetry_lemma_check(ctx8, wl.e1_transvection(ctx8))
 
 
 def test_fixed_set_result_is_unequal(ctx8, group8):
@@ -109,13 +110,13 @@ def test_duplicate_coords_cover_perp_pairs():
     seen = {(eq.origin.i, eq.origin.j, eq.origin.coord)
             for eq in fs.EQUATIONS
             if eq.origin.kind == "product" and eq.origin.perpendicular}
-    dup = set(fs.DUPLICATE_COORDS)
+    dup = set(hp.DUPLICATE_COORDS)
     assert not seen & dup
     for i, j in fs.PERP_PRODUCT_PAIRS:
         for coord in range(4):
             assert (i, j, coord) in seen or (i, j, coord) in dup
     labels = {eq.label for eq in fs.EQUATIONS}
-    assert set(fs.DUPLICATE_COORDS.values()) <= labels
+    assert set(hp.DUPLICATE_COORDS.values()) <= labels
 
 
 def test_nonperp_equations_cover_both_pairs():
@@ -151,7 +152,7 @@ def test_equation_residual_correspondence(ctx8, group8):
             resid = la.vec_add(wl.bullet(ctx8, gu, gv),
                                la.mat_vec(f, x, wl.bullet(ctx8, u, v)))
             if eq.origin.perpendicular:
-                assert resid == wl.wilson_residual(ctx8, x, u, v)
+                assert resid == hp.wilson_residual(ctx8, x, u, v)
             assert rep.record(eq.label).satisfied == (resid[coord] == 0)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import helpers as hp
 from szverify import fixed_set as fs
 from szverify import groups as gr
 from szverify import kernels as kn
@@ -27,7 +28,7 @@ def test_closure_trivial(ctx8):
 def test_closure_cyclic_torus(ctx8):
     g = gr.closure(ctx8, [fs.torus_element(ctx8, 2)], ceiling=100)
     assert g.order == 7
-    assert all(m == la.diag(*[la.entry(m, i, i) for i in range(4)])
+    assert all(m == la.diag(*[hp.entry(m, i, i) for i in range(4)])
                for m in g)
 
 
@@ -67,7 +68,7 @@ def borel_gens(ctx):
     # a torus element and the 8th non-identity element of the sorted
     # Sylow filter: the Borel subgroup, order q^2(q - 1) = 448 at q = 8
     return [fs.torus_element(ctx, 2),
-            la.mat_from_hex("1 1 0 0 0 1 0 0 0 1 1 1 1 1 0 1")]
+            hp.mat_from_hex("1 1 0 0 0 1 0 0 0 1 1 1 1 1 0 1")]
 
 
 def test_closure_borel_many_levels(ctx8):
@@ -188,6 +189,19 @@ def test_subgroup_rejects_outside_generator(ctx8, group8):
         gr.subgroup(ctx8, [ctx8.iota, wl.e1_transvection(ctx8)], group8)
 
 
+@pytest.mark.parametrize("ctx_name", ["ctx8", "ctx32"])
+def test_subgroup_rejects_entries_outside_field(request, ctx_name, group8):
+    """No matrix with an entry outside GF(q) is a member, at either key
+    layout, so subgroup raises VerificationError for it."""
+    ctx = request.getfixturevalue(ctx_name)
+    group = group8 if ctx.q == 8 else gr.closure(ctx, dihedral_gens(ctx), 100)
+    for v in (ctx.q, 16 if ctx.q == 8 else 2 * ctx.q, 255, 256, -1):
+        bad = la.identity()[:3] + (v,) + la.identity()[4:]
+        assert bad not in group
+        with pytest.raises(VerificationError):
+            gr.subgroup(ctx, [ctx.iota, bad], group)
+
+
 def test_closure_budget(ctx8):
     with pytest.raises(BudgetExceededError):
         gr.build_suzuki(ctx8, ceiling=500)
@@ -216,7 +230,7 @@ def test_group8_fixture_facts(ctx8, group8):
 
 
 def test_membership_and_sampling(ctx8, group8):
-    sample = group8.sample(25, seed=9)
+    sample = hp.sample(group8, 25, seed=9)
     assert len(sample) == 25
     for m in sample:
         assert m in group8
@@ -229,7 +243,7 @@ def test_element_orders(ctx8, group8):
     assert gr.element_order(ctx8, la.identity()) == 1
     assert gr.element_order(ctx8, ctx8.iota) == 2
     assert gr.element_order(ctx8, fs.torus_element(ctx8, 2)) == 7
-    for m in group8.sample(40, seed=10):
+    for m in hp.sample(group8, 40, seed=10):
         assert SZ8_ORDER % gr.element_order(ctx8, m) == 0
 
 
@@ -265,3 +279,40 @@ def test_derived_series_depth_limit(ctx8):
     d = gr.closure(ctx8, dihedral_gens(ctx8), ceiling=100)
     with pytest.raises(DepthLimitError):
         gr.derived_series(ctx8, d, depth_limit=1)
+
+
+def derived_oracle(ctx, h):
+    """The closure of all |H|^2 commutators (ba)^-1 ab by scalar
+    products: normal by construction, so the derived subgroup."""
+    f = ctx.field
+    els = list(h)
+    comms = {la.mat_mul(f, la.invert(f, la.mat_mul(f, b, a)),
+                        la.mat_mul(f, a, b)) for a in els for b in els}
+    return gr.closure(ctx, sorted(comms), h.order)
+
+
+def test_derived_subgroup_matches_oracle(ctx8, group8):
+    """On D14 and on the subgroup of each of the 49 torus triples."""
+    f = ctx8.field
+    subs = [gr.closure(ctx8, dihedral_gens(ctx8), ceiling=100)]
+    torus = fs.torus_elements(ctx8)
+    for a in torus:
+        for b in torus:
+            triple = (la.invert(f, a),
+                      la.mat_mul(f, a, la.mat_mul(f, ctx8.iota, b)),
+                      la.invert(f, b))
+            subs.append(gr.subgroup(ctx8, triple, group8))
+    assert len(subs) == 50
+    for h in subs:
+        assert np.array_equal(gr.derived_subgroup(ctx8, h).entries,
+                              derived_oracle(ctx8, h).entries)
+
+
+def test_conjugation_orbit_q32_dihedral(ctx32):
+    """Under D62, iota's orbit is the 31 reflections d^k iota."""
+    f = ctx32.field
+    d62 = gr.closure(ctx32, dihedral_gens(ctx32), ceiling=100)
+    want = {m for m in d62 if m != la.identity()
+            and la.mat_mul(f, m, m) == la.identity()}
+    assert gr.conjugation_orbit(ctx32, ctx32.iota, d62) == want
+    assert len(want) == 31

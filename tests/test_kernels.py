@@ -3,10 +3,13 @@ import random
 import numpy as np
 import pytest
 
+import helpers as hp
 from szverify import fixed_set as fs
 from szverify import kernels as kn
 from szverify import linalg4 as la
+from szverify import groups as gr
 from szverify import wilson as wl
+from szverify.errors import NotSymplecticError, SzVerifyError
 
 
 def rand_mats(rng, n):
@@ -115,7 +118,7 @@ def test_row_action_table_matches_vec_mat(request, ctx_name):
         v = tuple(rng.randrange(q) for _ in range(4))
         row = np.bitwise_xor.reduce([table[i, v[i]] for i in range(4)])
         got = tuple(int(x) for x in np.array([row]).view(np.uint8))
-        assert got == la.vec_mat(ctx.field, v, g)
+        assert got == hp.vec_mat(ctx.field, v, g)
 
 
 def test_row_action_batch_matches_mat_mul(ctx8):
@@ -195,7 +198,7 @@ def test_unitriangular_filter_is_degenerate(ctx8):
     """Lower-unitriangular matrices meeting the membership test: only the
     q central-looking ones, far short of a Sylow subgroup.  Kept as a
     frozen fact; the Sylow family above is the usable one."""
-    cand = kn.unitriangular_candidates(ctx8)
+    cand = hp.unitriangular_candidates(ctx8)
     kept = kn.suzuki_mask(ctx8, cand)
     assert int(kept.sum()) == 8
 
@@ -204,3 +207,95 @@ def test_sylow32_candidates_shape(ctx32):
     cand = kn.sylow_candidates(ctx32)
     assert len(cand) == 32 ** 4
     assert bool(kn.symplectic_mask(ctx32, cand).all())
+
+
+def _sz8_pairs(group8, n, seed):
+    rng = np.random.default_rng(seed)
+    return (group8.entries[rng.integers(0, group8.order, n)],
+            group8.entries[rng.integers(0, group8.order, n)])
+
+
+def _scalar_products(ctx, a, b):
+    f = ctx.field
+    return [la.mat_mul(f, kn.entries_to_mat(x), kn.entries_to_mat(y))
+            for x, y in zip(a, b)]
+
+
+def test_mat_mul_pairs_matches_mat_mul_on_sz8(ctx8, group8):
+    """Row by row, and with a single row broadcast on either side."""
+    a, b = _sz8_pairs(group8, 500, 51)
+    got = kn.mat_mul_pairs(ctx8, a, b)
+    assert got.shape == (500, 16) and got.dtype == np.uint8
+    assert [kn.entries_to_mat(r) for r in got] == _scalar_products(ctx8, a, b)
+    one = a[:1]
+    left = kn.mat_mul_pairs(ctx8, one, b)
+    assert [kn.entries_to_mat(r) for r in left] \
+        == _scalar_products(ctx8, np.repeat(one, 500, axis=0), b)
+    right = kn.mat_mul_pairs(ctx8, b, one)
+    assert [kn.entries_to_mat(r) for r in right] \
+        == _scalar_products(ctx8, b, np.repeat(one, 500, axis=0))
+
+
+def test_mat_mul_pairs_matches_mat_mul_q32(ctx32):
+    rng = np.random.default_rng(52)
+    a = rng.integers(0, 32, (300, 16), dtype=np.uint8)
+    b = rng.integers(0, 32, (300, 16), dtype=np.uint8)
+    got = kn.mat_mul_pairs(ctx32, a, b)
+    assert [kn.entries_to_mat(r) for r in got] \
+        == _scalar_products(ctx32, a, b)
+
+
+def test_mat_mul_pairs_refuses_unpaired_batches(ctx8):
+    ents = np.zeros((3, 16), dtype=np.uint8)
+    with pytest.raises(ValueError):
+        kn.mat_mul_pairs(ctx8, ents, ents[:2])
+    assert kn.mat_mul_pairs(ctx8, ents[:1], ents[:0]).shape == (0, 16)
+
+
+def test_invert_symplectic_matches_invert_on_sz8(ctx8, group8):
+    """All 29,120 elements against Gauss-Jordan elimination."""
+    f = ctx8.field
+    inv = kn.invert_symplectic(ctx8, group8.entries)
+    assert [kn.entries_to_mat(r) for r in inv] \
+        == [la.invert(f, x) for x in group8]
+
+
+def test_invert_symplectic_matches_invert_q32(ctx32):
+    rng = random.Random(53)
+    mats = [wl.random_symplectic(ctx32, rng) for _ in range(60)]
+    inv = kn.invert_symplectic(ctx32, kn.mats_to_entries(mats))
+    assert [kn.entries_to_mat(r) for r in inv] \
+        == [la.invert(ctx32.field, m) for m in mats]
+
+
+@pytest.mark.parametrize("bad", [
+    la.diag(1, 1, 1, 3),                        # invertible, not symplectic
+    (0, 0, 0, 0) + la.identity()[4:],           # singular
+    la.identity()[:3] + (8,) + la.identity()[4:],  # entry outside GF(8)
+], ids=["diag1113", "singular", "wide"])
+def test_invert_symplectic_refuses_non_symplectic(ctx8, bad):
+    """Checked on every row: one bad row among members still raises."""
+    ents = kn.mats_to_entries([la.identity(), ctx8.iota, bad, la.identity()])
+    with pytest.raises(NotSymplecticError):
+        kn.invert_symplectic(ctx8, ents)
+    assert issubclass(NotSymplecticError, SzVerifyError)
+
+
+@pytest.mark.parametrize("v", [8, 256, -1])
+def test_closure_refuses_entries_outside_field(ctx8, v):
+    """As NotSymplecticError, not a numpy cast error."""
+    bad = la.identity()[:3] + (v,) + la.identity()[4:]
+    with pytest.raises(NotSymplecticError):
+        gr.closure(ctx8, [ctx8.iota, bad], ceiling=10)
+
+
+def test_element_orders_match_scalar_on_sz8(ctx8, group8):
+    orders = kn.element_orders(ctx8, group8.entries)
+    assert orders.tolist() == [gr.element_order(ctx8, x) for x in group8]
+    with pytest.raises(NotSymplecticError):
+        kn.element_orders(ctx8, kn.mats_to_entries([la.diag(1, 1, 1, 3)]))
+
+
+def test_order_two_mask_matches_involution_mask_on_sz8(ctx8, group8):
+    assert np.array_equal(kn.order_two_mask(ctx8, group8.entries),
+                          kn.involution_mask(ctx8, group8.entries))

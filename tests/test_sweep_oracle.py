@@ -11,6 +11,7 @@ import random
 
 import numpy as np
 
+import helpers as hp
 import sweep_oracle as so
 from szverify import fixed_set as fs
 from szverify import kernels as kn
@@ -80,7 +81,7 @@ def test_agrees_on_sylow_candidates_q8(ctx8):
 
 
 def test_agrees_on_unitriangular_candidates_q8(ctx8):
-    assert assert_agree(ctx8, kn.unitriangular_candidates(ctx8)).sum() == 8
+    assert assert_agree(ctx8, hp.unitriangular_candidates(ctx8)).sum() == 8
 
 
 def test_agrees_on_whole_group_q8(ctx8, group8):
@@ -88,7 +89,7 @@ def test_agrees_on_whole_group_q8(ctx8, group8):
 
 
 def test_agrees_on_near_members_q8(ctx8, group8):
-    members = group8.sample(60, seed=41)
+    members = hp.sample(group8, 60, seed=41)
     mats = near_members(ctx8, members, 240, seed=42)
     mask = assert_agree(ctx8, kn.mats_to_entries(mats))
     assert list(np.flatnonzero(mask)) == list(range(0, 240, 3))
@@ -99,7 +100,7 @@ def test_agrees_off_the_symplectic_group_q8(ctx8, group8):
     test rejects it; likewise for scaled members c g (c != 1) and random
     matrices, which are not symplectic."""
     f = ctx8.field
-    members = group8.sample(20, seed=48)
+    members = hp.sample(group8, 20, seed=48)
     rng = random.Random(49)
     mats = [(0,) * 16]
     mats += [tuple(f.mul(c, v) for v in g) for g in members
@@ -115,7 +116,7 @@ def test_is_suzuki_matches_bruteforce_on_near_members_q8(ctx8, group8):
     """20 members a b and their neighbours a b t, t a transvection."""
     f = ctx8.field
     rng = random.Random(43)
-    members = group8.sample(40, seed=44)
+    members = hp.sample(group8, 40, seed=44)
     for k in range(20):
         g = la.mat_mul(f, members[2 * k], members[2 * k + 1])
         nb = la.mat_mul(f, g, random_transvection(ctx8, rng))

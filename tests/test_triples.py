@@ -1,7 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from szverify import fixed_set as fs
+from szverify import groups as gr
+from szverify import kernels as kn
 from szverify import linalg4 as la
 from szverify import triples as tr
 from szverify.errors import VerificationError
@@ -140,3 +144,84 @@ def test_witness_walk_order(ctx8, group8, involutions8):
     assert all(mats in walk for mats in got)
     steps = [walk[mats] for mats in got]
     assert steps == sorted(set(steps))
+
+
+def test_walk_makes_no_scalar_inverse_or_order_calls(ctx8, group8,
+                                                     monkeypatch):
+    """search_rank4 with 32 witnesses runs its group algebra on the
+    paired product kernels: before they existed it made 2,654 la.invert,
+    6,486 la.mat_mul and 708 gr.element_order calls."""
+    calls = {"invert": 0, "mat_mul": 0, "element_order": 0}
+    for mod, name in ((la, "invert"), (la, "mat_mul"), (gr, "element_order")):
+        def counted(*args, _name=name, _fn=getattr(mod, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mod, name, counted)
+    report = tr.search_rank4(ctx8, group8, witness_count=32)
+    assert len(report.witnesses) == 32
+    assert calls == {"invert": 0, "mat_mul": 0, "element_order": 0}
+
+
+def test_walk_triples_match_scalar_construction(ctx8, involutions8):
+    """The batch constructor on the 453 walk pairs (w1 iota, w3 iota)
+    gives (iota w1, w1 w3 iota, iota w3), built here by scalar products;
+    every row meets the involution conditions and the lemma."""
+    f = ctx8.field
+    iota = ctx8.iota
+    invs = [w for w in involutions8 if w != iota]
+    ws = kn.mats_to_entries(invs)
+    rev = ws.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
+    sigmas, lemma = tr._checked_triples(ctx8, rev[:1], rev[1:])
+    w1 = invs[0]
+    want = [(la.mat_mul(f, iota, w1),
+             la.mat_mul(f, w1, la.mat_mul(f, w3, iota)),
+             la.mat_mul(f, iota, w3)) for w3 in invs[1:]]
+    assert len(want) == 453
+    assert [tuple(map(kn.entries_to_mat, row)) for row in sigmas] == want
+    assert lemma.shape == (453,) and lemma.all()
+
+
+def test_batch_checks_match_scalar_oracle(ctx8, involutions8):
+    """Involution conditions and lemma verdicts on mixed rows, against
+    squaring and the fixed-set test by scalar products."""
+    f = ctx8.field
+    iota = ctx8.iota
+    ident = la.identity()
+    mats = [iota, ident] + involutions8[:6] + fs.torus_elements(ctx8)[:3]
+    triples = [tr.ChiralTriple(a, b, c) for a in mats[:4] for b in mats
+               for c in mats[2:7]]
+    # walk triples (iota w1, w1 w3 iota, iota w3), which meet all three
+    triples += [tr.ChiralTriple(la.mat_mul(f, iota, w1),
+                                la.mat_mul(f, w1, la.mat_mul(f, w3, iota)),
+                                la.mat_mul(f, iota, w3))
+                for w1 in involutions8[:6] for w3 in involutions8[:6]]
+    seen = set()
+    lemma_rows = 0
+
+    def inv2(p):
+        return p != ident and la.mat_mul(f, p, p) == ident
+    for t in triples:
+        s1, s2, s3 = t.mats()
+        s12 = la.mat_mul(f, s1, s2)
+        s23 = la.mat_mul(f, s2, s3)
+        want = (inv2(la.mat_mul(f, s12, s3)), inv2(s23), inv2(s12))
+        assert tr.involution_conditions(ctx8, t) == want
+        seen.add(want)
+        if la.mat_mul(f, s12, s3) == iota and want[1] and want[2]:
+            lemma_rows += 1
+            assert tr.fixed_set_membership_lemma(ctx8, t) == (
+                fs.in_fixed_set(ctx8, la.invert(f, s1))
+                and fs.in_fixed_set(ctx8, la.invert(f, s3)))
+    assert (True, True, True) in seen and len(seen) >= 5
+    assert lemma_rows
+
+
+def test_checked_triples_refuse_a_failed_condition(ctx8):
+    """The iota pairs fail an involution condition, so the batch check
+    that both searches run raises on each of them."""
+    iota = kn.mats_to_entries([ctx8.iota])
+    for x in fs.closed_form_X(ctx8):
+        x = kn.mats_to_entries([x])
+        for pair in ((iota, x), (x, iota)):
+            with pytest.raises(VerificationError):
+                tr._checked_triples(ctx8, *pair)

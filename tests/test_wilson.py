@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import helpers as hp
 from conftest import all_vecs, bullet_np
 from szverify import fixed_set as fs
 from szverify import kernels as kn
@@ -92,7 +93,7 @@ def test_perp_basis_pairs_count(ctx8):
 def test_wilson_residual_rejects_nonperp(ctx8):
     u, v = la.basis_vec(0), la.basis_vec(3)
     with pytest.raises(ValueError):
-        wl.wilson_residual(ctx8, la.identity(), u, v)
+        hp.wilson_residual(ctx8, la.identity(), u, v)
 
 
 def test_accepts_identity_iota_torus(ctx8):
@@ -108,7 +109,7 @@ def test_accepts_all_group_elements(ctx8, group8):
     mask = kn.suzuki_mask(ctx8, group8.entries)
     assert len(mask) == group8.order
     assert bool(mask.all())
-    for g in group8.sample(200, seed=5):
+    for g in hp.sample(group8, 200, seed=5):
         assert wl.is_suzuki(ctx8, g)
 
 
