@@ -18,6 +18,10 @@ class SingularMatrixError(SzVerifyError):
     """A matrix expected to be invertible is singular."""
 
 
+class FieldRangeError(SzVerifyError):
+    """A matrix entry lies outside GF(q)."""
+
+
 class NotSymplecticError(SzVerifyError):
     """A matrix expected in Sp4(q) does not preserve the form."""
 

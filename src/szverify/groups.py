@@ -110,6 +110,20 @@ def _dedup_generators(ctx: SuzukiContext, generators: Sequence[Mat4]) -> List[Ma
     return list(dict.fromkeys(gens))
 
 
+def _fresh_keys(seen: np.ndarray,
+                cand: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The keys of ``cand`` not in the sorted ``seen``, sorted and without
+    repeats, and the positions in ``seen`` where they go."""
+    cand = np.sort(cand)
+    # np.unique without its overhead: the first key of each run
+    first = np.ones(len(cand), dtype=bool)
+    first[1:] = cand[1:] != cand[:-1]
+    cand = cand[first]
+    pos = np.searchsorted(seen, cand)
+    fresh = seen[np.minimum(pos, len(seen) - 1)] != cand
+    return cand[fresh], pos[fresh]
+
+
 def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
             ceiling: int) -> GroupSet:
     """Breadth-first product closure of the generators.
@@ -131,19 +145,14 @@ def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
     seen = kn.entry_keys(ctx, kn.mats_to_entries([la.identity()]))
     frontier = seen
     while gens:
-        cand = np.sort(kn.entry_keys(
+        frontier, pos = _fresh_keys(seen, kn.entry_keys(
             ctx, kn.row_action(tables, kn.key_entries(frontier))))
-        # np.unique without its overhead: the first key of each run
-        cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
-        pos = np.searchsorted(seen, cand)
-        fresh = seen[np.minimum(pos, len(seen) - 1)] != cand
-        frontier = cand[fresh]
         if len(seen) + len(frontier) > ceiling:
             raise BudgetExceededError(len(seen) + len(frontier), ceiling)
         if not len(frontier):
             break
         # a merge, not a re-sort: both sides are sorted and disjoint
-        seen = np.insert(seen, pos[fresh], frontier)
+        seen = np.insert(seen, pos, frontier)
 
     return GroupSet(ctx=ctx, entries=kn.key_entries(seen),
                     generators=tuple(gens) or (la.identity(),))
@@ -213,8 +222,8 @@ def conjugation_orbit(ctx: SuzukiContext, seed: Mat4,
     """Orbit of ``seed`` under conjugation by the group generators.
 
     Breadth-first, one batch of products per level: every g^-1 y g for
-    y in the frontier and g a generator, kept as sorted keys like the
-    elements of a closure.
+    y in the frontier and g a generator, merged into sorted keys as in
+    closure.
     """
     if seed not in group:
         raise ValueError("seed is not an element of the group")
@@ -227,11 +236,9 @@ def conjugation_orbit(ctx: SuzukiContext, seed: Mat4,
         yg = kn.mat_mul_pairs(ctx, np.repeat(frontier, len(gens), axis=0),
                               np.tile(gens, (n, 1)))
         conj = kn.mat_mul_pairs(ctx, np.tile(inv_gens, (n, 1)), yg)
-        cand = np.unique(kn.entry_keys(ctx, conj))
-        pos = np.searchsorted(seen, cand)
-        fresh = seen[np.minimum(pos, len(seen) - 1)] != cand
-        seen = np.insert(seen, pos[fresh], cand[fresh])
-        frontier = kn.key_entries(cand[fresh])
+        fresh, pos = _fresh_keys(seen, kn.entry_keys(ctx, conj))
+        seen = np.insert(seen, pos, fresh)
+        frontier = kn.key_entries(fresh)
     return set(map(kn.entries_to_mat, kn.key_entries(seen)))
 
 

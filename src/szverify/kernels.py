@@ -14,7 +14,8 @@ q-entry tables of 4-byte rows (row_action_table) turn a whole batch
 product into four gathers and three XORs (row_action).  Products
 of paired batches, x_i y_i with a different y per row, go through the
 flat multiplication table instead (mat_mul_pairs); the batch inverse,
-element orders and the order-2 test are built on it.
+element orders and the fixed-point test are built on it.  Each of these
+checks that its entries lie in GF(q) before any cast (_field_rows).
 
 All tables are uint8-indexed, which caps the batch layer at field degree
 7; group enumeration is only supported through q = 32 anyway.
@@ -27,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .context import PERP_BASIS_PAIRS, SuzukiContext
-from .errors import NotSymplecticError, SzVerifyError
+from .errors import FieldRangeError, NotSymplecticError, SzVerifyError
 from .linalg4 import Mat4
 
 # The basis pairs whose residuals decide membership (see wilson): the
@@ -36,8 +37,9 @@ from .linalg4 import Mat4
 _RESIDUAL_PAIRS = PERP_BASIS_PAIRS + ((0, 3), (1, 2))
 
 # Rows per step of the batch kernels, so that their temporaries stay
-# small for a whole Sz(32).
-_CHUNK = 1 << 16
+# small for a whole Sz(32): a paired product gathers through intp
+# indices, 128 bytes a row, so 4,096 rows keep each step near 1 MB.
+_CHUNK = 1 << 12
 
 _IDENTITY = np.eye(4, dtype=np.uint8).reshape(16)
 
@@ -131,6 +133,17 @@ def identity_mask(ents: np.ndarray) -> np.ndarray:
     return (ents.reshape(-1, 16) == _IDENTITY).all(axis=1)
 
 
+def _field_rows(ctx: SuzukiContext, ents) -> np.ndarray:
+    """A batch as (n, 16) uint8 entries, each checked to lie in GF(q)
+    before the cast, so no entry wraps into the field; raises
+    FieldRangeError otherwise."""
+    x = np.asarray(ents)
+    if x.size and ((x.dtype != np.uint8 and x.min() < 0)
+                   or x.max() >= ctx.q):
+        raise FieldRangeError(f"an entry lies outside GF({ctx.q})")
+    return x.astype(np.uint8, copy=False).reshape(-1, 16)
+
+
 def mat_mul_pairs(ctx: SuzukiContext, a: np.ndarray,
                   b: np.ndarray) -> np.ndarray:
     """Entries of x_i y_i for the rows x_i of ``a`` and y_i of ``b``.
@@ -139,10 +152,16 @@ def mat_mul_pairs(ctx: SuzukiContext, a: np.ndarray,
     is the XOR over k of x_ik y_kj, each product one gather from the
     flattened multiplication table at x_ik q + y_kj.
     """
+    return _mul_pairs(ctx, _field_rows(ctx, a), _field_rows(ctx, b))
+
+
+def _mul_pairs(ctx: SuzukiContext, a: np.ndarray,
+               b: np.ndarray) -> np.ndarray:
+    """mat_mul_pairs on uint8 batches already checked by _field_rows."""
     q = ctx.q
     flat = field_tables(ctx)[0].reshape(-1)
-    x = np.asarray(a, dtype=np.uint8).reshape(-1, 4, 4)
-    y = np.asarray(b, dtype=np.uint8).reshape(-1, 4, 4)
+    x = a.reshape(-1, 4, 4)
+    y = b.reshape(-1, 4, 4)
     n = max(len(x), len(y)) if len(x) and len(y) else 0
     if len(x) not in (1, n) or len(y) not in (1, n):
         raise ValueError(f"cannot pair {len(x)} rows with {len(y)}")
@@ -165,15 +184,13 @@ def invert_symplectic(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
     x[3 - j][3 - i]: one gather.  Every row is checked by x x^-1 = I,
     which for a square matrix makes it the two-sided inverse, so a row
     outside Sp4(q) (singular or not) raises NotSymplecticError rather
-    than return a wrong inverse.
+    than return a wrong inverse, and an entry outside GF(q) raises
+    FieldRangeError.
     """
-    x = np.asarray(ents).reshape(-1, 4, 4)
-    if x.size and (x.min() < 0 or x.max() >= ctx.q):
-        raise NotSymplecticError(f"an entry lies outside GF({ctx.q})")
-    x = x.astype(np.uint8)
+    x = _field_rows(ctx, ents).reshape(-1, 4, 4)
     inv = np.ascontiguousarray(x[:, ::-1, ::-1].transpose(0, 2, 1))
     inv = inv.reshape(-1, 16)
-    bad = ~identity_mask(mat_mul_pairs(ctx, x, inv))
+    bad = ~identity_mask(_mul_pairs(ctx, x, inv))
     if bad.any():
         row = entries_to_mat(x.reshape(-1, 16)[bad.argmax()])
         raise NotSymplecticError(f"matrix is not in Sp4({ctx.q}): {row}")
@@ -187,7 +204,7 @@ def element_orders(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
     The rows are checked invertible first (invert_symplectic), and an
     element of GL4(q) has order below q^4, so the loop ends.
     """
-    x = np.asarray(ents, dtype=np.uint8).reshape(-1, 16)
+    x = _field_rows(ctx, ents)
     invert_symplectic(ctx, x)
     orders = np.zeros(len(x), dtype=np.int64)
     live = np.arange(len(x))
@@ -201,14 +218,8 @@ def element_orders(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
             return orders
         if k >= ctx.q ** 4:
             raise SzVerifyError(f"element order exceeds q^4 = {ctx.q ** 4}")
-        power = mat_mul_pairs(ctx, power, x[live])
+        power = _mul_pairs(ctx, power, x[live])
         k += 1
-
-
-def order_two_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
-    """Which rows p of a batch are involutions: p != I and p^2 = I."""
-    p = np.asarray(ents, dtype=np.uint8).reshape(-1, 16)
-    return ~identity_mask(p) & identity_mask(mat_mul_pairs(ctx, p, p))
 
 
 def symplectic_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
@@ -226,16 +237,19 @@ def symplectic_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
 
 
 def fixed_point_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
-    """Which matrices satisfy x iota x == iota."""
-    mul, _, _ = field_tables(ctx)
-    x = ents.reshape(-1, 4, 4)
-    ok = np.ones(x.shape[0], dtype=bool)
-    for i in range(4):
-        for j in range(4):
-            acc = np.zeros(x.shape[0], dtype=np.uint8)
-            for k in range(4):
-                acc ^= mul[x[:, i, 3 - k], x[:, k, j]]
-            ok &= acc == (1 if i + j == 3 else 0)
+    """Which matrices satisfy x iota x == iota.
+
+    x iota is x with its columns reversed, so each row is one paired
+    product (x iota) x.  Rows go in chunks, so that a whole Sz(32)
+    needs no product batch of its size.
+    """
+    x = _field_rows(ctx, ents).reshape(-1, 4, 4)
+    iota = np.array(ctx.iota, dtype=np.uint8)
+    ok = np.empty(len(x), dtype=bool)
+    for lo in range(0, len(x), _CHUNK):
+        xs = x[lo:lo + _CHUNK]
+        ok[lo:lo + _CHUNK] = (_mul_pairs(ctx, xs[:, :, ::-1], xs)
+                              == iota).all(axis=1)
     return ok
 
 
@@ -244,9 +258,10 @@ def involution_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
 
     x iota is x with its columns reversed, and x^2 = I exactly when
     (x iota) iota (x iota) = iota, so the fixed-point test decides it.
-    No szverify code calls it: groups.involutions reads the involutions
-    off GroupSet.fixed_points, and the tests use this whole-group pass
-    as the independent oracle for that list.
+    The rank-4 searches check their partial products with it.  No
+    whole-group pass is made: groups.involutions reads the group's
+    involutions off GroupSet.fixed_points, and the tests use this mask
+    on the whole group as the independent oracle for that list.
     """
     x = ents.reshape(-1, 4, 4)
     is_id = np.all(x == np.eye(4, dtype=np.uint8), axis=(1, 2))

@@ -8,7 +8,7 @@ the restricted one over pairs from the closed-form fixed set, and a
 direct construction showing the restriction misses generating triples.
 Both build their triples from (sigma1^-1, sigma3^-1) with product
 iota, all at once as (n, 3, 16) entries, check the whole batch
-(_checked_triples) through the paired products of kernels, and close
+(_checked_triples) through the batch kernels, and close
 each triple in one walk (_closed_triples).
 """
 from __future__ import annotations
@@ -60,37 +60,38 @@ def _partial_products(ctx: SuzukiContext, sigmas: np.ndarray):
             s12)
 
 
-def _involution_masks(ctx: SuzukiContext, sigmas: np.ndarray) -> np.ndarray:
-    """(n, 3) bool: s1 s2 s3, s2 s3 and s1 s2 are involutions, per row."""
-    prods = np.concatenate(_partial_products(ctx, sigmas))
-    return kn.order_two_mask(ctx, prods).reshape(3, -1).T
+def _involution_masks(ctx: SuzukiContext, prods) -> np.ndarray:
+    """(n, 3) bool: which of the _partial_products are involutions."""
+    return kn.involution_mask(ctx, np.concatenate(prods)).reshape(3, -1).T
 
 
-def _membership_lemma_mask(ctx: SuzukiContext,
-                           sigmas: np.ndarray) -> np.ndarray:
-    """fixed_set_membership_lemma on every row of an (n, 3, 16) batch;
-    raises ValueError if any row misses a precondition."""
-    p123, p23, p12 = _partial_products(ctx, sigmas)
-    iota = np.array(ctx.iota, dtype=np.uint8)
-    if not (p123 == iota).all():
-        raise ValueError("triple product must be iota")
-    if not kn.order_two_mask(ctx, np.concatenate([p12, p23])).all():
-        raise ValueError("partial products must be involutions")
+def _is_iota(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
+    return (ents == np.array(ctx.iota, dtype=np.uint8)).all(axis=1)
+
+
+def _inverses_fixed_mask(ctx: SuzukiContext,
+                         sigmas: np.ndarray) -> np.ndarray:
+    """Per row of an (n, 3, 16) batch: sigma1^-1 and sigma3^-1 both
+    satisfy x iota x = iota.  The conclusion of
+    fixed_set_membership_lemma; its caller checks the preconditions."""
+    n = len(sigmas)
     x = kn.invert_symplectic(
         ctx, np.concatenate([sigmas[:, 0], sigmas[:, 2]]))
-    fixed = (kn.mat_mul_pairs(ctx, _column_reversed(x), x) == iota).all(axis=1)
-    return fixed[:len(sigmas)] & fixed[len(sigmas):]
+    fixed = kn.fixed_point_mask(ctx, x)
+    return fixed[:n] & fixed[n:]
 
 
 def _sigma_rows(triple: ChiralTriple) -> np.ndarray:
-    return kn.mats_to_entries(triple.mats()).reshape(1, 3, 16)
+    """The triple as one (1, 3, 16) row, uncast: the kernels check its
+    entries lie in GF(q) before they cast them."""
+    return np.array(triple.mats()).reshape(1, 3, 16)
 
 
 def involution_conditions(ctx: SuzukiContext,
                           triple: ChiralTriple) -> Tuple[bool, bool, bool]:
     """Orders of (s1 s2 s3, s2 s3, s1 s2) all equal to 2."""
-    masks = _involution_masks(ctx, _sigma_rows(triple))
-    return tuple(bool(c) for c in masks[0])
+    prods = _partial_products(ctx, _sigma_rows(triple))
+    return tuple(bool(c) for c in _involution_masks(ctx, prods)[0])
 
 
 def fixed_set_membership_lemma(ctx: SuzukiContext,
@@ -100,9 +101,16 @@ def fixed_set_membership_lemma(ctx: SuzukiContext,
     Preconditions: the product is exactly iota and the two partial
     products are involutions.  Under them the conclusion is a theorem,
     so this certifies rather than filters.  The sigmas must lie in
-    Sp4(q), where kernels.invert_symplectic inverts them.
+    Sp4(q), where kernels.invert_symplectic inverts them.  Raises
+    ValueError if a precondition fails.
     """
-    return bool(_membership_lemma_mask(ctx, _sigma_rows(triple))[0])
+    sigmas = _sigma_rows(triple)
+    p123, p23, p12 = _partial_products(ctx, sigmas)
+    if not _is_iota(ctx, p123).all():
+        raise ValueError("triple product must be iota")
+    if not kn.involution_mask(ctx, np.concatenate([p12, p23])).all():
+        raise ValueError("partial products must be involutions")
+    return bool(_inverses_fixed_mask(ctx, sigmas)[0])
 
 
 def torus_inversion_check(ctx: SuzukiContext) -> bool:
@@ -231,15 +239,19 @@ def _checked_triples(ctx: SuzukiContext, s1_inv: np.ndarray,
                      s3_inv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The triples of the pairs and their membership lemma verdicts.
 
-    Both searches build only pairs whose triple meets every involution
-    condition by construction, so a row that does not raises
-    VerificationError.
+    Both searches build only pairs whose triple has product iota and
+    meets every involution condition by construction, so a row that
+    does not raises VerificationError.  Those are the lemma's
+    preconditions, so each row's verdict is then _inverses_fixed_mask.
     """
     sigmas = _triple_from_inverse_pair(ctx, s1_inv, s3_inv)
-    if not _involution_masks(ctx, sigmas).all():
+    prods = _partial_products(ctx, sigmas)
+    if not _involution_masks(ctx, prods).all():
         raise VerificationError(
             "constructed triple failed an involution condition")
-    return sigmas, _membership_lemma_mask(ctx, sigmas)
+    if not _is_iota(ctx, prods[0]).all():
+        raise VerificationError("constructed triple product is not iota")
+    return sigmas, _inverses_fixed_mask(ctx, sigmas)
 
 
 def _closed_triples(ctx: SuzukiContext, group: gr.GroupSet,
@@ -266,7 +278,8 @@ def _iota_pair_rejections(ctx: SuzukiContext) -> int:
     sigmas = _triple_from_inverse_pair(
         ctx, kn.mats_to_entries([a for a, _ in pairs]),
         kn.mats_to_entries([b for _, b in pairs]))
-    if _involution_masks(ctx, sigmas).all(axis=1).any():
+    prods = _partial_products(ctx, sigmas)
+    if _involution_masks(ctx, prods).all(axis=1).any():
         raise VerificationError(
             "a pair containing iota passed all involution conditions")
     return len(pairs)

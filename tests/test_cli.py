@@ -206,13 +206,16 @@ def test_subcommand_q8_pinned(capsys, tmp_path, command):
 def test_verify_all_scans_fixed_points_once(capsys, monkeypatch):
     """One verify-all makes one whole-group fixed-point pass: the
     fixed-set stage, the involutions and the rank-4 walk all read
-    GroupSet.fixed_points, and involution_mask is left to the tests."""
-    calls = {"fixed_point_mask": 0, "involution_mask": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(kn, name)):
-            calls[_name] += 1
-            return _fn(*args)
+    GroupSet.fixed_points, and no whole-group involution_mask pass is
+    made.  The rank-4 searches also call both kernels, on their own
+    triples only: no call may reach the group's 29,120 rows."""
+    rows = {"fixed_point_mask": [], "involution_mask": []}
+    for name in rows:
+        def counted(ctx, ents, _name=name, _fn=getattr(kn, name)):
+            rows[_name].append(len(ents.reshape(-1, 16)))
+            return _fn(ctx, ents)
         monkeypatch.setattr(kn, name, counted)
     rc, _, _ = run(capsys, "verify-all", "--q", "8")
     assert rc == 3
-    assert calls == {"fixed_point_mask": 1, "involution_mask": 0}
+    whole = {name: [n for n in ns if n >= 29120] for name, ns in rows.items()}
+    assert whole == {"fixed_point_mask": [29120], "involution_mask": []}

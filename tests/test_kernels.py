@@ -9,7 +9,9 @@ from szverify import kernels as kn
 from szverify import linalg4 as la
 from szverify import groups as gr
 from szverify import wilson as wl
-from szverify.errors import NotSymplecticError, SzVerifyError
+from szverify import triples as tr
+from szverify.errors import (FieldRangeError, NotSymplecticError,
+                              SzVerifyError)
 
 
 def rand_mats(rng, n):
@@ -271,8 +273,7 @@ def test_invert_symplectic_matches_invert_q32(ctx32):
 @pytest.mark.parametrize("bad", [
     la.diag(1, 1, 1, 3),                        # invertible, not symplectic
     (0, 0, 0, 0) + la.identity()[4:],           # singular
-    la.identity()[:3] + (8,) + la.identity()[4:],  # entry outside GF(8)
-], ids=["diag1113", "singular", "wide"])
+], ids=["diag1113", "singular"])
 def test_invert_symplectic_refuses_non_symplectic(ctx8, bad):
     """Checked on every row: one bad row among members still raises."""
     ents = kn.mats_to_entries([la.identity(), ctx8.iota, bad, la.identity()])
@@ -283,10 +284,30 @@ def test_invert_symplectic_refuses_non_symplectic(ctx8, bad):
 
 @pytest.mark.parametrize("v", [8, 256, -1])
 def test_closure_refuses_entries_outside_field(ctx8, v):
-    """As NotSymplecticError, not a numpy cast error."""
+    """As FieldRangeError, not a numpy cast error."""
     bad = la.identity()[:3] + (v,) + la.identity()[4:]
-    with pytest.raises(NotSymplecticError):
+    with pytest.raises(FieldRangeError):
         gr.closure(ctx8, [ctx8.iota, bad], ceiling=10)
+    assert issubclass(FieldRangeError, SzVerifyError)
+
+
+@pytest.mark.parametrize("v", [9, 257, -1])
+def test_paired_kernels_refuse_entries_outside_field(ctx8, v):
+    """Checked before any cast: at q = 8, 0 * 9 would read mul[1][1]
+    from the flat table, and 257 would wrap to 1 as uint8."""
+    bad = np.array(la.identity(), dtype=np.int64)
+    bad[3] = v
+    zero = np.zeros(16, dtype=np.int64)
+    for call in (lambda: kn.mat_mul_pairs(ctx8, zero, bad),
+                 lambda: kn.mat_mul_pairs(ctx8, bad, zero),
+                 lambda: kn.invert_symplectic(ctx8, bad),
+                 lambda: kn.element_orders(ctx8, bad),
+                 lambda: kn.fixed_point_mask(ctx8, bad)):
+        with pytest.raises(FieldRangeError):
+            call()
+    trip = tr.ChiralTriple(ctx8.iota, tuple(bad.tolist()), ctx8.iota)
+    with pytest.raises(FieldRangeError):
+        tr.involution_conditions(ctx8, trip)
 
 
 def test_element_orders_match_scalar_on_sz8(ctx8, group8):
@@ -294,8 +315,3 @@ def test_element_orders_match_scalar_on_sz8(ctx8, group8):
     assert orders.tolist() == [gr.element_order(ctx8, x) for x in group8]
     with pytest.raises(NotSymplecticError):
         kn.element_orders(ctx8, kn.mats_to_entries([la.diag(1, 1, 1, 3)]))
-
-
-def test_order_two_mask_matches_involution_mask_on_sz8(ctx8, group8):
-    assert np.array_equal(kn.order_two_mask(ctx8, group8.entries),
-                          kn.involution_mask(ctx8, group8.entries))

@@ -225,3 +225,24 @@ def test_checked_triples_refuse_a_failed_condition(ctx8):
         for pair in ((iota, x), (x, iota)):
             with pytest.raises(VerificationError):
                 tr._checked_triples(ctx8, *pair)
+
+
+def test_checked_triples_refuse_a_product_other_than_iota(ctx8, involutions8,
+                                                          monkeypatch):
+    """Conjugating the walk triples by a torus element d keeps all three
+    involution conditions but moves the product to d^-1 iota d = d^-2
+    iota; the batch check raises on it rather than certify the lemma."""
+    build = tr._triple_from_inverse_pair
+    d = next(kn.mats_to_entries([t]) for t in fs.torus_elements(ctx8)
+             if t != la.identity())
+    d_inv = kn.invert_symplectic(ctx8, d)
+
+    def conjugated(ctx, s1_inv, s3_inv):
+        s = build(ctx, s1_inv, s3_inv).reshape(-1, 16)
+        s = kn.mat_mul_pairs(ctx, d_inv, kn.mat_mul_pairs(ctx, s, d))
+        return s.reshape(-1, 3, 16)
+    monkeypatch.setattr(tr, "_triple_from_inverse_pair", conjugated)
+    ws = kn.mats_to_entries([w for w in involutions8 if w != ctx8.iota][:4])
+    rev = ws.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
+    with pytest.raises(VerificationError, match="not iota"):
+        tr._checked_triples(ctx8, rev[:1], rev[1:])
