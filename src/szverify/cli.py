@@ -135,29 +135,28 @@ def _stage_wilson(state: RunState):
     nonzero = sum(any(wl.bullet(ctx, basis[i], basis[j]))
                   for i in range(4) for j in range(4))
     findings["nonzero_basis_products"] = nonzero
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     semi_ok = True
     for _ in range(50):
-        u = tuple(int(v) for v in rng.integers(0, ctx.q, 4))
-        v = tuple(int(v) for v in rng.integers(0, ctx.q, 4))
-        c = int(rng.integers(1, ctx.q))
+        u = tuple(rng.randrange(ctx.q) for _ in range(4))
+        v = tuple(rng.randrange(ctx.q) for _ in range(4))
+        c = rng.randrange(1, ctx.q)
         lhs = wl.bullet(ctx, la.vec_scale(f, c, u), v)
         rhs = la.vec_scale(f, f.frobenius_t(c), wl.bullet(ctx, u, v))
         semi_ok &= lhs == rhs
-    members_ok = wl.is_suzuki(ctx, la.identity())
-    members_ok &= wl.is_suzuki(ctx, tuple(ctx.iota))
-    members_ok &= all(wl.is_suzuki(ctx, fs.torus_element(ctx, a))
-                      for a in range(1, ctx.q))
-    trans_rejected = not wl.is_suzuki(ctx, wl.e1_transvection(ctx))
-    rejected = 0
-    agree = True
-    for k in range(100):
-        m = wl.random_symplectic(ctx, random.Random(1000 + k))
-        mine = wl.is_suzuki(ctx, m)
-        if not mine:
-            rejected += 1
-        if ctx.q == 8 and k < 10:
-            agree &= mine == wl.is_suzuki_bruteforce(ctx, m)
+    # One membership batch: the known members (identity, iota, the
+    # torus), the transvection, then 100 random symplectic matrices.
+    members = [la.identity(), tuple(ctx.iota)] + fs.torus_elements(ctx)
+    randoms = wl.random_symplectics(
+        ctx, [random.Random(1000 + k) for k in range(100)])
+    mask = kn.suzuki_mask(ctx, np.concatenate(
+        [kn.mats_to_entries(members + [wl.e1_transvection(ctx)]), randoms]))
+    members_ok = bool(mask[:len(members)].all())
+    trans_rejected = not mask[len(members)]
+    random_mask = mask[len(members) + 1:]
+    rejected = int(len(randoms) - random_mask.sum())
+    agree = ctx.q > 8 or np.array_equal(
+        wl.bruteforce_mask(ctx, randoms[:10]), random_mask[:10])
     findings["random_symplectic_rejected"] = rejected
     ok = (table_ok and nonzero == 8 and semi_ok and members_ok
           and trans_rejected and rejected >= 90 and agree)

@@ -191,12 +191,6 @@ def eval_equation_system(ctx: SuzukiContext, x: Mat4) -> EquationReport:
     return EquationReport(tuple(x), tuple(recs))
 
 
-def in_fixed_set(ctx: SuzukiContext, x: Mat4) -> bool:
-    """True iff x . iota . x = iota."""
-    iota = tuple(ctx.iota)
-    return la.mat_mul(ctx.field, la.mat_mul(ctx.field, x, iota), x) == iota
-
-
 def torus_element(ctx: SuzukiContext, a: int) -> Mat4:
     """diag(a, a^(2t+1), a^(-2t-1), a^(-1))."""
     if not 0 < a < ctx.q:

@@ -36,11 +36,6 @@ class ChiralTriple:
     def mats(self) -> Tuple[Mat4, Mat4, Mat4]:
         return (self.sigma1, self.sigma2, self.sigma3)
 
-    def product(self, ctx: SuzukiContext) -> Mat4:
-        f = ctx.field
-        return la.mat_mul(f, la.mat_mul(f, self.sigma1, self.sigma2),
-                          self.sigma3)
-
     def to_json_dict(self) -> dict:
         return {"sigma1": la.mat_to_hex(self.sigma1),
                 "sigma2": la.mat_to_hex(self.sigma2),

@@ -30,15 +30,27 @@ every g, since u * u = 0 in characteristic 2.
 
 kernels.suzuki_mask evaluates the nine equations over a batch and
 is_suzuki runs it on one matrix.  The brute-force path stays as an
-oracle with no shared logic beyond the field tables.
+oracle with no shared logic beyond the field tables: bruteforce_mask
+checks the product condition itself on all q^3(q^4 + q - 1) ordered
+perpendicular pairs (2,100,736 at q = 8), and is_suzuki_bruteforce runs
+it on one matrix.  It tables each row's action on the q^4 vectors once,
+then walks the pairs in blocks: u = 0 first, then one block for each
+last nonzero coordinate k = 0..3 of u, each built on first use and kept.
+A row leaves the batch at its first failing step, and the walk ends when
+no row is left, so a batch of non-members builds and reads only the
+blocks it needs (at q = 8 the 7,680 pairs up to k = 0), while every
+matrix the oracle accepts has passed every pair.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from . import kernels as kn
 from .context import PERP_BASIS_PAIRS, SuzukiContext  # noqa: F401 (re-export)
+from .errors import FieldRangeError
 from .field import BinaryField
 from .linalg4 import (
     Mat4,
@@ -47,7 +59,6 @@ from .linalg4 import (
     basis_vec,
     identity,
     is_symplectic,
-    mat_mul,
 )
 
 
@@ -76,101 +87,133 @@ def is_suzuki(ctx: SuzukiContext, g: Mat4) -> bool:
     return bool(kn.suzuki_mask(ctx, kn.mats_to_entries([g]))[0])
 
 
-_BRUTEFORCE_CACHE: dict = {}
+# Row x pair cells per step of the all-pairs oracle, so that its
+# temporaries stay near 20 MB however many rows a batch has.
+_CELLS = 1 << 20
 
 
-def _bruteforce_tables(ctx: SuzukiContext):
-    key = (ctx.q, ctx.field.modulus)
-    hit = _BRUTEFORCE_CACHE.get(key)
-    if hit is not None:
-        return hit
+@lru_cache(maxsize=None)
+def _vectors(ctx: SuzukiContext) -> np.ndarray:
+    """All q^4 vectors, (q^4, 4) uint8; coordinate j has weight q^(3-j)
+    in a vector's index."""
     q = ctx.q
-    mul, frob, inv = kn.field_tables(ctx)
-    n = q ** 4
-    idx = np.arange(n)
-    vecs = np.stack(
+    idx = np.arange(q ** 4)
+    return np.stack(
         [(idx // q ** 3) % q, (idx // q ** 2) % q, (idx // q) % q, idx % q],
         axis=1,
     ).astype(np.uint8)
 
-    # all perpendicular ordered pairs (u, v), f(u, v) = sum_i u_i v_{3-i}.
-    # u = 0 pairs with every v.  Otherwise let k be the last nonzero
-    # coordinate of u: for each w with w_{3-k} = 0, exactly one v = w +
-    # c e_{3-k} is perpendicular to u, with c = f(u, w) / u_k.
-    # Coordinate j of a vector has weight q^(3-j) in its index.  The
-    # pairs are written in place as int32 to keep the peak memory low.
-    nonzero = vecs != 0
-    last = np.where(nonzero.any(axis=1),
-                    3 - np.argmax(nonzero[:, ::-1], axis=1), -1)
-    ui = np.zeros(n + (n - 1) * q ** 3, dtype=np.int32)
-    vi = np.empty_like(ui)
-    vi[:n] = idx
-    lo = n
-    for k in range(4):
-        us = np.flatnonzero(last == k)
+
+def _twisted_product(mul, a, b):
+    """The four coordinates of u * v from the twisted coordinates a of u
+    and b of v: the basis table of the context written out."""
+    return (mul[a[1], b[3]] ^ mul[a[3], b[1]],
+            mul[a[0], b[1]] ^ mul[a[1], b[0]],
+            mul[a[2], b[3]] ^ mul[a[3], b[2]],
+            mul[a[0], b[2]] ^ mul[a[2], b[0]])
+
+
+@lru_cache(maxsize=None)
+def _pair_block(ctx: SuzukiContext, k: int):
+    """One block of perpendicular ordered pairs, as uint16 vector indices
+    (u, v, w) with w = u * v.
+
+    Block k = -1 pairs u = 0 with every v.  Block k >= 0 holds the u whose
+    last nonzero coordinate is k: for each w with w_{3-k} = 0, exactly one
+    v = w + c e_{3-k} is perpendicular to u, with c = f(u, w) / u_k.
+    """
+    q = ctx.q
+    mul, frob, inv = kn.field_tables(ctx)
+    vecs = _vectors(ctx)
+    if k < 0:
+        ui = np.zeros(len(vecs), dtype=np.uint16)
+        vi = np.arange(len(vecs), dtype=np.uint16)
+    else:
+        nonzero = vecs != 0
+        us = np.flatnonzero(nonzero[:, k] & ~nonzero[:, k + 1:].any(axis=1))
         ws = np.flatnonzero(vecs[:, 3 - k] == 0)
         form = np.zeros((len(us), len(ws)), dtype=np.uint8)
         for i in range(4):
             form ^= mul[vecs[us, i][:, None], vecs[ws, 3 - i][None, :]]
-        hi = lo + form.size
-        ui[lo:hi].reshape(form.shape)[:] = us[:, None]
-        v = vi[lo:hi].reshape(form.shape)
-        v[:] = mul[inv[vecs[us, k]][:, None], form]
-        v *= q ** k
-        v += ws
-        lo = hi
-    _BRUTEFORCE_CACHE[key] = (mul, frob, vecs, ui, vi)
-    return _BRUTEFORCE_CACHE[key]
+        c = mul[inv[vecs[us, k]][:, None], form].astype(np.uint16)
+        ui = np.repeat(us, len(ws)).astype(np.uint16)
+        vi = (c * q ** k + ws.astype(np.uint16)).reshape(-1)
+    tw = frob[vecs]
+    uv = _twisted_product(mul, tw[ui].T, tw[vi].T)
+    wi = uv[0].astype(np.uint16)
+    for coord in uv[1:]:
+        wi *= q
+        wi += coord
+    return ui, vi, wi
 
 
-def is_suzuki_bruteforce(ctx: SuzukiContext, g: Mat4) -> bool:
-    """Oracle: check the product condition on every perpendicular pair.
+def _pair_blocks(ctx: SuzukiContext):
+    """Every perpendicular ordered pair, once: block u = 0, then the blocks
+    k = 0..3 of _pair_block.  Each block is built on first use."""
+    for k in range(-1, 4):
+        yield _pair_block(ctx, k)
 
-    No basis reduction and no prefilter; ~q^7 pairs, so this is only
-    viable at q = 8.  Vectorised with numpy but structurally independent
-    of the nine-equation test.
+
+def bruteforce_mask(ctx: SuzukiContext, mats) -> np.ndarray:
+    """Oracle: membership in Sz(q) for a batch of matrices (Mat4 tuples
+    or (n, 16) entries), by the product condition g(u) * g(v) == g(u * v)
+    on every perpendicular pair.
+
+    No basis reduction and no prefilter: ~q^7 pairs, so this is only
+    viable at q = 8.  Each row must pass the scalar symplectic test.  The
+    action of each row on all q^4 vectors is tabled once; the pairs then
+    come block by block from _pair_blocks, in steps of about _CELLS
+    row x pair cells.  A row leaves the batch at its first failing step,
+    and the walk ends when no row is left, so a member is checked on every
+    pair.  Vectorised with numpy but structurally independent of the
+    nine-equation test.
     """
     if ctx.q > 8:
         raise ValueError("brute-force membership is ~q^7 pairs; q = 8 only")
-    f = ctx.field
-    if not is_symplectic(f, g):
-        return False
-    mul, frob, vecs, ui, vi = _bruteforce_tables(ctx)
+    ents = kn.mats_to_entries(mats)
+    if ents.size and ents.max() >= ctx.q:
+        raise FieldRangeError(f"an entry lies outside GF({ctx.q})")
+    ok = np.array([is_symplectic(ctx.field, row) for row in ents.tolist()],
+                  dtype=bool)
+    live = np.flatnonzero(ok)
+    if not len(live):
+        return ok
+    mul, frob, _ = kn.field_tables(ctx)
+    vecs = _vectors(ctx)
+    # img[i][r, x]: coordinate i of g(x), for row r and every vector x.
+    g = ents[live].reshape(-1, 4, 4)
+    img = []
+    for i in range(4):
+        acc = np.zeros((len(live), len(vecs)), dtype=np.uint8)
+        for j in range(4):
+            acc ^= mul[g[:, i, j][:, None], vecs[None, :, j]]
+        img.append(acc)
+    tw = [frob[c] for c in img]
+    for ui, vi, wi in _pair_blocks(ctx):
+        lo = 0
+        while lo < len(ui):
+            hi = lo + max(1, _CELLS // len(live))
+            u, v, w = ui[lo:hi], vi[lo:hi], wi[lo:hi]
+            lhs = _twisted_product(mul, [t[:, u] for t in tw],
+                                   [t[:, v] for t in tw])
+            good = lhs[0] == img[0][:, w]
+            for i in range(1, 4):
+                good &= lhs[i] == img[i][:, w]
+            keep = good.all(axis=1)
+            if not keep.all():
+                ok[live[~keep]] = False
+                live = live[keep]
+                if not len(live):
+                    return ok
+                img = [c[keep] for c in img]
+                tw = [c[keep] for c in tw]
+            lo = hi
+    return ok
 
-    gm = np.array(g, dtype=np.uint8).reshape(4, 4)
 
-    def apply_g(w):
-        cols = []
-        for i in range(4):
-            acc = np.zeros(len(w), dtype=np.uint8)
-            for j in range(4):
-                if gm[i, j]:
-                    acc ^= mul[gm[i, j], w[:, j]]
-            cols.append(acc)
-        return np.stack(cols, axis=1)
-
-    def bullet_np(a, b):
-        at = frob[a]
-        bt = frob[b]
-        return np.stack(
-            [
-                mul[at[:, 1], bt[:, 3]] ^ mul[at[:, 3], bt[:, 1]],
-                mul[at[:, 0], bt[:, 1]] ^ mul[at[:, 1], bt[:, 0]],
-                mul[at[:, 2], bt[:, 3]] ^ mul[at[:, 3], bt[:, 2]],
-                mul[at[:, 0], bt[:, 2]] ^ mul[at[:, 2], bt[:, 0]],
-            ],
-            axis=1,
-        )
-
-    chunk = 1 << 16
-    for lo in range(0, len(ui), chunk):
-        u = vecs[ui[lo:lo + chunk]]
-        v = vecs[vi[lo:lo + chunk]]
-        lhs = bullet_np(apply_g(u), apply_g(v))
-        rhs = apply_g(bullet_np(u, v))
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
+def is_suzuki_bruteforce(ctx: SuzukiContext, g: Mat4) -> bool:
+    """The all-pairs oracle on one matrix."""
+    return bool(bruteforce_mask(ctx, [g])[0])
 
 
 def symplectic_transvection(f: BinaryField, u: Vec4, lam: int) -> Mat4:
@@ -187,14 +230,36 @@ def e1_transvection(ctx: SuzukiContext) -> Mat4:
     return symplectic_transvection(ctx.field, basis_vec(0), 1)
 
 
-def random_symplectic(ctx: SuzukiContext, rng, length: int = 8) -> Mat4:
-    """Product of random symplectic transvections."""
-    f = ctx.field
-    g = identity()
-    for _ in range(length):
-        u = ZERO_VEC
-        while u == ZERO_VEC:
-            u = tuple(rng.randrange(ctx.q) for _ in range(4))
-        lam = rng.randrange(1, ctx.q)
-        g = mat_mul(f, g, symplectic_transvection(f, u, lam))
+def random_symplectics(ctx: SuzukiContext, rngs,
+                       length: int = 8) -> np.ndarray:
+    """Entries of one product of ``length`` random symplectic
+    transvections per rng, as one batched product chain.
+
+    Each rng draws, transvection by transvection, a nonzero u (redrawn
+    while zero) and then lam, so one rng gives the same matrix however
+    many others share the batch.
+    """
+    q = ctx.q
+    mul, _, _ = kn.field_tables(ctx)
+    draws = []
+    for rng in rngs:
+        for _ in range(length):
+            u = ZERO_VEC
+            while u == ZERO_VEC:
+                u = tuple(rng.randrange(q) for _ in range(4))
+            draws.append(u + (rng.randrange(1, q),))
+    d = np.array(draws, dtype=np.uint8).reshape(len(rngs), length, 5)
+    u, lam = d[..., :4], d[..., 4]
+    # entry (i, j) of I + lam u (iota u)^T is delta_ij + lam u_i u_{3-j}
+    steps = mul[mul[lam[..., None], u][..., :, None], u[..., None, ::-1]]
+    steps ^= np.eye(4, dtype=np.uint8)
+    g = kn.mats_to_entries([identity()] * len(rngs))
+    for s in range(length):
+        g = kn.mat_mul_pairs(ctx, g, steps[:, s].reshape(-1, 16))
     return g
+
+
+def random_symplectic(ctx: SuzukiContext, rng, length: int = 8) -> Mat4:
+    """Product of random symplectic transvections: random_symplectics on
+    one rng."""
+    return kn.entries_to_mat(random_symplectics(ctx, [rng], length)[0])

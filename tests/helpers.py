@@ -9,7 +9,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from szverify import fixed_set as fs
 from szverify import kernels as kn
 from szverify import linalg4 as la
 from szverify import wilson as wl
@@ -76,11 +75,38 @@ def wilson_residual(ctx: SuzukiContext, g: Mat4, u: Vec4, v: Vec4) -> Vec4:
                       la.mat_vec(f, g, wl.bullet(ctx, u, v)))
 
 
+def in_fixed_set(ctx: SuzukiContext, x: Mat4) -> bool:
+    """True iff x . iota . x = iota."""
+    iota = tuple(ctx.iota)
+    return la.mat_mul(ctx.field, la.mat_mul(ctx.field, x, iota), x) == iota
+
+
+def triple_product(ctx: SuzukiContext, triple) -> Mat4:
+    """sigma1 sigma2 sigma3 of a triples.ChiralTriple."""
+    f = ctx.field
+    return la.mat_mul(f, la.mat_mul(f, triple.sigma1, triple.sigma2),
+                      triple.sigma3)
+
+
+def random_symplectic_scalar(ctx: SuzukiContext, rng, length: int = 8) -> Mat4:
+    """wilson.random_symplectic as a scalar linalg4 product chain: the
+    reference for the batched chain of wilson.random_symplectics."""
+    f = ctx.field
+    g = la.identity()
+    for _ in range(length):
+        u = la.ZERO_VEC
+        while u == la.ZERO_VEC:
+            u = tuple(rng.randrange(ctx.q) for _ in range(4))
+        lam = rng.randrange(1, ctx.q)
+        g = la.mat_mul(f, g, wl.symplectic_transvection(f, u, lam))
+    return g
+
+
 def symmetry_lemma_check(ctx: SuzukiContext, x: Mat4) -> bool:
     """transpose(x) = x, for a symplectic member of the fixed set."""
     if not la.is_symplectic(ctx.field, x):
         raise ValueError("x is not symplectic")
-    if not fs.in_fixed_set(ctx, x):
+    if not in_fixed_set(ctx, x):
         raise ValueError("x is not in the fixed set")
     return la.transpose(x) == tuple(x)
 

@@ -49,7 +49,7 @@ def test_closed_form_members(ctx8, group8):
     assert ctx8.iota in closed
     for x in closed:
         assert x in group8
-        assert fs.in_fixed_set(ctx8, x)
+        assert hp.in_fixed_set(ctx8, x)
         assert la.transpose(x) == x
 
 

@@ -113,16 +113,18 @@ def test_agrees_off_the_symplectic_group_q8(ctx8, group8):
 
 
 def test_is_suzuki_matches_bruteforce_on_near_members_q8(ctx8, group8):
-    """20 members a b and their neighbours a b t, t a transvection."""
+    """20 members a b and their neighbours a b t, t a transvection,
+    through the all-pairs oracle in one batch."""
     f = ctx8.field
     rng = random.Random(43)
     members = hp.sample(group8, 40, seed=44)
+    mats = []
     for k in range(20):
         g = la.mat_mul(f, members[2 * k], members[2 * k + 1])
-        nb = la.mat_mul(f, g, random_transvection(ctx8, rng))
-        assert wl.is_suzuki(ctx8, g) and wl.is_suzuki_bruteforce(ctx8, g)
-        assert not wl.is_suzuki(ctx8, nb)
-        assert not wl.is_suzuki_bruteforce(ctx8, nb)
+        mats += [g, la.mat_mul(f, g, random_transvection(ctx8, rng))]
+    want = [True, False] * 20
+    assert [wl.is_suzuki(ctx8, m) for m in mats] == want
+    assert wl.bruteforce_mask(ctx8, mats).tolist() == want
 
 
 def test_agrees_at_q32(ctx32):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import helpers as hp
 from szverify import fixed_set as fs
 from szverify import groups as gr
 from szverify import kernels as kn
@@ -56,7 +57,7 @@ def test_witnesses_generate_whole_group(ctx8, group8, report):
         assert w.subgroup_order == group8.order
         conds = tr.involution_conditions(ctx8, w.triple)
         assert conds == (True, True, True)
-        assert w.triple.product(ctx8) == ctx8.iota
+        assert hp.triple_product(ctx8, w.triple) == ctx8.iota
         assert w.sigma1_inv_in_scan and w.sigma3_inv_in_scan
         # both inverses sit in the scanned fixed set, never both in the
         # closed form: the restricted search space cannot see them
@@ -210,8 +211,8 @@ def test_batch_checks_match_scalar_oracle(ctx8, involutions8):
         if la.mat_mul(f, s12, s3) == iota and want[1] and want[2]:
             lemma_rows += 1
             assert tr.fixed_set_membership_lemma(ctx8, t) == (
-                fs.in_fixed_set(ctx8, la.invert(f, s1))
-                and fs.in_fixed_set(ctx8, la.invert(f, s3)))
+                hp.in_fixed_set(ctx8, la.invert(f, s1))
+                and hp.in_fixed_set(ctx8, la.invert(f, s3)))
     assert (True, True, True) in seen and len(seen) >= 5
     assert lemma_rows
 

@@ -9,6 +9,7 @@ from szverify import fixed_set as fs
 from szverify import kernels as kn
 from szverify import linalg4 as la
 from szverify import wilson as wl
+from szverify.errors import FieldRangeError
 
 # e_i . e_j basis products, 0-based: the only nonzero entries.
 FROZEN_TABLE = {
@@ -70,18 +71,66 @@ def test_semilinearity_exhaustive_q8(ctx8, bullet_sweep8):
 
 
 def test_oracle_pairs_are_all_perpendicular_pairs(ctx8):
-    """The oracle's directly enumerated pairs are exactly the zeros of
-    the full 4096 x 4096 form table, each once."""
-    mul, _, _ = kn.field_tables(ctx8)
+    """The oracle's directly enumerated pairs, its blocks concatenated,
+    are exactly the zeros of the full 4096 x 4096 form table, each once,
+    and each carries its product u * v."""
+    mul, frob, _ = kn.field_tables(ctx8)
     vecs = all_vecs(8)
     n = len(vecs)
     gram = np.zeros((n, n), dtype=np.uint8)
     for i in range(4):
         gram ^= mul[vecs[:, i][:, None], vecs[:, 3 - i][None, :]]
     want = np.flatnonzero(gram == 0)
-    _, _, oracle_vecs, ui, vi = wl._bruteforce_tables(ctx8)
-    assert np.array_equal(oracle_vecs, vecs)
+    ui, vi, wi = (np.concatenate(col)
+                  for col in zip(*wl._pair_blocks(ctx8)))
+    assert np.array_equal(wl._vectors(ctx8), vecs)
     assert np.array_equal(np.sort(ui.astype(np.int64) * n + vi), want)
+    assert np.array_equal(vecs[wi], bullet_np(mul, frob, vecs[ui], vecs[vi]))
+
+
+def test_oracle_walk_ends_when_no_row_is_left(ctx8, group8, monkeypatch):
+    """An accepted member takes every block of pairs, all 2,100,736 of
+    them; a batch of non-members stops after the block k = 0, where each
+    of them fails.  No verdict shows a truncated walk: at q = 8 the
+    pairs of block k = 0 already decide membership."""
+    blocks = wl._pair_blocks
+    seen = []
+
+    def recording(ctx):
+        for k, block in zip(range(-1, 4), blocks(ctx)):
+            seen.append((k, len(block[0])))
+            yield block
+
+    monkeypatch.setattr(wl, "_pair_blocks", recording)
+    assert wl.bruteforce_mask(ctx8, hp.sample(group8, 2, seed=33)).all()
+    assert [k for k, _ in seen] == [-1, 0, 1, 2, 3]
+    assert sum(n for _, n in seen) == 2100736
+    seen.clear()
+    rngs = [random.Random(1000 + k) for k in range(10)]
+    assert not wl.bruteforce_mask(ctx8,
+                                  wl.random_symplectics(ctx8, rngs)).any()
+    assert [k for k, _ in seen] == [-1, 0]
+
+
+def test_oracle_batch_matches_one_row_calls(ctx8, group8):
+    """Members, near-members g t (t the transvection), the zero matrix,
+    a scaled member and random matrices, shuffled: the batch verdicts are
+    the one-row verdicts, and the members are exactly the group's."""
+    f = ctx8.field
+    members = hp.sample(group8, 3, seed=31)
+    rng = random.Random(32)
+    mats = members + [la.mat_mul(f, g, wl.e1_transvection(ctx8))
+                      for g in members]
+    mats += [(0,) * 16, tuple(f.mul(3, v) for v in members[0])]
+    mats += [tuple(rng.randrange(8) for _ in range(16)) for _ in range(3)]
+    rng.shuffle(mats)
+    mask = wl.bruteforce_mask(ctx8, mats)
+    assert mask.tolist() == [wl.is_suzuki_bruteforce(ctx8, m) for m in mats]
+    assert mask.tolist() == [m in group8 for m in mats]
+    assert mask.sum() == 3
+    assert wl.bruteforce_mask(ctx8, []).shape == (0,)
+    with pytest.raises(FieldRangeError):
+        wl.bruteforce_mask(ctx8, [(8,) + (0,) * 15])
 
 
 def test_perp_basis_pairs_count(ctx8):
@@ -132,9 +181,27 @@ def test_oracle_rejects_e1_transvection(ctx8):
 def test_oracle_refuses_large_q(ctx32):
     with pytest.raises(ValueError):
         wl.is_suzuki_bruteforce(ctx32, la.identity())
+    with pytest.raises(ValueError):
+        wl.bruteforce_mask(ctx32, [la.identity()])
 
 
 def test_random_symplectic_is_symplectic(ctx8):
     for k in range(20):
         m = wl.random_symplectic(ctx8, random.Random(k))
         assert la.is_symplectic(ctx8.field, m)
+
+
+def test_random_symplectics_match_scalar_chain(ctx8, ctx32):
+    """The batched product chain gives, seed by seed, the matrices of the
+    scalar linalg4 chain; a shared rng goes on the same way in one-row
+    calls, and length 0 is the identity."""
+    batch = wl.random_symplectics(
+        ctx8, [random.Random(1000 + k) for k in range(100)])
+    assert [kn.entries_to_mat(row) for row in batch] == [
+        hp.random_symplectic_scalar(ctx8, random.Random(1000 + k))
+        for k in range(100)]
+    a, b = random.Random(5), random.Random(5)
+    for ctx in (ctx8, ctx32):
+        assert ([wl.random_symplectic(ctx, a) for _ in range(3)]
+                == [hp.random_symplectic_scalar(ctx, b) for _ in range(3)])
+    assert wl.random_symplectic(ctx8, a, length=0) == la.identity()
