@@ -57,9 +57,8 @@ class BinaryField:
             [polymod(clmul(a, b), modulus) for b in range(self.q)]
             for a in range(self.q)
         ]
-        self._inv_table = [0] * self.q
-        for a in range(1, self.q):
-            self._inv_table[a] = self._pow_raw(a, self.q - 2)
+        self._inv_table = [0] + [self.pow(a, self.q - 2)
+                                 for a in range(1, self.q)]
 
     def __repr__(self):
         return f"BinaryField(degree={self.degree}, modulus={bin(self.modulus)})"
@@ -72,16 +71,6 @@ class BinaryField:
 
     def sqr(self, a: int) -> int:
         return self.mul(a, a)
-
-    def _pow_raw(self, a: int, k: int) -> int:
-        acc = 1
-        base = a
-        while k:
-            if k & 1:
-                acc = polymod(clmul(acc, base), self.modulus)
-            base = polymod(clmul(base, base), self.modulus)
-            k >>= 1
-        return acc
 
     def pow(self, a: int, k: int) -> int:
         """a ** k; negative k inverts first.  pow(a, 0) is 1."""
@@ -123,12 +112,9 @@ class TwistedField(BinaryField):
         self.e = e
         self.t = 1 << e
         assert 2 * self.t * self.t == self.q
-        self._frob_table = [self._frob_raw(a) for a in range(self.q)]
-
-    def _frob_raw(self, a: int) -> int:
-        for _ in range(self.e):
-            a = polymod(clmul(a, a), self.modulus)
-        return a
+        self._frob_table = list(range(self.q))
+        for _ in range(e):
+            self._frob_table = [self.sqr(a) for a in self._frob_table]
 
     def frobenius_t(self, a: int) -> int:
         """The twist a -> a^t = a^(2^e), tabled from e successive squarings."""

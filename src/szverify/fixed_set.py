@@ -5,6 +5,12 @@ exhaustive scan over an enumerated group, and the equation system that
 the closed form was derived from, with each equation tagged by the
 basis-vector product or Gram-matrix position it encodes.
 
+Each equation is stated once, as its text, and evaluated from that
+text on a whole batch of symmetric matrices at a time (equation_masks).
+A side of an equation is terms joined by " + "; a term is 1 or factors
+joined by spaces; a factor is an entry a<i><j>, optionally raised by
+^t, ^2 or ^2t, where ^2t means (a^2)^t.
+
 The two realisations disagree: the scan finds every symmetric member of
 the group (the condition x.iota.x = iota is equivalent to (x.iota)^2 = I,
 so the scan size is #involutions + 1), of which the closed form is only
@@ -12,8 +18,9 @@ a small subset.  ``fixed_set_result`` reports both sides; see README.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -35,8 +42,9 @@ class EquationOrigin:
     """Where an equation comes from.
 
     kind "product": coordinate ``coord`` of bullet(x e_i, x e_j) against
-    x(e_i . e_j); ``detwisted`` marks equations printed with the common
-    Frobenius twist cancelled.  kind "form": entry (i, j) of x.iota.x.
+    x(e_i . e_j); the equations of the non-perpendicular pairs are
+    printed with their common Frobenius twist cancelled.  kind "form":
+    entry (i, j) of x.iota.x.
     """
 
     kind: str
@@ -44,7 +52,6 @@ class EquationOrigin:
     j: int
     coord: int = -1
     perpendicular: bool = True
-    detwisted: bool = False
 
 
 @dataclass(frozen=True)
@@ -52,143 +59,100 @@ class Equation:
     label: str
     text: str
     origin: EquationOrigin
-    lhs: Callable
-    rhs: Callable
 
 
-def _entries(x: Mat4) -> Dict[Tuple[int, int], int]:
-    return {(i + 1, j + 1): x[4 * i + j] for i in range(4) for j in range(4)}
-
-
-def _product_eq(label, text, i, j, coord, lhs, rhs, perp=True, detw=False):
+def _product_eq(label, text, i, j, coord, perp=True):
     return Equation(label, text,
-                    EquationOrigin("product", i, j, coord, perp, detw),
-                    lhs, rhs)
+                    EquationOrigin("product", i, j, coord, perp))
 
 
-def _form_eq(label, text, i, j, lhs):
-    return Equation(label, text, EquationOrigin("form", i, j), lhs,
-                    lambda f, a: 1)
+def _form_eq(label, text, i, j):
+    return Equation(label, text, EquationOrigin("form", i, j))
 
 
 EQUATIONS: Tuple[Equation, ...] = (
-    _product_eq("S1", "a12^t a24^t + a14^t a22^t = a12", 0, 1, 0,
-                lambda f, a: f.mul(f.frobenius_t(a[1, 2]), f.frobenius_t(a[2, 4]))
-                ^ f.mul(f.frobenius_t(a[1, 4]), f.frobenius_t(a[2, 2])),
-                lambda f, a: a[1, 2]),
-    _product_eq("S2", "a11^t a22^t + a12^2t = a22", 0, 1, 1,
-                lambda f, a: f.mul(f.frobenius_t(a[1, 1]), f.frobenius_t(a[2, 2]))
-                ^ f.frobenius_t(f.mul(a[1, 2], a[1, 2])),
-                lambda f, a: a[2, 2]),
-    _product_eq("S3", "a13^t a24^t + a14^t a23^t = a23", 0, 1, 2,
-                lambda f, a: f.mul(f.frobenius_t(a[1, 3]), f.frobenius_t(a[2, 4]))
-                ^ f.mul(f.frobenius_t(a[1, 4]), f.frobenius_t(a[2, 3])),
-                lambda f, a: a[2, 3]),
-    _product_eq("S4", "a11^t a23^t + a13^t a12^t = a24", 0, 1, 3,
-                lambda f, a: f.mul(f.frobenius_t(a[1, 1]), f.frobenius_t(a[2, 3]))
-                ^ f.mul(f.frobenius_t(a[1, 3]), f.frobenius_t(a[1, 2])),
-                lambda f, a: a[2, 4]),
-    _product_eq("S5", "a12^t a34^t + a14^t a23^t = a14", 0, 2, 0,
-                lambda f, a: f.mul(f.frobenius_t(a[1, 2]), f.frobenius_t(a[3, 4]))
-                ^ f.mul(f.frobenius_t(a[1, 4]), f.frobenius_t(a[2, 3])),
-                lambda f, a: a[1, 4]),
-    _product_eq("S6", "a13^t a34^t + a14^t a33^t = a34", 0, 2, 2,
-                lambda f, a: f.mul(f.frobenius_t(a[1, 3]), f.frobenius_t(a[3, 4]))
-                ^ f.mul(f.frobenius_t(a[1, 4]), f.frobenius_t(a[3, 3])),
-                lambda f, a: a[3, 4]),
-    _product_eq("S7", "a11^t a33^t + a13^2t = a44", 0, 2, 3,
-                lambda f, a: f.mul(f.frobenius_t(a[1, 1]), f.frobenius_t(a[3, 3]))
-                ^ f.frobenius_t(f.mul(a[1, 3], a[1, 3])),
-                lambda f, a: a[4, 4]),
-    _product_eq("S8", "a22^t a44^t + a24^2t = a11", 1, 3, 0,
-                lambda f, a: f.mul(f.frobenius_t(a[2, 2]), f.frobenius_t(a[4, 4]))
-                ^ f.frobenius_t(f.mul(a[2, 4], a[2, 4])),
-                lambda f, a: a[1, 1]),
-    _product_eq("S9", "a23^t a44^t + a24^t a34^t = a13", 1, 3, 2,
-                lambda f, a: f.mul(f.frobenius_t(a[2, 3]), f.frobenius_t(a[4, 4]))
-                ^ f.mul(f.frobenius_t(a[2, 4]), f.frobenius_t(a[3, 4])),
-                lambda f, a: a[1, 3]),
-    _product_eq("S10", "a33^t a44^t + a34^2t = a33", 3, 2, 2,
-                lambda f, a: f.mul(f.frobenius_t(a[3, 3]), f.frobenius_t(a[4, 4]))
-                ^ f.frobenius_t(f.mul(a[3, 4], a[3, 4])),
-                lambda f, a: a[3, 3]),
-    _product_eq("S11", "a14 a24 = a12 a44", 0, 3, 0,
-                lambda f, a: f.mul(a[1, 4], a[2, 4]),
-                lambda f, a: f.mul(a[1, 2], a[4, 4]), perp=False, detw=True),
-    _product_eq("S12", "a12 a14 = a11 a24", 0, 3, 1,
-                lambda f, a: f.mul(a[1, 2], a[1, 4]),
-                lambda f, a: f.mul(a[1, 1], a[2, 4]), perp=False, detw=True),
-    _product_eq("S13", "a13 a44 = a14 a34", 0, 3, 2,
-                lambda f, a: f.mul(a[1, 3], a[4, 4]),
-                lambda f, a: f.mul(a[1, 4], a[3, 4]), perp=False, detw=True),
-    _product_eq("S14", "a11 a34 = a13 a14", 0, 3, 3,
-                lambda f, a: f.mul(a[1, 1], a[3, 4]),
-                lambda f, a: f.mul(a[1, 3], a[1, 4]), perp=False, detw=True),
-    _product_eq("S15", "a22 a34 = a24 a23", 1, 2, 0,
-                lambda f, a: f.mul(a[2, 2], a[3, 4]),
-                lambda f, a: f.mul(a[2, 4], a[2, 3]), perp=False, detw=True),
-    _product_eq("S16", "a22 a13 = a12 a23", 1, 2, 1,
-                lambda f, a: f.mul(a[2, 2], a[1, 3]),
-                lambda f, a: f.mul(a[1, 2], a[2, 3]), perp=False, detw=True),
-    _product_eq("S17", "a23 a34 = a24 a33", 1, 2, 2,
-                lambda f, a: f.mul(a[2, 3], a[3, 4]),
-                lambda f, a: f.mul(a[2, 4], a[3, 3]), perp=False, detw=True),
-    _product_eq("S18", "a12 a33 = a13 a23", 1, 2, 3,
-                lambda f, a: f.mul(a[1, 2], a[3, 3]),
-                lambda f, a: f.mul(a[1, 3], a[2, 3]), perp=False, detw=True),
-    _form_eq("P14", "a14^2 + a13 a24 + a12 a34 + a11 a44 = 1", 0, 3,
-             lambda f, a: f.mul(a[1, 4], a[1, 4]) ^ f.mul(a[1, 3], a[2, 4])
-             ^ f.mul(a[1, 2], a[3, 4]) ^ f.mul(a[1, 1], a[4, 4])),
-    _form_eq("P23", "a24 a13 + a23^2 + a22 a33 + a12 a34 = 1", 1, 2,
-             lambda f, a: f.mul(a[2, 4], a[1, 3]) ^ f.mul(a[2, 3], a[2, 3])
-             ^ f.mul(a[2, 2], a[3, 3]) ^ f.mul(a[1, 2], a[3, 4])),
+    _product_eq("S1", "a12^t a24^t + a14^t a22^t = a12", 0, 1, 0),
+    _product_eq("S2", "a11^t a22^t + a12^2t = a22", 0, 1, 1),
+    _product_eq("S3", "a13^t a24^t + a14^t a23^t = a23", 0, 1, 2),
+    _product_eq("S4", "a11^t a23^t + a13^t a12^t = a24", 0, 1, 3),
+    _product_eq("S5", "a12^t a34^t + a14^t a23^t = a14", 0, 2, 0),
+    _product_eq("S6", "a13^t a34^t + a14^t a33^t = a34", 0, 2, 2),
+    _product_eq("S7", "a11^t a33^t + a13^2t = a44", 0, 2, 3),
+    _product_eq("S8", "a22^t a44^t + a24^2t = a11", 1, 3, 0),
+    _product_eq("S9", "a23^t a44^t + a24^t a34^t = a13", 1, 3, 2),
+    _product_eq("S10", "a33^t a44^t + a34^2t = a33", 3, 2, 2),
+    _product_eq("S11", "a14 a24 = a12 a44", 0, 3, 0, perp=False),
+    _product_eq("S12", "a12 a14 = a11 a24", 0, 3, 1, perp=False),
+    _product_eq("S13", "a13 a44 = a14 a34", 0, 3, 2, perp=False),
+    _product_eq("S14", "a11 a34 = a13 a14", 0, 3, 3, perp=False),
+    _product_eq("S15", "a22 a34 = a24 a23", 1, 2, 0, perp=False),
+    _product_eq("S16", "a22 a13 = a12 a23", 1, 2, 1, perp=False),
+    _product_eq("S17", "a23 a34 = a24 a33", 1, 2, 2, perp=False),
+    _product_eq("S18", "a12 a33 = a13 a23", 1, 2, 3, perp=False),
+    _form_eq("P14", "a14^2 + a13 a24 + a12 a34 + a11 a44 = 1", 0, 3),
+    _form_eq("P23", "a24 a13 + a23^2 + a22 a33 + a12 a34 = 1", 1, 2),
 )
 
-@dataclass(frozen=True)
-class EquationRecord:
-    label: str
-    lhs: int
-    rhs: int
-    satisfied: bool
-    origin: EquationOrigin
+
+# A factor of an equation's text: the entry a<i><j> and its power.
+_FACTOR = r"a([1-4])([1-4])(\^t|\^2|\^2t)?"
 
 
-@dataclass(frozen=True)
-class EquationReport:
-    matrix: Mat4
-    records: Tuple[EquationRecord, ...]
+def parse_side(side: str) -> Tuple[Tuple[Tuple[int, int, str], ...], ...]:
+    """The terms of one side of an equation's text.
 
-    @property
-    def all_satisfied(self) -> bool:
-        return all(r.satisfied for r in self.records)
-
-    def record(self, label: str) -> EquationRecord:
-        for r in self.records:
-            if r.label == label:
-                return r
-        raise KeyError(label)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "szverify-equations v1",
-            "matrix": la.mat_to_hex(self.matrix),
-            "equations": [{"label": r.label, "satisfied": r.satisfied}
-                          for r in self.records],
-            "all_satisfied": self.all_satisfied,
-        }
+    Each term is a tuple of factors (i, j, power), with i and j 0-based
+    and power one of "", "^t", "^2", "^2t"; the term 1 is the empty
+    tuple.  Any other token raises ValueError.
+    """
+    terms = []
+    for term in side.split(" + "):
+        factors = []
+        for tok in [] if term == "1" else term.split(" "):
+            m = re.fullmatch(_FACTOR, tok)
+            if m is None:
+                raise ValueError(f"bad factor {tok!r} in {side!r}")
+            factors.append((int(m[1]) - 1, int(m[2]) - 1, m[3] or ""))
+        terms.append(tuple(factors))
+    return tuple(terms)
 
 
-def eval_equation_system(ctx: SuzukiContext, x: Mat4) -> EquationReport:
-    """Evaluate every equation on a symmetric matrix, entrywise exact."""
-    if la.transpose(x) != tuple(x):
+def _side_values(mul: np.ndarray, powers: Dict[str, np.ndarray], side: str,
+                 a: np.ndarray) -> np.ndarray:
+    """One side of an equation on every row of the (n, 16) batch ``a``:
+    each factor is one gather through its power's table, each product
+    one gather through ``mul``."""
+    acc = np.zeros(len(a), dtype=np.uint8)
+    for term in parse_side(side):
+        value = np.ones(len(a), dtype=np.uint8)
+        for i, j, power in term:
+            value = mul[value, powers[power][a[:, 4 * i + j]]]
+        acc ^= value
+    return acc
+
+
+def equation_masks(ctx: SuzukiContext, mats) -> Dict[str, np.ndarray]:
+    """Which rows of a batch of symmetric matrices satisfy each equation.
+
+    ``mats`` is a Mat4 list or an (n, 16) entries array.  Each side is
+    parsed from the equation's text and evaluated once on the whole
+    batch.  An asymmetric row raises ValueError, and an entry outside
+    GF(q) raises FieldRangeError.
+    """
+    a = kn.field_rows(ctx, mats)
+    x = a.reshape(-1, 4, 4)
+    if (x != x.transpose(0, 2, 1)).any():
         raise ValueError("equation system is stated for symmetric matrices")
-    f = ctx.field
-    a = _entries(x)
-    recs = []
+    mul, frob, _ = kn.field_tables(ctx)
+    sqr = mul.diagonal()
+    powers = {"": np.arange(ctx.q, dtype=np.uint8), "^t": frob, "^2": sqr,
+              "^2t": frob[sqr]}
+    masks = {}
     for eq in EQUATIONS:
-        lhs, rhs = eq.lhs(f, a), eq.rhs(f, a)
-        recs.append(EquationRecord(eq.label, lhs, rhs, lhs == rhs, eq.origin))
-    return EquationReport(tuple(x), tuple(recs))
+        lhs, rhs = eq.text.split(" = ")
+        masks[eq.label] = (_side_values(mul, powers, lhs, a)
+                           == _side_values(mul, powers, rhs, a))
+    return masks
 
 
 def torus_element(ctx: SuzukiContext, a: int) -> Mat4:
@@ -257,24 +221,23 @@ class EquationCensus:
         return self.full_solutions == self.closed_form
 
 
-def equation_census(ctx: SuzukiContext,
-                    scan: Sequence[Mat4]) -> EquationCensus:
+def equation_census(ctx: SuzukiContext, scan) -> EquationCensus:
     """Per-equation satisfaction counts over the scanned fixed set.
 
-    ``scan`` is the fixed-set scan of the group (brute_force_X), which
-    callers usually have already.  The ten twisted product equations
-    and the two Gram-position equations hold on every scan member; the
-    eight detwisted equations from non-perpendicular pairs do not, and
-    exactly the closed-form matrices satisfy the full system.
+    ``scan`` is the fixed-set scan of the group, as a Mat4 list
+    (brute_force_X) or an entries array (GroupSet.fixed_points).  The
+    scan and the closed form go through equation_masks as one batch.
+    The ten twisted product equations and the two Gram-position
+    equations hold on every scan member; the eight detwisted equations
+    from non-perpendicular pairs do not, and exactly the closed-form
+    matrices satisfy the full system.
     """
-    counts = {eq.label: 0 for eq in EQUATIONS}
-    full: List[Mat4] = []
-    for x in scan:
-        rep = eval_equation_system(ctx, x)
-        for r in rep.records:
-            counts[r.label] += int(r.satisfied)
-        if rep.all_satisfied:
-            full.append(x)
     closed = closed_form_X(ctx)
-    closed_ok = all(eval_equation_system(ctx, x).all_satisfied for x in closed)
-    return EquationCensus(len(scan), counts, full, closed_ok, closed)
+    rows = kn.field_rows(ctx, scan)
+    n = len(rows)
+    masks = equation_masks(
+        ctx, np.concatenate([rows, kn.mats_to_entries(closed)]))
+    full = np.logical_and.reduce(list(masks.values()))
+    counts = {label: int(m[:n].sum()) for label, m in masks.items()}
+    solutions = [kn.entries_to_mat(row) for row in rows[full[:n]]]
+    return EquationCensus(n, counts, solutions, bool(full[n:].all()), closed)

@@ -98,9 +98,6 @@ class GroupSet:
     def element(self, i: int) -> Mat4:
         return kn.entries_to_mat(self.entries[i])
 
-    def divides(self, ambient_order: int) -> bool:
-        return ambient_order % self.order == 0
-
 
 def _dedup_generators(ctx: SuzukiContext, generators: Sequence[Mat4]) -> List[Mat4]:
     """The generators in first-seen order without repeats, each checked

@@ -15,7 +15,7 @@ product into four gathers and three XORs (row_action).  Products
 of paired batches, x_i y_i with a different y per row, go through the
 flat multiplication table instead (mat_mul_pairs); the batch inverse,
 element orders and the fixed-point test are built on it.  Each of these
-checks that its entries lie in GF(q) before any cast (_field_rows).
+checks that its entries lie in GF(q) before any cast (field_rows).
 
 All tables are uint8-indexed, which caps the batch layer at field degree
 7; group enumeration is only supported through q = 32 anyway.
@@ -133,7 +133,7 @@ def identity_mask(ents: np.ndarray) -> np.ndarray:
     return (ents.reshape(-1, 16) == _IDENTITY).all(axis=1)
 
 
-def _field_rows(ctx: SuzukiContext, ents) -> np.ndarray:
+def field_rows(ctx: SuzukiContext, ents) -> np.ndarray:
     """A batch as (n, 16) uint8 entries, each checked to lie in GF(q)
     before the cast, so no entry wraps into the field; raises
     FieldRangeError otherwise."""
@@ -152,12 +152,12 @@ def mat_mul_pairs(ctx: SuzukiContext, a: np.ndarray,
     is the XOR over k of x_ik y_kj, each product one gather from the
     flattened multiplication table at x_ik q + y_kj.
     """
-    return _mul_pairs(ctx, _field_rows(ctx, a), _field_rows(ctx, b))
+    return _mul_pairs(ctx, field_rows(ctx, a), field_rows(ctx, b))
 
 
 def _mul_pairs(ctx: SuzukiContext, a: np.ndarray,
                b: np.ndarray) -> np.ndarray:
-    """mat_mul_pairs on uint8 batches already checked by _field_rows."""
+    """mat_mul_pairs on uint8 batches already checked by field_rows."""
     q = ctx.q
     flat = field_tables(ctx)[0].reshape(-1)
     x = a.reshape(-1, 4, 4)
@@ -187,7 +187,7 @@ def invert_symplectic(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
     than return a wrong inverse, and an entry outside GF(q) raises
     FieldRangeError.
     """
-    x = _field_rows(ctx, ents).reshape(-1, 4, 4)
+    x = field_rows(ctx, ents).reshape(-1, 4, 4)
     inv = np.ascontiguousarray(x[:, ::-1, ::-1].transpose(0, 2, 1))
     inv = inv.reshape(-1, 16)
     bad = ~identity_mask(_mul_pairs(ctx, x, inv))
@@ -204,7 +204,7 @@ def element_orders(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
     The rows are checked invertible first (invert_symplectic), and an
     element of GL4(q) has order below q^4, so the loop ends.
     """
-    x = _field_rows(ctx, ents)
+    x = field_rows(ctx, ents)
     invert_symplectic(ctx, x)
     orders = np.zeros(len(x), dtype=np.int64)
     live = np.arange(len(x))
@@ -243,7 +243,7 @@ def fixed_point_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
     product (x iota) x.  Rows go in chunks, so that a whole Sz(32)
     needs no product batch of its size.
     """
-    x = _field_rows(ctx, ents).reshape(-1, 4, 4)
+    x = field_rows(ctx, ents).reshape(-1, 4, 4)
     iota = np.array(ctx.iota, dtype=np.uint8)
     ok = np.empty(len(x), dtype=bool)
     for lo in range(0, len(x), _CHUNK):
@@ -264,8 +264,7 @@ def involution_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
     on the whole group as the independent oracle for that list.
     """
     x = ents.reshape(-1, 4, 4)
-    is_id = np.all(x == np.eye(4, dtype=np.uint8), axis=(1, 2))
-    return fixed_point_mask(ctx, x[:, :, ::-1]) & ~is_id
+    return fixed_point_mask(ctx, x[:, :, ::-1]) & ~identity_mask(ents)
 
 
 def suzuki_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import helpers as hp
@@ -7,7 +8,7 @@ from szverify import fixed_set as fs
 from szverify import groups as gr
 from szverify import linalg4 as la
 from szverify import wilson as wl
-from szverify.errors import SingularMatrixError
+from szverify.errors import FieldRangeError, SingularMatrixError
 
 # Satisfaction counts over the 456 scanned fixed-set members at q = 8,
 # frozen from the first full census run.  The sound equations hold
@@ -126,46 +127,92 @@ def test_nonperp_equations_cover_both_pairs():
     assert got == want
 
 
+def _render(terms):
+    """An equation side written back from fixed_set.parse_side."""
+    return " + ".join(" ".join(f"a{i + 1}{j + 1}{p}" for i, j, p in term)
+                      or "1" for term in terms)
+
+
+def test_parse_side_renders_every_text():
+    for eq in fs.EQUATIONS:
+        lhs, rhs = eq.text.split(" = ")
+        assert (f"{_render(fs.parse_side(lhs))} = "
+                f"{_render(fs.parse_side(rhs))}") == eq.text
+    assert fs.parse_side("a12^2t a34 + 1 + a41^t a23^2") == (
+        ((0, 1, "^2t"), (2, 3, "")), (), ((3, 0, "^t"), (1, 2, "^2")))
+
+
+@pytest.mark.parametrize("side", ["a15", "a12^3", "b12", "a12 +  + a13",
+                                  "a12 + ", "", "a12  a13", "1 a12"])
+def test_parse_side_rejects(side):
+    with pytest.raises(ValueError):
+        fs.parse_side(side)
+
+
+def _symmetric_non_members(ctx, n, seed):
+    """n seeded random symmetric matrices outside the fixed set."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        m = [[0] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                m[i][j] = m[j][i] = rng.randrange(ctx.q)
+        x = tuple(v for row in m for v in row)
+        if not hp.in_fixed_set(ctx, x):
+            out.append(x)
+    return out
+
+
 def test_census_frozen_counts(ctx8, group8):
     census = fs.equation_census(ctx8, fs.brute_force_X(group8))
     assert census.total == 456
     assert census.per_label == FROZEN_COUNTS
+    assert all(type(n) is int for n in census.per_label.values())
     assert census.closed_form_satisfied
     assert len(census.full_solutions) == 8
     assert census.solutions_match_closed_form
+    assert fs.equation_census(ctx8, group8.fixed_points) == census
 
 
 def test_equation_residual_correspondence(ctx8, group8):
     """Each product equation is the stated coordinate of the product
-    residual g(ei) . g(ej) + g(ei . ej), checked on scan members (all
-    symmetric, so row and column action agree)."""
+    residual g(ei) . g(ej) + g(ei . ej), and each Gram equation the
+    stated entry of x^T iota x against iota.  Checked on every scan
+    member and on seeded symmetric non-members, for which S1-S10 and
+    the Gram equations fail on some rows (all rows symmetric, so row and
+    column action agree)."""
     f = ctx8.field
     scan = fs.brute_force_X(group8)
-    for x in scan[::11]:
-        rep = fs.eval_equation_system(ctx8, x)
+    others = _symmetric_non_members(ctx8, 300, seed=14)
+    mats = scan + others
+    masks = fs.equation_masks(ctx8, mats)
+    for k, x in enumerate(mats):
+        gram = la.mat_mul(f, la.mat_mul(f, la.transpose(x), ctx8.iota), x)
         for eq in fs.EQUATIONS:
-            if eq.origin.kind != "product":
+            o = eq.origin
+            if o.kind == "form":
+                assert masks[eq.label][k] == (gram[4 * o.i + o.j] == 1)
                 continue
-            i, j, coord = eq.origin.i, eq.origin.j, eq.origin.coord
-            u, v = la.basis_vec(i), la.basis_vec(j)
+            u, v = la.basis_vec(o.i), la.basis_vec(o.j)
             gu, gv = la.mat_vec(f, x, u), la.mat_vec(f, x, v)
             resid = la.vec_add(wl.bullet(ctx8, gu, gv),
                                la.mat_vec(f, x, wl.bullet(ctx8, u, v)))
-            if eq.origin.perpendicular:
+            if o.perpendicular:
                 assert resid == hp.wilson_residual(ctx8, x, u, v)
-            assert rep.record(eq.label).satisfied == (resid[coord] == 0)
+            assert masks[eq.label][k] == (resid[o.coord] == 0)
+    for lab, mask in masks.items():
+        assert 0 < mask[len(scan):].sum() < len(others), lab
 
 
 def test_sound_equations_hold_on_iota_conjugates(ctx8, group8):
     """The 10 twisted and 2 Gram equations hold on every scan member,
-    not only the closed form; spot-checked off the torus."""
+    not only the closed form."""
     scan = fs.brute_force_X(group8)
     off_closed = [x for x in scan if x not in set(fs.closed_form_X(ctx8))]
-    sound = [f"S{i}" for i in range(1, 11)] + ["P14", "P23"]
-    for x in off_closed[::29]:
-        rep = fs.eval_equation_system(ctx8, x)
-        for lab in sound:
-            assert rep.record(lab).satisfied
+    masks = fs.equation_masks(ctx8, off_closed)
+    for lab in [f"S{i}" for i in range(1, 11)] + ["P14", "P23"]:
+        assert masks[lab].all()
 
 
 def test_perturbed_identity_failing_labels(ctx8):
@@ -173,51 +220,46 @@ def test_perturbed_identity_failing_labels(ctx8):
     and the Gram equation P14 (frozen)."""
     x = list(la.identity())
     x[3] = x[12] = 1
-    rep = fs.eval_equation_system(ctx8, tuple(x))
-    fails = [r.label for r in rep.records if not r.satisfied]
-    assert fails == ["S1", "S5", "S6", "P14"]
+    masks = fs.equation_masks(ctx8, [tuple(x)])
+    assert [lab for lab, m in masks.items() if not m[0]] == [
+        "S1", "S5", "S6", "P14"]
 
 
 def test_eval_calls_each_side_once(ctx8, group8, monkeypatch):
-    """Each equation's lhs and rhs run once per matrix, and the record
-    carries the values they returned."""
+    """One census call evaluates each side of each equation once, on one
+    batch of the scan and the closed form, whatever the scan size."""
     calls = []
+    side_values = fs._side_values
 
-    def counted(side, fn):
-        def wrapped(f, a):
-            calls.append(side)
-            return fn(f, a)
-        return wrapped
+    def recorded(mul, powers, side, a):
+        calls.append((side, len(a)))
+        return side_values(mul, powers, side, a)
 
-    monkeypatch.setattr(fs, "EQUATIONS", tuple(
-        fs.Equation(eq.label, eq.text, eq.origin,
-                    counted((eq.label, "lhs"), eq.lhs),
-                    counted((eq.label, "rhs"), eq.rhs))
-        for eq in fs.EQUATIONS))
-    x = fs.brute_force_X(group8)[5]
-    rep = fs.eval_equation_system(ctx8, x)
-    assert sorted(calls) == sorted((eq.label, side) for eq in fs.EQUATIONS
-                                   for side in ("lhs", "rhs"))
-    a = {(i + 1, j + 1): x[4 * i + j] for i in range(4) for j in range(4)}
-    for eq, r in zip(fs.EQUATIONS, rep.records):
-        assert (r.lhs, r.rhs) == (eq.lhs(ctx8.field, a), eq.rhs(ctx8.field, a))
-        assert r.satisfied == (r.lhs == r.rhs)
+    monkeypatch.setattr(fs, "_side_values", recorded)
+    sides = sorted(side for eq in fs.EQUATIONS
+                   for side in eq.text.split(" = "))
+    scan = group8.fixed_points
+    for n in (0, 1, 57, len(scan)):
+        calls.clear()
+        fs.equation_census(ctx8, scan[:n])
+        assert sorted(side for side, _ in calls) == sides
+        assert {rows for _, rows in calls} == {n + 8}
 
 
 def test_eval_rejects_asymmetric(ctx8):
     x = list(la.identity())
     x[3] = 1  # a14 set, a41 not
     with pytest.raises(ValueError):
-        fs.eval_equation_system(ctx8, tuple(x))
+        fs.equation_masks(ctx8, [tuple(x)])
+    with pytest.raises(ValueError):
+        fs.equation_census(ctx8, [tuple(x)])
 
 
-def test_equation_report_json(ctx8):
-    rep = fs.eval_equation_system(ctx8, ctx8.iota)
-    d = rep.to_json_dict()
-    assert d["schema"] == "szverify-equations v1"
-    assert d["all_satisfied"]
-    assert len(d["equations"]) == 20
-    assert list(d)[0] == "schema"
+def test_eval_rejects_entries_outside_field(ctx8):
+    with pytest.raises(FieldRangeError):
+        fs.equation_masks(ctx8, [la.diag(1, 1, 1, 8)])
+    with pytest.raises(FieldRangeError):
+        fs.equation_census(ctx8, np.full((1, 16), -1))
 
 
 def test_proportional_rows_contradiction(ctx8):
