@@ -186,14 +186,19 @@ def _stage_fixed_set(state: RunState):
     ctx = state.ctx
     result = fs.fixed_set_result(ctx, state.group)
     scan = state.group.fixed_points.reshape(-1, 4, 4)
-    census = fs.equation_census(ctx, scan)
+    symmetric = (scan == scan.transpose(0, 2, 1)).all(axis=(1, 2))
+    all_symmetric = bool(symmetric.all())
+    # The equation system is stated for symmetric matrices, so the
+    # census runs on the symmetric members; an asymmetric member lies
+    # outside the system, and the equations holding on every member are
+    # then reported as null.
+    census = fs.equation_census(ctx, scan[symmetric])
     findings = {
         "closed_form_size": len(result.closed_form),
         "scan_size": len(result.brute_force),
         "scan_size_is_involutions_plus_one":
             len(result.brute_force) == fs.expected_scan_size(ctx),
-        "scan_all_symmetric":
-            bool((scan == scan.transpose(0, 2, 1)).all()),
+        "scan_all_symmetric": all_symmetric,
         "closed_form_satisfies_all_equations":
             census.closed_form_satisfied,
         "full_system_solutions": len(census.full_solutions),
@@ -201,11 +206,11 @@ def _stage_fixed_set(state: RunState):
             census.solutions_match_closed_form,
         "equations_holding_on_every_scan_member":
             sorted(lab for lab, n in census.per_label.items()
-                   if n == census.total),
+                   if n == census.total) if all_symmetric else None,
     }
-    return result.equal, ("the set {x : x iota x = iota} in Sz(q) "
-                          "equals {iota} union the diagonal torus "
-                          f"({1 + (ctx.q - 1)} matrices)"), findings
+    return (result.equal and all_symmetric,
+            ("the set {x : x iota x = iota} in Sz(q) equals {iota} union "
+             f"the diagonal torus ({1 + (ctx.q - 1)} matrices)"), findings)
 
 
 def _stage_involutions(state: RunState):

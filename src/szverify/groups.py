@@ -107,6 +107,12 @@ def _dedup_generators(ctx: SuzukiContext, generators: Sequence[Mat4]) -> List[Ma
     return list(dict.fromkeys(gens))
 
 
+def _row_tables(ctx: SuzukiContext, mats) -> np.ndarray:
+    """The kernels.row_action_table of each matrix, stacked (k, 4, q)."""
+    return np.array([kn.row_action_table(ctx, g) for g in mats],
+                    dtype=np.uint32).reshape(len(mats), 4, ctx.q)
+
+
 def _fresh_keys(seen: np.ndarray,
                 cand: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The keys of ``cand`` not in the sorted ``seen``, sorted and without
@@ -136,8 +142,7 @@ def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
     if ceiling < 1:
         raise ValueError("ceiling must be >= 1")
     gens = _dedup_generators(ctx, generators)
-    tables = np.array([kn.row_action_table(ctx, g) for g in gens],
-                      dtype=np.uint32).reshape(len(gens), 4, ctx.q)
+    tables = _row_tables(ctx, gens)
 
     seen = kn.entry_keys(ctx, kn.mats_to_entries([la.identity()]))
     frontier = seen
@@ -172,23 +177,131 @@ def subgroup(ctx: SuzukiContext, generators: Sequence[Mat4],
         return group
 
 
-def build_suzuki(ctx: SuzukiContext,
-                 ceiling: Optional[int] = None) -> GroupSet:
-    """Enumerate all of Sz(q) for q in {8, 32}.
+# The base of the certificate, as 0-based indices: v1 = e_2 and
+# v2 = e_3, row vectors.  Sz(q) moves e_2 onto (q^2+1)(q-1) vectors,
+# and the stabiliser of e_2, of order q^2, moves e_3 regularly, so the
+# bound is |G| exactly on generators of Sz(q).  v1 g is row _V1 of g.
+_V1, _V2 = 1, 2
+_UNIT = np.eye(4, dtype=np.uint8)
+
+# Schreier elements are taken from the edges leaving this many orbit
+# points, the last ones found.  Edges near the root are mostly tree
+# edges, whose Schreier elements are trivial; the late ones close the
+# orbit and so carry stabiliser elements.  Fewer elements can only make
+# the bound smaller, never wrong, and generates then falls back to a
+# closure; 8 points were enough for every generating triple of the
+# rank-4 walk at q = 8.
+_SCHREIER_POINTS = 8
+
+
+def _radix(ctx: SuzukiContext) -> np.ndarray:
+    """v @ _radix(ctx) numbers the q^4 row vectors v from 0."""
+    return ctx.q ** np.arange(3, -1, -1)
+
+
+def _vector_orbit(ctx: SuzukiContext, tables: np.ndarray,
+                  seed: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The orbit of the row vector ``seed`` under the matrices whose
+    row_action_tables are stacked in ``tables``, (k, 4, q).
+
+    Breadth-first, with a dense array over all q^4 vectors holding each
+    orbit point's position (-1 for none).  Returns that array and the
+    levels: level 0 is the seed, and each later level holds, for every
+    new point in increasing vector order, its position among the images
+    of the previous level, which come generator-major (kernels.row_action):
+    generator position // m of point position % m, m the previous
+    level's size.
+    """
+    radix = _radix(ctx)
+    where = np.full(ctx.q ** 4, -1, dtype=np.int32)
+    frontier = seed.reshape(1, 4)
+    where[frontier @ radix] = 0
+    count = 1
+    levels = [np.zeros(1, dtype=np.int64)]
+    while len(tables):
+        images = kn.row_action(tables, frontier)
+        idx = images @ radix
+        fresh = np.flatnonzero(where[idx] < 0)
+        new, first = np.unique(idx[fresh], return_index=True)
+        if not len(new):
+            break
+        where[new] = np.arange(count, count + len(new))
+        count += len(new)
+        levels.append(fresh[first])
+        frontier = images[fresh[first]]
+    return where, levels
+
+
+def generation_bound(ctx: SuzukiContext,
+                     generators: Sequence[Mat4]) -> int:
+    """|O1| |O2|, a lower bound on the order of H = <generators>.
+
+    O1 is the orbit of v1 = e_2 under the right action of H, found
+    breadth-first with one transversal product t_u (v1 t_u = u) per
+    orbit point, a level at a time by kernels.mat_mul_pairs.  The
+    Schreier elements t_u s t_us^-1, for the generators s and the last
+    _SCHREIER_POINTS orbit points u, fix v1; one that does not raises
+    VerificationError.  Each is a word in the generators, so with that
+    check they lie in H_v1 whatever the transversals are.  O2 is the
+    orbit of v2 = e_3 under them.
+    """
+    gens = kn.mats_to_entries(_dedup_generators(ctx, generators))
+    k = len(gens)
+    tables = _row_tables(ctx, gens)
+    where, levels = _vector_orbit(ctx, tables, _UNIT[_V1])
+    trans = [kn.mats_to_entries([la.identity()])]
+    for src in levels[1:]:
+        m = len(trans[-1])
+        trans.append(kn.mat_mul_pairs(ctx, trans[-1][src % m],
+                                      gens[src // m]))
+    trans = np.concatenate(trans)
+
+    # the last orbit points u = v1 t_u and their transversals
+    last = trans[-_SCHREIER_POINTS:]
+    points = last.reshape(-1, 4, 4)[:, _V1]
+    p = len(last)
+    targets = where[kn.row_action(tables, points) @ _radix(ctx)]
+    ts = kn.mat_mul_pairs(ctx, np.tile(last, (k, 1)),
+                          np.repeat(gens, p, axis=0))
+    schreier = kn.mat_mul_pairs(ctx, ts,
+                                kn.invert_symplectic(ctx, trans[targets]))
+    if not (schreier.reshape(-1, 4, 4)[:, _V1] == _UNIT[_V1]).all():
+        raise VerificationError("a Schreier element moves e_2")
+    schreier = np.unique(schreier[~kn.identity_mask(schreier)], axis=0)
+    _, levels = _vector_orbit(ctx, _row_tables(ctx, schreier), _UNIT[_V2])
+    return len(trans) * sum(map(len, levels))
+
+
+def generates(ctx: SuzukiContext, generators: Sequence[Mat4],
+              group: GroupSet) -> bool:
+    """Whether ``generators`` generate all of ``group``.
+
+    Decided by Lagrange's theorem and the orbit-stabiliser theorem, with
+    no classification of maximal subgroups.  For H = <generators>, O1,
+    O2 and the Schreier elements of generation_bound:
+
+    - O1 is contained in v1^H;
+    - K = <Schreier elements> is a subgroup of the stabiliser H_v1;
+    - so |H| = |v1^H| |H_v1| >= |O1| |v2^K| >= |O1| |O2|;
+    - if |O1| |O2| > |G| / 2, then H = G by Lagrange's theorem.
+
+    Otherwise subgroup(...).order == group.order decides.  Raises
+    VerificationError if a generator is not an element of ``group``.
+    """
+    if not group.member_mask(list(generators)).all():
+        raise VerificationError("generator outside the group")
+    if 2 * generation_bound(ctx, generators) > group.order:
+        return True
+    return subgroup(ctx, generators, group).order == group.order
+
+
+def _suzuki_seeds(ctx: SuzukiContext) -> Tuple[np.ndarray, List[Mat4]]:
+    """The Sylow filter and the seeds that build_suzuki closes.
 
     Filters the q^4 flag-unitriangular symplectic candidates down to the
-    q^2-element Sylow 2-subgroup, then closes the first two nontrivial
-    Sylow elements (in canonical order) together with iota.  At both
-    supported q these three generate the whole group; the final order
-    is checked against q^2(q^2+1)(q-1).
+    q^2-element Sylow 2-subgroup, returned as entries, and picks its
+    first two nontrivial elements (in canonical order) and iota.
     """
-    if ctx.q not in (8, 32):
-        raise SzVerifyError(
-            f"full enumeration refused at q={ctx.q}: order {ctx.group_order}")
-    expected = ctx.group_order
-    if ceiling is None:
-        ceiling = expected
-
     cand = kn.sylow_candidates(ctx)
     keep = kn.suzuki_mask(ctx, cand)
     sylow_ents = cand[keep]
@@ -204,7 +317,27 @@ def build_suzuki(ctx: SuzukiContext,
         raise VerificationError("iota failed the membership test")
 
     nontrivial = [s for s in sylow if s != la.identity()]
-    group = closure(ctx, nontrivial[:2] + [iota], ceiling)
+    return sylow_ents, nontrivial[:2] + [iota]
+
+
+def build_suzuki(ctx: SuzukiContext,
+                 ceiling: Optional[int] = None) -> GroupSet:
+    """Enumerate all of Sz(q) for q in {8, 32}.
+
+    Closes the seeds of _suzuki_seeds: the first two nontrivial
+    elements of the Sylow 2-subgroup together with iota.  At both
+    supported q these three generate the whole group; the final order
+    is checked against q^2(q^2+1)(q-1).
+    """
+    if ctx.q not in (8, 32):
+        raise SzVerifyError(
+            f"full enumeration refused at q={ctx.q}: order {ctx.group_order}")
+    expected = ctx.group_order
+    if ceiling is None:
+        ceiling = expected
+
+    sylow_ents, seeds = _suzuki_seeds(ctx)
+    group = closure(ctx, seeds, ceiling)
     if group.order != expected:
         raise VerificationError(
             f"seeds closed to order {group.order}, expected {expected}")

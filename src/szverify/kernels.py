@@ -118,14 +118,16 @@ def row_action_table(ctx: SuzukiContext, g: Mat4) -> np.ndarray:
 def row_action(tables: np.ndarray, ents: np.ndarray) -> np.ndarray:
     """Entries of x g for every x in ents, by the row_action_table of g.
 
+    ``ents`` holds matrices, (n, 16), or row vectors, (n, 4); each row of
+    4 entries is acted on alone, so the result has the width of ``ents``.
     ``tables`` may stack the tables of k matrices, (k, 4, q); the
     products then come table by table, k n of them.
     """
-    x = ents.reshape(-1, 4, 4)
-    rows = np.take(tables[..., 0, :], x[:, :, 0], axis=-1)
+    x = ents.reshape(-1, 4)
+    rows = np.take(tables[..., 0, :], x[:, 0], axis=-1)
     for i in range(1, 4):
-        rows ^= np.take(tables[..., i, :], x[:, :, i], axis=-1)
-    return rows.view(np.uint8).reshape(-1, 16)
+        rows ^= np.take(tables[..., i, :], x[:, i], axis=-1)
+    return rows.view(np.uint8).reshape(-1, ents.shape[-1])
 
 
 def identity_mask(ents: np.ndarray) -> np.ndarray:

@@ -7,14 +7,19 @@ checks the claimed reduction of that condition and runs two searches:
 the restricted one over pairs from the closed-form fixed set, and a
 direct construction showing the restriction misses generating triples.
 Both build their triples from (sigma1^-1, sigma3^-1) with product
-iota, all at once as (n, 3, 16) entries, check the whole batch
-(_checked_triples) through the batch kernels, and close
-each triple in one walk (_closed_triples).
+iota, all at once as (n, 3, 16) entries, and check the whole batch
+(_checked_triples) through the batch kernels.  The restricted search
+closes each triple's subgroup (groups.subgroup), which is small, and
+takes its derived series once per distinct subgroup.  The witness walk
+only asks whether a triple generates the group: groups.generates
+answers by Lagrange's theorem and the orbit-stabiliser theorem from two
+short vector orbits, with no closure for a generating triple and no
+classification of maximal subgroups.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -249,21 +254,6 @@ def _checked_triples(ctx: SuzukiContext, s1_inv: np.ndarray,
     return sigmas, _inverses_fixed_mask(ctx, sigmas)
 
 
-def _closed_triples(ctx: SuzukiContext, group: gr.GroupSet,
-                    sigmas: np.ndarray
-                    ) -> Iterator[Tuple[int, ChiralTriple, gr.GroupSet]]:
-    """Close the triple of each row of ``sigmas``, (n, 3, 16) entries.
-
-    Yields (row, triple, subgroup it generates), lazily, so a caller may
-    stop early.  The subgroup comes from groups.subgroup: a closure that
-    passes half the group order has index 1 by Lagrange's theorem, so
-    it stops there and no generating triple is closed to the end.
-    """
-    for i, row in enumerate(sigmas):
-        triple = ChiralTriple(*map(kn.entries_to_mat, row))
-        yield i, triple, gr.subgroup(ctx, triple.mats(), group)
-
-
 def _iota_pair_rejections(ctx: SuzukiContext) -> int:
     """Every pair using iota as an inverse fails an involution condition."""
     iota = tuple(ctx.iota)
@@ -295,9 +285,9 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
     Deterministic: w1 is the canonically first involution
     (groups.involutions) other than iota, then w3 walks the remaining
     ones in canonical order; the first ``count`` pairs whose triple
-    generates the whole group are kept.  Every triple of the walk is
-    built and checked up front, the membership lemma included; only
-    the closures stop at ``count``.
+    generates the whole group (groups.generates) are kept.  Every
+    triple of the walk is built and checked up front, the membership
+    lemma included; only the generation tests stop at ``count``.
     """
     iota = tuple(ctx.iota)
     ws = kn.mats_to_entries([w for w in gr.involutions(group) if w != iota])
@@ -306,8 +296,9 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
     if not lemma.all():
         raise VerificationError("a walk triple violated the membership lemma")
     kept: List[Tuple[int, ChiralTriple]] = []
-    for i, triple, sub in _closed_triples(ctx, group, sigmas):
-        if sub.order != group.order:
+    for i, row in enumerate(sigmas):
+        triple = ChiralTriple(*map(kn.entries_to_mat, row))
+        if not gr.generates(ctx, triple.mats(), group):
             continue
         kept.append((i, triple))
         if len(kept) >= count:
@@ -342,7 +333,8 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet,
 
     Walks every ordered pair of torus elements as (sigma1^-1,
     sigma3^-1), certifies the membership lemma for each triple, and
-    records the subgroup it generates.  The audit side records that the
+    records the subgroup it generates and whether that is solvable,
+    decided once per distinct subgroup.  The audit side records that the
     closed form does not exhaust the scanned fixed set and exhibits
     generating triples built from fixed set members outside it, so
     ``certifies_nonexistence`` stays False.
@@ -357,11 +349,16 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet,
     orders = kn.element_orders(ctx, sigmas.reshape(-1, 16)).reshape(-1, 3)
     details: List[PairDetail] = []
     successes: List[ChiralTriple] = []
-    for i, triple, sub in _closed_triples(ctx, group, sigmas):
+    solvable: Dict[bytes, bool] = {}
+    for i, row in enumerate(sigmas):
+        triple = ChiralTriple(*map(kn.entries_to_mat, row))
+        sub = gr.subgroup(ctx, triple.mats(), group)
+        key = sub.keys.tobytes()
+        if key not in solvable:
+            solvable[key] = gr.derived_series_solvable(ctx, sub)
         details.append(PairDetail(
             a=kn.entries_to_mat(s1_inv[i]), b=kn.entries_to_mat(s3_inv[i]),
-            triple=triple, subgroup_order=sub.order,
-            solvable=gr.derived_series_solvable(ctx, sub),
+            triple=triple, subgroup_order=sub.order, solvable=solvable[key],
             sigma_orders=tuple(int(k) for k in orders[i])))
         if sub.order == group.order:
             successes.append(triple)

@@ -1,10 +1,13 @@
+import argparse
 import hashlib
 import json
 import re
+import types
 
 import pytest
 
 from szverify import cli
+from szverify import fixed_set as fs
 from szverify import kernels as kn
 
 
@@ -219,3 +222,22 @@ def test_verify_all_scans_fixed_points_once(capsys, monkeypatch):
     assert rc == 3
     whole = {name: [n for n in ns if n >= 29120] for name, ns in rows.items()}
     assert whole == {"fixed_point_mask": [29120], "involution_mask": []}
+
+
+def test_fixed_set_stage_fails_on_an_asymmetric_member():
+    """A scan member that is not symmetric fails the fixed-set stage
+    with scan_all_symmetric false, rather than raise from the census:
+    the census runs on the symmetric members, and the equations holding
+    on every member are null.  The group is a stand-in whose scan is
+    the closed form plus one asymmetric row."""
+    state = cli.RunState(argparse.Namespace(q=8, budget=None))
+    closed = fs.closed_form_X(state.ctx)
+    asym = (1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
+    state.__dict__["group"] = types.SimpleNamespace(
+        fixed_points=kn.mats_to_entries(closed + [asym]))
+    res = state.stage("fixed-set")
+    assert not res.passed
+    assert res.findings["scan_all_symmetric"] is False
+    assert res.findings["equations_holding_on_every_scan_member"] is None
+    assert res.findings["full_system_solutions"] == len(closed)
+    assert res.findings["full_system_solutions_equal_closed_form"]

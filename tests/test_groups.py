@@ -182,11 +182,35 @@ def test_subgroup_of_index_two(ctx8):
     c7 = gr.subgroup(ctx8, [fs.torus_element(ctx8, 2)], d14)
     assert c7.order == 7
     assert gr.subgroup(ctx8, dihedral_gens(ctx8), d14) is d14
+    # the torus element scales e_2 by an element of order 7 and fixes no
+    # other image, so its bound is 7 * 1, exactly half of |D14|: the
+    # certificate must not fire, and the closure says no
+    assert gr.generation_bound(ctx8, [fs.torus_element(ctx8, 2)]) == 7
+    assert not gr.generates(ctx8, [fs.torus_element(ctx8, 2)], d14)
+    assert gr.generates(ctx8, dihedral_gens(ctx8), d14)
+
+
+def test_generation_bound_is_exact_on_build_generators(ctx8, group8):
+    """|O1| |O2| = |G| on the generators build_suzuki closes: e_2 has
+    (q^2+1)(q-1) = 455 images, and the Schreier elements move e_3 onto
+    all q^2 = 64 images under its stabiliser, so (e_2, e_3) is a base."""
+    assert gr.generation_bound(ctx8, group8.generators) == SZ8_ORDER
+    assert gr.generates(ctx8, group8.generators, group8)
+
+
+def test_generation_bound_is_exact_at_q32(ctx32):
+    """The same at q = 32, 31,775 * 1,024, on the seeds taken from the
+    Sylow filter and iota, with no q = 32 group built."""
+    _, seeds = gr._suzuki_seeds(ctx32)
+    assert gr.generation_bound(ctx32, seeds) == ctx32.group_order == 32537600
 
 
 def test_subgroup_rejects_outside_generator(ctx8, group8):
+    gens = [ctx8.iota, wl.e1_transvection(ctx8)]
     with pytest.raises(VerificationError):
-        gr.subgroup(ctx8, [ctx8.iota, wl.e1_transvection(ctx8)], group8)
+        gr.subgroup(ctx8, gens, group8)
+    with pytest.raises(VerificationError):
+        gr.generates(ctx8, gens, group8)
 
 
 @pytest.mark.parametrize("ctx_name", ["ctx8", "ctx32"])

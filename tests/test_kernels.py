@@ -138,6 +138,12 @@ def test_row_action_batch_matches_mat_mul(ctx8):
     assert [kn.entries_to_mat(r) for r in one] == want[:30]
     both = kn.row_action(np.stack([tg, th]), ents)
     assert [kn.entries_to_mat(r) for r in both] == want
+    # row vectors, as the generation certificate's orbits use them
+    vecs = ents.reshape(-1, 4)
+    got = kn.row_action(np.stack([tg, th]), vecs)
+    assert got.shape == (2 * len(vecs), 4)
+    assert [tuple(r) for r in got.tolist()] == [
+        hp.vec_mat(f, tuple(v), m) for m in (g, h) for v in vecs.tolist()]
 
 
 def test_symplectic_mask_matches_scalar(ctx8):

@@ -9,7 +9,7 @@ from szverify import groups as gr
 from szverify import kernels as kn
 from szverify import linalg4 as la
 from szverify import triples as tr
-from szverify.errors import VerificationError
+from szverify.errors import BudgetExceededError, VerificationError
 
 # Frozen from the first full search run at q = 8.
 EXPECTED_CANDIDATES = 49
@@ -161,6 +161,63 @@ def test_walk_makes_no_scalar_inverse_or_order_calls(ctx8, group8,
     report = tr.search_rank4(ctx8, group8, witness_count=32)
     assert len(report.witnesses) == 32
     assert calls == {"invert": 0, "mat_mul": 0, "element_order": 0}
+
+
+def test_walk_closes_no_generating_triple(ctx8, group8, monkeypatch):
+    """search_rank4 with 32 witnesses decides every generating triple
+    by the certificate, so no closure reaches its budget, and it takes
+    the derived series once for each of the 2 distinct torus subgroups
+    (orders 2 and 14), not once per torus triple."""
+    budget_hits = []
+    series = []
+    close, derived = gr.closure, gr.derived_series
+
+    def recorded_closure(ctx, gens, ceiling):
+        try:
+            return close(ctx, gens, ceiling)
+        except BudgetExceededError:
+            budget_hits.append(ceiling)
+            raise
+
+    def recorded_series(ctx, group, depth_limit=8):
+        series.append(group.order)
+        return derived(ctx, group, depth_limit)
+    monkeypatch.setattr(gr, "closure", recorded_closure)
+    monkeypatch.setattr(gr, "derived_series", recorded_series)
+    report = tr.search_rank4(ctx8, group8, witness_count=32)
+    assert len(report.witnesses) == 32
+    assert budget_hits == []
+    assert sorted(series) == [2, 14]
+
+
+def test_generation_certificate_on_every_triple(ctx8, group8, involutions8):
+    """On the 453 walk triples and the 49 torus triples, |O1| |O2| never
+    exceeds the order of the subgroup, and generates agrees with the
+    closure.  The certificate alone decides exactly the 448 generating
+    walk triples, so a silent fall back to closure shows here."""
+    ws = kn.mats_to_entries([w for w in involutions8 if w != ctx8.iota])
+    rev = ws.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
+    torus = kn.mats_to_entries(fs.torus_elements(ctx8))
+    batches = {
+        "walk": tr._checked_triples(ctx8, rev[:1], rev[1:])[0],
+        "torus": tr._checked_triples(
+            ctx8, np.repeat(torus, len(torus), axis=0),
+            np.tile(torus, (len(torus), 1)))[0],
+    }
+    fired = {name: 0 for name in batches}
+    generating = {name: 0 for name in batches}
+    for name, sigmas in batches.items():
+        for row in sigmas:
+            mats = list(map(kn.entries_to_mat, row))
+            bound = gr.generation_bound(ctx8, mats)
+            order = gr.subgroup(ctx8, mats, group8).order
+            assert bound <= order
+            assert gr.generates(ctx8, mats, group8) == (order == group8.order)
+            fired[name] += 2 * bound > group8.order
+            generating[name] += order == group8.order
+    assert {n: len(b) for n, b in batches.items()} == {"walk": 453,
+                                                        "torus": 49}
+    assert fired == generating == {"walk": 448, "torus": 0}
 
 
 def test_walk_triples_match_scalar_construction(ctx8, involutions8):
