@@ -1,8 +1,10 @@
 """Exhaustive group machinery over 4x4 matrices.
 
 Breadth-first closure with canonical dedup, subgroups decided by index,
-the Sz(q) construction, the cached fixed-point scan and the involutions
-read off it, conjugation orbits, element orders, derived series.
+exact subgroup orders from the base (e_2, e_3) and the generation test
+on them, the Sz(q) construction, the cached fixed-point scan and the
+involutions read off it, conjugation orbits, element orders, derived
+series.
 """
 from __future__ import annotations
 
@@ -67,6 +69,19 @@ class GroupSet:
         rows.flags.writeable = False
         return rows
 
+    @cached_property
+    def base_checked(self) -> bool:
+        """True once base_order of the generators is the order, so that
+        the stabiliser of (e_2, e_3) in the group is trivial and
+        base_order is exact on every subgroup; raises VerificationError
+        otherwise.  One check per group, for generates.  The generators
+        must generate the entries, as closure makes them."""
+        if base_order(self.ctx, self.generators) != self.order:
+            raise VerificationError(
+                "a nontrivial element of the group fixes e_2 and e_3, "
+                "so base orders do not decide its subgroups")
+        return True
+
     @property
     def order(self) -> int:
         return int(self.entries.shape[0])
@@ -107,21 +122,20 @@ def _dedup_generators(ctx: SuzukiContext, generators: Sequence[Mat4]) -> List[Ma
     return list(dict.fromkeys(gens))
 
 
-def _row_tables(ctx: SuzukiContext, mats) -> np.ndarray:
-    """The kernels.row_action_table of each matrix, stacked (k, 4, q)."""
-    return np.array([kn.row_action_table(ctx, g) for g in mats],
-                    dtype=np.uint32).reshape(len(mats), 4, ctx.q)
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The keys sorted and without repeats: np.unique without its
+    overhead, the first key of each run."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def _fresh_keys(seen: np.ndarray,
                 cand: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The keys of ``cand`` not in the sorted ``seen``, sorted and without
     repeats, and the positions in ``seen`` where they go."""
-    cand = np.sort(cand)
-    # np.unique without its overhead: the first key of each run
-    first = np.ones(len(cand), dtype=bool)
-    first[1:] = cand[1:] != cand[:-1]
-    cand = cand[first]
+    cand = _sorted_unique(cand)
     pos = np.searchsorted(seen, cand)
     fresh = seen[np.minimum(pos, len(seen) - 1)] != cand
     return cand[fresh], pos[fresh]
@@ -142,7 +156,7 @@ def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
     if ceiling < 1:
         raise ValueError("ceiling must be >= 1")
     gens = _dedup_generators(ctx, generators)
-    tables = _row_tables(ctx, gens)
+    tables = kn.row_action_table(ctx, gens)
 
     seen = kn.entry_keys(ctx, kn.mats_to_entries([la.identity()]))
     frontier = seen
@@ -177,21 +191,13 @@ def subgroup(ctx: SuzukiContext, generators: Sequence[Mat4],
         return group
 
 
-# The base of the certificate, as 0-based indices: v1 = e_2 and
-# v2 = e_3, row vectors.  Sz(q) moves e_2 onto (q^2+1)(q-1) vectors,
-# and the stabiliser of e_2, of order q^2, moves e_3 regularly, so the
-# bound is |G| exactly on generators of Sz(q).  v1 g is row _V1 of g.
+# The base, as 0-based indices: v1 = e_2 and v2 = e_3, row vectors.
+# Sz(q) moves e_2 onto (q^2+1)(q-1) vectors, and the stabiliser of e_2,
+# of order q^2, moves e_3 regularly, so the stabiliser of the pair in
+# Sz(q) is trivial; GroupSet.base_checked checks it for every group that
+# generates decides in.  v1 g is row _V1 of g.
 _V1, _V2 = 1, 2
 _UNIT = np.eye(4, dtype=np.uint8)
-
-# Schreier elements are taken from the edges leaving this many orbit
-# points, the last ones found.  Edges near the root are mostly tree
-# edges, whose Schreier elements are trivial; the late ones close the
-# orbit and so carry stabiliser elements.  Fewer elements can only make
-# the bound smaller, never wrong, and generates then falls back to a
-# closure; 8 points were enough for every generating triple of the
-# rank-4 walk at q = 8.
-_SCHREIER_POINTS = 8
 
 
 def _radix(ctx: SuzukiContext) -> np.ndarray:
@@ -208,9 +214,7 @@ def _vector_orbit(ctx: SuzukiContext, tables: np.ndarray,
     orbit point's position (-1 for none).  Returns that array and the
     levels: level 0 is the seed, and each later level holds, for every
     new point in increasing vector order, its position among the images
-    of the previous level, which come generator-major (kernels.row_action):
-    generator position // m of point position % m, m the previous
-    level's size.
+    of the previous level, which come generator-major (kernels.row_action).
     """
     radix = _radix(ctx)
     where = np.full(ctx.q ** 4, -1, dtype=np.int32)
@@ -232,43 +236,38 @@ def _vector_orbit(ctx: SuzukiContext, tables: np.ndarray,
     return where, levels
 
 
-def generation_bound(ctx: SuzukiContext,
-                     generators: Sequence[Mat4]) -> int:
-    """|O1| |O2|, a lower bound on the order of H = <generators>.
+def base_order(ctx: SuzukiContext, generators: Sequence[Mat4]) -> int:
+    """|O1| |O2| = |H : H_(v1,v2)| for H = <generators>.
 
     O1 is the orbit of v1 = e_2 under the right action of H, found
     breadth-first with one transversal product t_u (v1 t_u = u) per
-    orbit point, a level at a time by kernels.mat_mul_pairs.  The
-    Schreier elements t_u s t_us^-1, for the generators s and the last
-    _SCHREIER_POINTS orbit points u, fix v1; one that does not raises
-    VerificationError.  Each is a word in the generators, so with that
-    check they lie in H_v1 whatever the transversals are.  O2 is the
-    orbit of v2 = e_3 under them.
+    orbit point, a level at a time by kernels.row_action.  By Schreier's
+    lemma the Schreier elements t_u s t_us^-1, for every orbit point u
+    and generator s, generate the stabiliser H_v1; on a tree edge,
+    where t_u s is t_us, they are trivial, so only the other edges are
+    multiplied out.  Each must fix v1, or VerificationError is raised.
+    O2 is the orbit of v2 = e_3 under them, which is v2^(H_v1), so
+    |H| = |O1| |H_v1| = |O1| |O2| |H_(v1,v2)|.
     """
-    gens = kn.mats_to_entries(_dedup_generators(ctx, generators))
-    k = len(gens)
-    tables = _row_tables(ctx, gens)
+    gens = _dedup_generators(ctx, generators)
+    tables = kn.row_action_table(ctx, gens)
     where, levels = _vector_orbit(ctx, tables, _UNIT[_V1])
     trans = [kn.mats_to_entries([la.identity()])]
     for src in levels[1:]:
-        m = len(trans[-1])
-        trans.append(kn.mat_mul_pairs(ctx, trans[-1][src % m],
-                                      gens[src // m]))
+        trans.append(kn.row_action(tables, trans[-1])[src])
     trans = np.concatenate(trans)
 
-    # the last orbit points u = v1 t_u and their transversals
-    last = trans[-_SCHREIER_POINTS:]
-    points = last.reshape(-1, 4, 4)[:, _V1]
-    p = len(last)
-    targets = where[kn.row_action(tables, points) @ _radix(ctx)]
-    ts = kn.mat_mul_pairs(ctx, np.tile(last, (k, 1)),
-                          np.repeat(gens, p, axis=0))
-    schreier = kn.mat_mul_pairs(ctx, ts,
-                                kn.invert_symplectic(ctx, trans[targets]))
+    # t_u s for every (s, u), generator-major, and the t_us they meet
+    ts = kn.row_action(tables, trans)
+    targets = where[ts.reshape(-1, 4, 4)[:, _V1] @ _radix(ctx)]
+    off_tree = kn.entry_keys(ctx, ts) != kn.entry_keys(ctx, trans)[targets]
+    schreier = kn.mat_mul_pairs(ctx, ts[off_tree], kn.invert_symplectic(
+        ctx, trans)[targets[off_tree]])
     if not (schreier.reshape(-1, 4, 4)[:, _V1] == _UNIT[_V1]).all():
         raise VerificationError("a Schreier element moves e_2")
-    schreier = np.unique(schreier[~kn.identity_mask(schreier)], axis=0)
-    _, levels = _vector_orbit(ctx, _row_tables(ctx, schreier), _UNIT[_V2])
+    schreier = kn.key_entries(_sorted_unique(kn.entry_keys(ctx, schreier)))
+    _, levels = _vector_orbit(ctx, kn.row_action_table(ctx, schreier),
+                              _UNIT[_V2])
     return len(trans) * sum(map(len, levels))
 
 
@@ -276,23 +275,17 @@ def generates(ctx: SuzukiContext, generators: Sequence[Mat4],
               group: GroupSet) -> bool:
     """Whether ``generators`` generate all of ``group``.
 
-    Decided by Lagrange's theorem and the orbit-stabiliser theorem, with
-    no classification of maximal subgroups.  For H = <generators>, O1,
-    O2 and the Schreier elements of generation_bound:
-
-    - O1 is contained in v1^H;
-    - K = <Schreier elements> is a subgroup of the stabiliser H_v1;
-    - so |H| = |v1^H| |H_v1| >= |O1| |v2^K| >= |O1| |O2|;
-    - if |O1| |O2| > |G| / 2, then H = G by Lagrange's theorem.
-
-    Otherwise subgroup(...).order == group.order decides.  Raises
-    VerificationError if a generator is not an element of ``group``.
+    Decided by Lagrange's theorem and Schreier's lemma, with no closure
+    and no classification of maximal subgroups.  For H = <generators>,
+    |H| = base_order |H_(v1,v2)|, and H_(v1,v2) lies in the stabiliser
+    of the pair in ``group``, which is trivial (GroupSet.base_checked
+    raises VerificationError otherwise).  So base_order is |H|, and H is
+    the group iff that is |group|.  Raises VerificationError if a
+    generator is not an element of ``group``.
     """
     if not group.member_mask(list(generators)).all():
         raise VerificationError("generator outside the group")
-    if 2 * generation_bound(ctx, generators) > group.order:
-        return True
-    return subgroup(ctx, generators, group).order == group.order
+    return group.base_checked and base_order(ctx, generators) == group.order
 
 
 def _suzuki_seeds(ctx: SuzukiContext) -> Tuple[np.ndarray, List[Mat4]]:

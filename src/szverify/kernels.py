@@ -104,24 +104,27 @@ def key_entries(keys: np.ndarray) -> np.ndarray:
     return ents
 
 
-def row_action_table(ctx: SuzukiContext, g: Mat4) -> np.ndarray:
-    """(4, q) uint32: table[i, a] holds the four entries of a (row i of g).
+def row_action_table(ctx: SuzukiContext, mats) -> np.ndarray:
+    """(k, 4, q) uint32 for k matrices g: table[g, i, a] holds the four
+    entries of a (row i of g), all from one gather.
 
     Native byte order, so the bytes of a table entry, in memory order,
     are the entries of that row.
     """
     mul, _, _ = field_tables(ctx)
-    rows = mul[:, np.array(g, dtype=np.uint8).reshape(4, 4)]  # [a, i, j]
-    return np.ascontiguousarray(rows.transpose(1, 0, 2)).view(np.uint32)[..., 0]
+    g = field_rows(ctx, mats).reshape(-1, 4, 4)
+    rows = mul[:, g]  # [a, g, i, j]
+    return np.ascontiguousarray(
+        rows.transpose(1, 2, 0, 3)).view(np.uint32)[..., 0]
 
 
 def row_action(tables: np.ndarray, ents: np.ndarray) -> np.ndarray:
-    """Entries of x g for every x in ents, by the row_action_table of g.
+    """Entries of x g for every x in ents and g in the row_action_table
+    ``tables``, (k, 4, q).
 
     ``ents`` holds matrices, (n, 16), or row vectors, (n, 4); each row of
     4 entries is acted on alone, so the result has the width of ``ents``.
-    ``tables`` may stack the tables of k matrices, (k, 4, q); the
-    products then come table by table, k n of them.
+    The products come table by table, k n of them: row g n + x holds x g.
     """
     x = ents.reshape(-1, 4)
     rows = np.take(tables[..., 0, :], x[:, 0], axis=-1)

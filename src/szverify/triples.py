@@ -12,8 +12,8 @@ iota, all at once as (n, 3, 16) entries, and check the whole batch
 closes each triple's subgroup (groups.subgroup), which is small, and
 takes its derived series once per distinct subgroup.  The witness walk
 only asks whether a triple generates the group: groups.generates
-answers by Lagrange's theorem and the orbit-stabiliser theorem from two
-short vector orbits, with no closure for a generating triple and no
+reads the exact order of its subgroup off two short vector orbits, by
+Schreier's lemma on the base (e_2, e_3), with no closure and no
 classification of maximal subgroups.
 """
 from __future__ import annotations

@@ -1,8 +1,12 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -241,3 +245,20 @@ def test_fixed_set_stage_fails_on_an_asymmetric_member():
     assert res.findings["equations_holding_on_every_scan_member"] is None
     assert res.findings["full_system_solutions"] == len(closed)
     assert res.findings["full_system_solutions_equal_closed_form"]
+
+
+def test_verify_all_imports_no_numpy_ma():
+    """A cold verify-all never imports numpy.ma: np.unique(..., axis=0)
+    pulls it in at numpy 2.4, some 15 ms of import, so the engine
+    deduplicates matrices by their sort keys instead."""
+    probe = ("import sys\n"
+             "from szverify import cli\n"
+             "rc = cli.main(['verify-all', '--q', '8'])\n"
+             "print(rc, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "3 False"

@@ -183,26 +183,40 @@ def test_subgroup_of_index_two(ctx8):
     assert c7.order == 7
     assert gr.subgroup(ctx8, dihedral_gens(ctx8), d14) is d14
     # the torus element scales e_2 by an element of order 7 and fixes no
-    # other image, so its bound is 7 * 1, exactly half of |D14|: the
-    # certificate must not fire, and the closure says no
-    assert gr.generation_bound(ctx8, [fs.torus_element(ctx8, 2)]) == 7
+    # other image, so its base order is 7 * 1, the exact order of C7,
+    # half of |D14|
+    assert gr.base_order(ctx8, [fs.torus_element(ctx8, 2)]) == 7
     assert not gr.generates(ctx8, [fs.torus_element(ctx8, 2)], d14)
     assert gr.generates(ctx8, dihedral_gens(ctx8), d14)
 
 
-def test_generation_bound_is_exact_on_build_generators(ctx8, group8):
+def test_base_order_is_exact_on_build_generators(ctx8, group8):
     """|O1| |O2| = |G| on the generators build_suzuki closes: e_2 has
     (q^2+1)(q-1) = 455 images, and the Schreier elements move e_3 onto
     all q^2 = 64 images under its stabiliser, so (e_2, e_3) is a base."""
-    assert gr.generation_bound(ctx8, group8.generators) == SZ8_ORDER
+    assert gr.base_order(ctx8, group8.generators) == SZ8_ORDER
+    assert group8.base_checked
     assert gr.generates(ctx8, group8.generators, group8)
 
 
-def test_generation_bound_is_exact_at_q32(ctx32):
+def test_base_order_is_exact_at_q32(ctx32):
     """The same at q = 32, 31,775 * 1,024, on the seeds taken from the
     Sylow filter and iota, with no q = 32 group built."""
     _, seeds = gr._suzuki_seeds(ctx32)
-    assert gr.generation_bound(ctx32, seeds) == ctx32.group_order == 32537600
+    assert gr.base_order(ctx32, seeds) == ctx32.group_order == 32537600
+
+
+def test_generates_refuses_a_group_with_a_nontrivial_base_stabiliser(ctx8):
+    """generates reads |H| off the base (e_2, e_3), which needs the
+    group to fix that pair by the identity alone.  <t> for the
+    transvection t fixes rows e_2 and e_3, so its base order is 1
+    against order 2, and generates raises rather than answer."""
+    t = wl.e1_transvection(ctx8)
+    group = gr.closure(ctx8, [t], ceiling=10)
+    assert group.order == 2
+    assert gr.base_order(ctx8, [t]) == 1
+    with pytest.raises(VerificationError):
+        gr.generates(ctx8, [t], group)
 
 
 def test_subgroup_rejects_outside_generator(ctx8, group8):

@@ -112,35 +112,37 @@ def test_row_action_table_matches_vec_mat(request, ctx_name):
     ctx = request.getfixturevalue(ctx_name)
     q = ctx.q
     rng = random.Random(36)
-    g = wl.random_symplectic(ctx, rng)
-    table = kn.row_action_table(ctx, g)
-    assert table.shape == (4, q)
-    assert table.dtype == np.uint32
-    for _ in range(50):
-        v = tuple(rng.randrange(q) for _ in range(4))
-        row = np.bitwise_xor.reduce([table[i, v[i]] for i in range(4)])
-        got = tuple(int(x) for x in np.array([row]).view(np.uint8))
-        assert got == hp.vec_mat(ctx.field, v, g)
+    gs = [wl.random_symplectic(ctx, rng) for _ in range(3)]
+    tables = kn.row_action_table(ctx, gs)
+    assert tables.shape == (3, 4, q)
+    assert tables.dtype == np.uint32
+    for g, table in zip(gs, tables):
+        for _ in range(50):
+            v = tuple(rng.randrange(q) for _ in range(4))
+            row = np.bitwise_xor.reduce([table[i, v[i]] for i in range(4)])
+            got = tuple(int(x) for x in np.array([row]).view(np.uint8))
+            assert got == hp.vec_mat(ctx.field, v, g)
 
 
 def test_row_action_batch_matches_mat_mul(ctx8):
     """The closure's product step: x g for a batch, for one table and
-    for two tables stacked (the products come table by table)."""
+    for two tables from one batch call (the products come table by
+    table)."""
     rng = random.Random(38)
     f = ctx8.field
     xs = rand_mats(rng, 30)
     g, h = (wl.random_symplectic(ctx8, rng) for _ in range(2))
     ents = kn.mats_to_entries(xs)
-    tg, th = kn.row_action_table(ctx8, g), kn.row_action_table(ctx8, h)
+    tables = kn.row_action_table(ctx8, [g, h])
     want = [la.mat_mul(f, x, m) for m in (g, h) for x in xs]
-    one = kn.row_action(tg, ents)
+    one = kn.row_action(kn.row_action_table(ctx8, [g]), ents)
     assert one.shape == (30, 16) and one.dtype == np.uint8
     assert [kn.entries_to_mat(r) for r in one] == want[:30]
-    both = kn.row_action(np.stack([tg, th]), ents)
+    both = kn.row_action(tables, ents)
     assert [kn.entries_to_mat(r) for r in both] == want
-    # row vectors, as the generation certificate's orbits use them
+    # row vectors, as the base orbits use them
     vecs = ents.reshape(-1, 4)
-    got = kn.row_action(np.stack([tg, th]), vecs)
+    got = kn.row_action(tables, vecs)
     assert got.shape == (2 * len(vecs), 4)
     assert [tuple(r) for r in got.tolist()] == [
         hp.vec_mat(f, tuple(v), m) for m in (g, h) for v in vecs.tolist()]

@@ -165,7 +165,7 @@ def test_walk_makes_no_scalar_inverse_or_order_calls(ctx8, group8,
 
 def test_walk_closes_no_generating_triple(ctx8, group8, monkeypatch):
     """search_rank4 with 32 witnesses decides every generating triple
-    by the certificate, so no closure reaches its budget, and it takes
+    by its base order, so no closure reaches its budget, and it takes
     the derived series once for each of the 2 distinct torus subgroups
     (orders 2 and 14), not once per torus triple."""
     budget_hits = []
@@ -191,10 +191,12 @@ def test_walk_closes_no_generating_triple(ctx8, group8, monkeypatch):
 
 
 def test_generation_certificate_on_every_triple(ctx8, group8, involutions8):
-    """On the 453 walk triples and the 49 torus triples, |O1| |O2| never
-    exceeds the order of the subgroup, and generates agrees with the
-    closure.  The certificate alone decides exactly the 448 generating
-    walk triples, so a silent fall back to closure shows here."""
+    """base_order is the exact order on all 1,408 groups: the 453 walk
+    triples with their facet groups <s1, s2> and vertex-figure groups
+    <s2, s3>, and the 49 torus triples.  A base order is an index
+    |H : H_(e2,e3)|, never above |H|, so a group whose base order is |G|
+    is G and needs no closure; every other one is closed, and its order
+    must be the base order.  generates agrees throughout."""
     ws = kn.mats_to_entries([w for w in involutions8 if w != ctx8.iota])
     rev = ws.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
     torus = kn.mats_to_entries(fs.torus_elements(ctx8))
@@ -204,20 +206,27 @@ def test_generation_certificate_on_every_triple(ctx8, group8, involutions8):
             ctx8, np.repeat(torus, len(torus), axis=0),
             np.tile(torus, (len(torus), 1)))[0],
     }
-    fired = {name: 0 for name in batches}
-    generating = {name: 0 for name in batches}
+    parts = {"walk": {"triple": (0, 1, 2), "F": (0, 1), "V": (1, 2)},
+             "torus": {"triple": (0, 1, 2)}}
+    generating, closed = {}, 0
     for name, sigmas in batches.items():
         for row in sigmas:
-            mats = list(map(kn.entries_to_mat, row))
-            bound = gr.generation_bound(ctx8, mats)
-            order = gr.subgroup(ctx8, mats, group8).order
-            assert bound <= order
-            assert gr.generates(ctx8, mats, group8) == (order == group8.order)
-            fired[name] += 2 * bound > group8.order
-            generating[name] += order == group8.order
+            for part, cols in parts[name].items():
+                mats = [kn.entries_to_mat(row[c]) for c in cols]
+                order = gr.base_order(ctx8, mats)
+                if order != group8.order:
+                    assert gr.closure(ctx8, mats, group8.order).order == order
+                    closed += 1
+                assert gr.generates(ctx8, mats, group8) == (
+                    order == group8.order)
+                key = f"{name} {part}"
+                generating[key] = generating.get(key, 0) + (
+                    order == group8.order)
     assert {n: len(b) for n, b in batches.items()} == {"walk": 453,
                                                         "torus": 49}
-    assert fired == generating == {"walk": 448, "torus": 0}
+    assert generating == {"walk triple": 448, "walk F": 434, "walk V": 436,
+                          "torus triple": 0}
+    assert closed == 3 * 453 + 49 - 448 - 434 - 436 == 90
 
 
 def test_walk_triples_match_scalar_construction(ctx8, involutions8):
