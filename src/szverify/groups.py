@@ -1,10 +1,10 @@
 """Exhaustive group machinery over 4x4 matrices.
 
 Breadth-first closure with canonical dedup, subgroups decided by index,
-exact subgroup orders from the base (e_2, e_3) and the generation test
-on them, the Sz(q) construction, the cached fixed-point scan and the
-involutions read off it, conjugation orbits, element orders, derived
-series.
+exact subgroup orders from the base (e_2, e_3), and the generation test
+that stops both base orbits at the group's own (checked_base_orbits),
+the Sz(q) construction, the cached fixed-point scan and the involutions
+read off it, conjugation orbits, element orders, derived series.
 """
 from __future__ import annotations
 
@@ -70,17 +70,11 @@ class GroupSet:
         return rows
 
     @cached_property
-    def base_checked(self) -> bool:
-        """True once base_order of the generators is the order, so that
-        the stabiliser of (e_2, e_3) in the group is trivial and
-        base_order is exact on every subgroup; raises VerificationError
-        otherwise.  One check per group, for generates.  The generators
-        must generate the entries, as closure makes them."""
-        if base_order(self.ctx, self.generators) != self.order:
-            raise VerificationError(
-                "a nontrivial element of the group fixes e_2 and e_3, "
-                "so base orders do not decide its subgroups")
-        return True
+    def base_orbits(self) -> Tuple[int, int]:
+        """checked_base_orbits of the generators: one exact check per
+        group, whose orbit sizes then bound generates' base orders.  The
+        generators must generate the entries, as closure makes them."""
+        return checked_base_orbits(self.ctx, self.generators, self.order)
 
     @property
     def order(self) -> int:
@@ -194,10 +188,16 @@ def subgroup(ctx: SuzukiContext, generators: Sequence[Mat4],
 # The base, as 0-based indices: v1 = e_2 and v2 = e_3, row vectors.
 # Sz(q) moves e_2 onto (q^2+1)(q-1) vectors, and the stabiliser of e_2,
 # of order q^2, moves e_3 regularly, so the stabiliser of the pair in
-# Sz(q) is trivial; GroupSet.base_checked checks it for every group that
+# Sz(q) is trivial; checked_base_orbits checks it for every group that
 # generates decides in.  v1 g is row _V1 of g.
 _V1, _V2 = 1, 2
 _UNIT = np.eye(4, dtype=np.uint8)
+
+# Off-tree edges in base_order's first batch of Schreier elements, spread
+# evenly over the edges in orbit order.  With 16, none of the 1,318
+# generating walk groups at q = 8 needed the second batch; with 8, 21
+# did.
+_FIRST_EDGES = 16
 
 
 def _radix(ctx: SuzukiContext) -> np.ndarray:
@@ -205,70 +205,156 @@ def _radix(ctx: SuzukiContext) -> np.ndarray:
     return ctx.q ** np.arange(3, -1, -1)
 
 
-def _vector_orbit(ctx: SuzukiContext, tables: np.ndarray,
-                  seed: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """The orbit of the row vector ``seed`` under the matrices whose
-    row_action_tables are stacked in ``tables``, (k, 4, q).
+def _visit(where: np.ndarray, idx: np.ndarray, count: int) -> np.ndarray:
+    """Positions in ``idx`` of one image of each point that ``where``
+    has not numbered yet (-1); the points get the numbers from ``count``
+    on, in the order of those positions.
 
-    Breadth-first, with a dense array over all q^4 vectors holding each
-    orbit point's position (-1 for none).  Returns that array and the
-    levels: level 0 is the seed, and each later level holds, for every
-    new point in increasing vector order, its position among the images
-    of the previous level, which come generator-major (kernels.row_action).
+    No sort: each new point is scattered the positions of its images
+    and keeps one of them, the one the scatter left.  Any image serves,
+    since base_order's orders do not depend on which transversal a
+    point has.
+    """
+    fresh = np.flatnonzero(where[idx] < 0)
+    cand = idx[fresh]
+    where[cand] = fresh
+    first = fresh[where[cand] == fresh]
+    where[idx[first]] = np.arange(count, count + len(first))
+    return first
+
+
+def _orbit_size(ctx: SuzukiContext, tables: np.ndarray, seed: np.ndarray,
+                size: Optional[int] = None) -> int:
+    """The size of the orbit of the row vector ``seed`` under the
+    matrices whose row_action_tables are stacked in ``tables``, (k, 4, q).
+
+    Breadth-first, numbering the points in a dense array over all q^4
+    vectors (_visit); it stops once the orbit holds ``size`` points, if
+    given.
     """
     radix = _radix(ctx)
     where = np.full(ctx.q ** 4, -1, dtype=np.int32)
     frontier = seed.reshape(1, 4)
     where[frontier @ radix] = 0
     count = 1
-    levels = [np.zeros(1, dtype=np.int64)]
-    while len(tables):
+    while len(frontier) and (size is None or count < size):
         images = kn.row_action(tables, frontier)
-        idx = images @ radix
-        fresh = np.flatnonzero(where[idx] < 0)
-        new, first = np.unique(idx[fresh], return_index=True)
-        if not len(new):
-            break
-        where[new] = np.arange(count, count + len(new))
-        count += len(new)
-        levels.append(fresh[first])
-        frontier = images[fresh[first]]
-    return where, levels
+        first = _visit(where, images @ radix, count)
+        count += len(first)
+        frontier = images[first]
+    return count
 
 
-def base_order(ctx: SuzukiContext, generators: Sequence[Mat4]) -> int:
-    """|O1| |O2| = |H : H_(v1,v2)| for H = <generators>.
-
-    O1 is the orbit of v1 = e_2 under the right action of H, found
-    breadth-first with one transversal product t_u (v1 t_u = u) per
-    orbit point, a level at a time by kernels.row_action.  By Schreier's
-    lemma the Schreier elements t_u s t_us^-1, for every orbit point u
-    and generator s, generate the stabiliser H_v1; on a tree edge,
-    where t_u s is t_us, they are trivial, so only the other edges are
-    multiplied out.  Each must fix v1, or VerificationError is raised.
-    O2 is the orbit of v2 = e_3 under them, which is v2^(H_v1), so
-    |H| = |O1| |H_v1| = |O1| |O2| |H_(v1,v2)|.
-    """
-    gens = _dedup_generators(ctx, generators)
-    tables = kn.row_action_table(ctx, gens)
-    where, levels = _vector_orbit(ctx, tables, _UNIT[_V1])
-    trans = [kn.mats_to_entries([la.identity()])]
-    for src in levels[1:]:
-        trans.append(kn.row_action(tables, trans[-1])[src])
-    trans = np.concatenate(trans)
-
-    # t_u s for every (s, u), generator-major, and the t_us they meet
-    ts = kn.row_action(tables, trans)
-    targets = where[ts.reshape(-1, 4, 4)[:, _V1] @ _radix(ctx)]
-    off_tree = kn.entry_keys(ctx, ts) != kn.entry_keys(ctx, trans)[targets]
-    schreier = kn.mat_mul_pairs(ctx, ts[off_tree], kn.invert_symplectic(
-        ctx, trans)[targets[off_tree]])
+def _schreier_tables(ctx: SuzukiContext, edges: np.ndarray,
+                     inverses: np.ndarray) -> np.ndarray:
+    """The row tables of the distinct Schreier elements t_u s t_us^-1,
+    for the edge products t_u s in ``edges`` and the inverses t_us^-1
+    of their points' transversals.  Each must fix v1, or
+    VerificationError is raised."""
+    schreier = kn.mat_mul_pairs(ctx, edges, inverses)
     if not (schreier.reshape(-1, 4, 4)[:, _V1] == _UNIT[_V1]).all():
         raise VerificationError("a Schreier element moves e_2")
-    schreier = kn.key_entries(_sorted_unique(kn.entry_keys(ctx, schreier)))
-    _, levels = _vector_orbit(ctx, kn.row_action_table(ctx, schreier),
-                              _UNIT[_V2])
-    return len(trans) * sum(map(len, levels))
+    return kn.row_action_table(
+        ctx, kn.key_entries(_sorted_unique(kn.entry_keys(ctx, schreier))))
+
+
+def _base_orbits(ctx: SuzukiContext, generators: Sequence[Mat4],
+                 bound: Optional[Tuple[int, int]] = None) -> Tuple[int, int]:
+    """(|O1|, |O2|) for H = <generators>, each orbit stopped at its
+    ``bound``; base_order says why the stops keep the product exact."""
+    n1, n2 = bound or (None, None)
+    gens = _dedup_generators(ctx, generators)
+    tables = kn.row_action_table(ctx, gens)
+    radix = _radix(ctx)
+
+    # One breadth-first pass over the transversals.  Each level's images
+    # t_u s, generator-major (kernels.row_action), are its edges, kept
+    # with their points us, and each new point us takes one of its
+    # images as its transversal t_us (_visit).
+    where = np.full(ctx.q ** 4, -1, dtype=np.int32)
+    where[_UNIT[_V1] @ radix] = 0
+    trans = [kn.mats_to_entries([la.identity()])]
+    edges, points = [trans[0][:0]], [np.empty(0, dtype=np.int64)]
+    count = 1
+    while len(tables) and (n1 is None or count < n1):
+        images = kn.row_action(tables, trans[-1])
+        idx = images.reshape(-1, 4, 4)[:, _V1] @ radix
+        edges.append(images)
+        points.append(idx)
+        first = _visit(where, idx, count)
+        if not len(first):
+            break
+        count += len(first)
+        trans.append(images[first])
+    last, trans = trans[-1], np.concatenate(trans)
+
+    def off_tree() -> Tuple[np.ndarray, np.ndarray]:
+        # the edge products t_u s that are not t_us, with the rows of
+        # t_us in trans: on the other edges, the tree edges among them,
+        # the Schreier element is trivial
+        ts = np.concatenate(edges)
+        rows = where[np.concatenate(points)]
+        off = (ts.view(np.uint64) != trans[rows].view(np.uint64)).any(axis=1)
+        return ts[off], rows[off]
+
+    if n1 is not None and count == n1:
+        # O1 is full, and the pass stopped before the last level's edges
+        ts, rows = off_tree()
+        m = min(_FIRST_EDGES, len(ts))
+        pick = np.arange(m) * len(ts) // max(m, 1)
+        inverses = kn.invert_symplectic(ctx, trans[rows[pick]])
+        o2 = _orbit_size(ctx, _schreier_tables(ctx, ts[pick], inverses),
+                         _UNIT[_V2], n2)
+        if o2 == n2:
+            return count, o2
+        edges.append(kn.row_action(tables, last))
+        points.append(edges[-1].reshape(-1, 4, 4)[:, _V1] @ radix)
+    ts, rows = off_tree()
+    inverses = kn.invert_symplectic(ctx, trans)[rows]
+    return count, _orbit_size(ctx, _schreier_tables(ctx, ts, inverses),
+                              _UNIT[_V2], n2)
+
+
+def base_order(ctx: SuzukiContext, generators: Sequence[Mat4],
+               bound: Optional[Tuple[int, int]] = None) -> int:
+    """|O1| |O2| = |H : H_(v1,v2)| for H = <generators>.
+
+    O1 is the orbit of v1 = e_2 under the right action of H, found by
+    one breadth-first pass that keeps a transversal product t_u
+    (v1 t_u = u) per orbit point and every edge product t_u s.  By
+    Schreier's lemma the Schreier elements t_u s t_us^-1, for every
+    orbit point u and generator s, generate the stabiliser H_v1; on a
+    tree edge, where t_u s is t_us, they are trivial, so only the other
+    edges are multiplied out.  Each must fix v1, or VerificationError is
+    raised.  O2 is the orbit of v2 = e_3 under them, which is
+    v2^(H_v1), so |H| = |O1| |H_v1| = |O1| |O2| |H_(v1,v2)|.
+
+    ``bound``, the (|O1(G)|, |O2(G)|) of checked_base_orbits for a group
+    G that holds H, stops each orbit at its size there.  The stops keep
+    the result exact.  O1(H) lies in O1(G), so a full O1 is O1(G).  Any
+    Schreier elements lie in H_v1, within G_v1, so the orbit O2' of v2
+    under some of them lies in O2(G), and |H| >= |O1(H)| |O2'|.  Once
+    both reach the bound, |H| >= |G|, so H = G.  Hence, with O1 full,
+    O2 first runs under the Schreier elements of _FIRST_EDGES off-tree
+    edges, and under all of them only if it is then short.  With no
+    bound, or with O1 short, every edge is used.
+    """
+    o1, o2 = _base_orbits(ctx, generators, bound)
+    return o1 * o2
+
+
+def checked_base_orbits(ctx: SuzukiContext, generators: Sequence[Mat4],
+                        order: int) -> Tuple[int, int]:
+    """The exact (|O1|, |O2|) of the group of that ``order`` that the
+    ``generators`` generate; raises VerificationError unless their
+    product is the order, that is, unless the identity alone fixes
+    (v1, v2), so that base_order is exact on every subgroup."""
+    o1, o2 = _base_orbits(ctx, generators)
+    if o1 * o2 != order:
+        raise VerificationError(
+            "a nontrivial element of the group fixes e_2 and e_3, "
+            "so base orders do not decide its subgroups")
+    return o1, o2
 
 
 def generates(ctx: SuzukiContext, generators: Sequence[Mat4],
@@ -278,14 +364,15 @@ def generates(ctx: SuzukiContext, generators: Sequence[Mat4],
     Decided by Lagrange's theorem and Schreier's lemma, with no closure
     and no classification of maximal subgroups.  For H = <generators>,
     |H| = base_order |H_(v1,v2)|, and H_(v1,v2) lies in the stabiliser
-    of the pair in ``group``, which is trivial (GroupSet.base_checked
-    raises VerificationError otherwise).  So base_order is |H|, and H is
-    the group iff that is |group|.  Raises VerificationError if a
-    generator is not an element of ``group``.
+    of the pair in ``group``, which is trivial (GroupSet.base_orbits
+    raises VerificationError otherwise).  So base_order, bounded by the
+    group's base orbits, is |H|, and H is the group iff that is
+    |group|.  Raises VerificationError if a generator is not an element
+    of ``group``.
     """
     if not group.member_mask(list(generators)).all():
         raise VerificationError("generator outside the group")
-    return group.base_checked and base_order(ctx, generators) == group.order
+    return base_order(ctx, generators, group.base_orbits) == group.order
 
 
 def _suzuki_seeds(ctx: SuzukiContext) -> Tuple[np.ndarray, List[Mat4]]:

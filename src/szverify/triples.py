@@ -12,9 +12,11 @@ iota, all at once as (n, 3, 16) entries, and check the whole batch
 closes each triple's subgroup (groups.subgroup), which is small, and
 takes its derived series once per distinct subgroup.  The witness walk
 only asks whether a triple generates the group: groups.generates
-reads the exact order of its subgroup off two short vector orbits, by
+reads the exact order of its subgroup off two vector orbits, by
 Schreier's lemma on the base (e_2, e_3), with no closure and no
-classification of maximal subgroups.
+classification of maximal subgroups.  Both orbits stop at the size
+they have in the group, and a generating triple multiplies out only a
+few Schreier elements.
 """
 from __future__ import annotations
 
@@ -72,45 +74,14 @@ def _is_iota(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
 def _inverses_fixed_mask(ctx: SuzukiContext,
                          sigmas: np.ndarray) -> np.ndarray:
     """Per row of an (n, 3, 16) batch: sigma1^-1 and sigma3^-1 both
-    satisfy x iota x = iota.  The conclusion of
-    fixed_set_membership_lemma; its caller checks the preconditions."""
+    satisfy x iota x = iota.  The conclusion of the fixed-set membership
+    lemma, a theorem once the product is iota and both partial products
+    are involutions; its caller (_checked_triples) checks those."""
     n = len(sigmas)
     x = kn.invert_symplectic(
         ctx, np.concatenate([sigmas[:, 0], sigmas[:, 2]]))
     fixed = kn.fixed_point_mask(ctx, x)
     return fixed[:n] & fixed[n:]
-
-
-def _sigma_rows(triple: ChiralTriple) -> np.ndarray:
-    """The triple as one (1, 3, 16) row, uncast: the kernels check its
-    entries lie in GF(q) before they cast them."""
-    return np.array(triple.mats()).reshape(1, 3, 16)
-
-
-def involution_conditions(ctx: SuzukiContext,
-                          triple: ChiralTriple) -> Tuple[bool, bool, bool]:
-    """Orders of (s1 s2 s3, s2 s3, s1 s2) all equal to 2."""
-    prods = _partial_products(ctx, _sigma_rows(triple))
-    return tuple(bool(c) for c in _involution_masks(ctx, prods)[0])
-
-
-def fixed_set_membership_lemma(ctx: SuzukiContext,
-                               triple: ChiralTriple) -> bool:
-    """sigma1^-1 and sigma3^-1 both satisfy x . iota . x = iota.
-
-    Preconditions: the product is exactly iota and the two partial
-    products are involutions.  Under them the conclusion is a theorem,
-    so this certifies rather than filters.  The sigmas must lie in
-    Sp4(q), where kernels.invert_symplectic inverts them.  Raises
-    ValueError if a precondition fails.
-    """
-    sigmas = _sigma_rows(triple)
-    p123, p23, p12 = _partial_products(ctx, sigmas)
-    if not _is_iota(ctx, p123).all():
-        raise ValueError("triple product must be iota")
-    if not kn.involution_mask(ctx, np.concatenate([p12, p23])).all():
-        raise ValueError("partial products must be involutions")
-    return bool(_inverses_fixed_mask(ctx, sigmas)[0])
 
 
 def torus_inversion_check(ctx: SuzukiContext) -> bool:

@@ -11,6 +11,7 @@ import numpy as np
 
 from szverify import kernels as kn
 from szverify import linalg4 as la
+from szverify import triples as tr
 from szverify import wilson as wl
 from szverify.context import SuzukiContext
 from szverify.linalg4 import Mat4, Vec4
@@ -86,6 +87,38 @@ def triple_product(ctx: SuzukiContext, triple) -> Mat4:
     f = ctx.field
     return la.mat_mul(f, la.mat_mul(f, triple.sigma1, triple.sigma2),
                       triple.sigma3)
+
+
+def _sigma_rows(triple) -> np.ndarray:
+    """A triples.ChiralTriple as one (1, 3, 16) row, uncast: the kernels
+    check its entries lie in GF(q) before they cast them."""
+    return np.array(triple.mats()).reshape(1, 3, 16)
+
+
+def involution_conditions(ctx: SuzukiContext,
+                          triple) -> Tuple[bool, bool, bool]:
+    """Orders of (s1 s2 s3, s2 s3, s1 s2) all equal to 2, by the batch
+    checks that the rank-4 searches run, on one triple."""
+    prods = tr._partial_products(ctx, _sigma_rows(triple))
+    return tuple(bool(c) for c in tr._involution_masks(ctx, prods)[0])
+
+
+def fixed_set_membership_lemma(ctx: SuzukiContext, triple) -> bool:
+    """sigma1^-1 and sigma3^-1 both satisfy x . iota . x = iota.
+
+    Preconditions: the product is exactly iota and the two partial
+    products are involutions.  Under them the conclusion is a theorem,
+    so this certifies rather than filters.  The sigmas must lie in
+    Sp4(q), where kernels.invert_symplectic inverts them.  Raises
+    ValueError if a precondition fails.
+    """
+    sigmas = _sigma_rows(triple)
+    p123, p23, p12 = tr._partial_products(ctx, sigmas)
+    if not tr._is_iota(ctx, p123).all():
+        raise ValueError("triple product must be iota")
+    if not kn.involution_mask(ctx, np.concatenate([p12, p23])).all():
+        raise ValueError("partial products must be involutions")
+    return bool(tr._inverses_fixed_mask(ctx, sigmas)[0])
 
 
 def random_symplectic_scalar(ctx: SuzukiContext, rng, length: int = 8) -> Mat4:

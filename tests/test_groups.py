@@ -195,15 +195,57 @@ def test_base_order_is_exact_on_build_generators(ctx8, group8):
     (q^2+1)(q-1) = 455 images, and the Schreier elements move e_3 onto
     all q^2 = 64 images under its stabiliser, so (e_2, e_3) is a base."""
     assert gr.base_order(ctx8, group8.generators) == SZ8_ORDER
-    assert group8.base_checked
+    assert group8.base_orbits == (455, 64)
     assert gr.generates(ctx8, group8.generators, group8)
 
 
-def test_base_order_is_exact_at_q32(ctx32):
-    """The same at q = 32, 31,775 * 1,024, on the seeds taken from the
-    Sylow filter and iota, with no q = 32 group built."""
-    _, seeds = gr._suzuki_seeds(ctx32)
-    assert gr.base_order(ctx32, seeds) == ctx32.group_order == 32537600
+@pytest.fixture(scope="module")
+def seeds32(ctx32):
+    """The seeds build_suzuki closes at q = 32, from the Sylow filter
+    and iota, with no q = 32 group built."""
+    return gr._suzuki_seeds(ctx32)[1]
+
+
+def test_base_order_is_exact_at_q32(ctx32, seeds32):
+    """The same at q = 32, 31,775 * 1,024, on the seeds."""
+    assert gr.base_order(ctx32, seeds32) == ctx32.group_order == 32537600
+
+
+def test_bounded_base_order_is_exact_at_q32(ctx32, seeds32):
+    """On 10 seeded pairs of words in the q = 32 seeds, the base order
+    bounded by the seeds' base orbits is the exact one, for generating
+    and proper subgroups alike."""
+    bound = gr.checked_base_orbits(ctx32, seeds32, ctx32.group_order)
+    assert bound == (31775, 1024)
+    gens = kn.mats_to_entries(seeds32)
+    rng = np.random.default_rng(32)
+    orders = []
+    for _ in range(10):
+        pair = []
+        for _ in range(2):
+            word = gens[rng.integers(len(gens), size=rng.integers(2, 9))]
+            w = word[:1]
+            for x in word[1:]:
+                w = kn.mat_mul_pairs(ctx32, w, x)
+            pair.append(kn.entries_to_mat(w[0]))
+        orders.append(gr.base_order(ctx32, pair, bound))
+        assert orders[-1] == gr.base_order(ctx32, pair)
+    assert orders.count(ctx32.group_order) == 6
+
+
+def test_generates_needs_both_base_orbits(ctx8):
+    """The torus element d and the first two Sylow seeds, which lie in
+    the Sylow centre Z, generate Z:C7 of order 56 with base orbits
+    (7, 8).  <d> moves e_2 onto all 7 of its images there, yet fixes
+    e_3 up to a scalar, so its full O1 does not make it the group: its
+    O2 stays at 1 and its bounded base order is 7."""
+    _, seeds = gr._suzuki_seeds(ctx8)
+    d = fs.torus_element(ctx8, 2)
+    group = gr.closure(ctx8, seeds[:2] + [d], ceiling=100)
+    assert (group.order, group.base_orbits) == (56, (7, 8))
+    assert gr.base_order(ctx8, [d], group.base_orbits) == 7
+    assert not gr.generates(ctx8, [d], group)
+    assert gr.generates(ctx8, [d, seeds[0]], group)
 
 
 def test_generates_refuses_a_group_with_a_nontrivial_base_stabiliser(ctx8):

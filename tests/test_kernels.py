@@ -315,7 +315,7 @@ def test_paired_kernels_refuse_entries_outside_field(ctx8, v):
             call()
     trip = tr.ChiralTriple(ctx8.iota, tuple(bad.tolist()), ctx8.iota)
     with pytest.raises(FieldRangeError):
-        tr.involution_conditions(ctx8, trip)
+        hp.involution_conditions(ctx8, trip)
 
 
 def test_element_orders_match_scalar_on_sz8(ctx8, group8):

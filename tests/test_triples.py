@@ -55,7 +55,7 @@ def test_witnesses_generate_whole_group(ctx8, group8, report):
         == EXPECTED_SIGMA_ORDERS
     for w in report.witnesses:
         assert w.subgroup_order == group8.order
-        conds = tr.involution_conditions(ctx8, w.triple)
+        conds = hp.involution_conditions(ctx8, w.triple)
         assert conds == (True, True, True)
         assert hp.triple_product(ctx8, w.triple) == ctx8.iota
         assert w.sigma1_inv_in_scan and w.sigma3_inv_in_scan
@@ -63,7 +63,7 @@ def test_witnesses_generate_whole_group(ctx8, group8, report):
         # closed form: the restricted search space cannot see them
         assert not (w.sigma1_inv_in_closed_form
                     and w.sigma3_inv_in_closed_form)
-        assert tr.fixed_set_membership_lemma(ctx8, w.triple)
+        assert hp.fixed_set_membership_lemma(ctx8, w.triple)
 
 
 def test_no_certification(report):
@@ -93,7 +93,7 @@ def test_pair_detail_rejection_reason(report):
 
 def test_involution_conditions_negative(ctx8):
     trip = tr.ChiralTriple(ctx8.iota, ctx8.iota, ctx8.iota)
-    conds = tr.involution_conditions(ctx8, trip)
+    conds = hp.involution_conditions(ctx8, trip)
     # product iota^3 = iota is an involution; both partial products are
     # the identity, which is not
     assert conds == (True, False, False)
@@ -104,10 +104,10 @@ def test_membership_lemma_preconditions(ctx8):
     # product is iota but partial product sigma1 sigma2 = I is not an
     # involution
     with pytest.raises(ValueError):
-        tr.fixed_set_membership_lemma(ctx8, trip)
+        hp.fixed_set_membership_lemma(ctx8, trip)
     trip2 = tr.ChiralTriple(ctx8.iota, ctx8.iota, ctx8.iota)
     with pytest.raises(ValueError):
-        tr.fixed_set_membership_lemma(ctx8, trip2)
+        hp.fixed_set_membership_lemma(ctx8, trip2)
 
 
 def test_torus_checks_q8(ctx8):
@@ -190,13 +190,12 @@ def test_walk_closes_no_generating_triple(ctx8, group8, monkeypatch):
     assert sorted(series) == [2, 14]
 
 
-def test_generation_certificate_on_every_triple(ctx8, group8, involutions8):
-    """base_order is the exact order on all 1,408 groups: the 453 walk
-    triples with their facet groups <s1, s2> and vertex-figure groups
-    <s2, s3>, and the 49 torus triples.  A base order is an index
-    |H : H_(e2,e3)|, never above |H|, so a group whose base order is |G|
-    is G and needs no closure; every other one is closed, and its order
-    must be the base order.  generates agrees throughout."""
+@pytest.fixture(scope="module")
+def certificate_groups(ctx8, involutions8):
+    """The 1,408 groups of the generation certificate tests, as
+    (kind, generators, exact base order): the 453 walk triples with
+    their facet groups <s1, s2> and vertex-figure groups <s2, s3>, and
+    the 49 torus triples."""
     ws = kn.mats_to_entries([w for w in involutions8 if w != ctx8.iota])
     rev = ws.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
     torus = kn.mats_to_entries(fs.torus_elements(ctx8))
@@ -206,27 +205,94 @@ def test_generation_certificate_on_every_triple(ctx8, group8, involutions8):
             ctx8, np.repeat(torus, len(torus), axis=0),
             np.tile(torus, (len(torus), 1)))[0],
     }
+    assert {n: len(b) for n, b in batches.items()} == {"walk": 453,
+                                                        "torus": 49}
     parts = {"walk": {"triple": (0, 1, 2), "F": (0, 1), "V": (1, 2)},
              "torus": {"triple": (0, 1, 2)}}
-    generating, closed = {}, 0
+    groups = []
     for name, sigmas in batches.items():
         for row in sigmas:
             for part, cols in parts[name].items():
                 mats = [kn.entries_to_mat(row[c]) for c in cols]
-                order = gr.base_order(ctx8, mats)
-                if order != group8.order:
-                    assert gr.closure(ctx8, mats, group8.order).order == order
-                    closed += 1
-                assert gr.generates(ctx8, mats, group8) == (
-                    order == group8.order)
-                key = f"{name} {part}"
-                generating[key] = generating.get(key, 0) + (
-                    order == group8.order)
-    assert {n: len(b) for n, b in batches.items()} == {"walk": 453,
-                                                        "torus": 49}
+                groups.append((f"{name} {part}", mats,
+                               gr.base_order(ctx8, mats)))
+    return groups
+
+
+def test_generation_certificate_on_every_triple(ctx8, group8,
+                                                certificate_groups):
+    """base_order is the exact order on all 1,408 groups.  A base order
+    is an index |H : H_(e2,e3)|, never above |H|, so a group whose base
+    order is |G| is G and needs no closure; every other one is closed,
+    and its order must be the base order.  The base order bounded by
+    G's base orbits is the same, and generates agrees throughout."""
+    generating, closed = {}, 0
+    for key, mats, order in certificate_groups:
+        if order != group8.order:
+            assert gr.closure(ctx8, mats, group8.order).order == order
+            closed += 1
+        assert gr.base_order(ctx8, mats, group8.base_orbits) == order
+        assert gr.generates(ctx8, mats, group8) == (order == group8.order)
+        generating[key] = generating.get(key, 0) + (order == group8.order)
     assert generating == {"walk triple": 448, "walk F": 434, "walk V": 436,
                           "torus triple": 0}
     assert closed == 3 * 453 + 49 - 448 - 434 - 436 == 90
+
+
+def test_second_batch_keeps_every_verdict(ctx8, group8, certificate_groups,
+                                          monkeypatch):
+    """With a first batch of one Schreier element, which cannot move e_3
+    onto all 64 points of its orbit, O2 comes out short on every group
+    with a full O1, and the second batch, every edge, decides it: each
+    bounded base order and each verdict of generates stays the same.
+    (With the default batch, no group here takes the second batch.)"""
+    bound = group8.base_orbits
+    runs = []
+    orbit_size = gr._orbit_size
+
+    def counted(*args):
+        runs[-1] += 1
+        return orbit_size(*args)
+    monkeypatch.setattr(gr, "_FIRST_EDGES", 1)
+    monkeypatch.setattr(gr, "_orbit_size", counted)
+    for _, mats, order in certificate_groups:
+        runs.append(0)
+        assert gr.base_order(ctx8, mats, bound) == order
+        runs.append(0)
+        assert gr.generates(ctx8, mats, group8) == (order == group8.order)
+    # one orbit of e_3 per call, and a second one on every generating
+    # group, where the first batch left O2 short
+    assert max(runs) == 2
+    assert runs.count(2) == 2 * (448 + 434 + 436)
+
+
+def test_walk_multiplies_out_few_schreier_elements(ctx8, group8, monkeypatch):
+    """The 32-witness walk multiplies out 512 Schreier elements under
+    generates, 16 for each of its 32 generating triples.  The 5 triples
+    before them generate dihedral groups of order 14, which move e_2
+    regularly, so none of their edges gives a nontrivial Schreier
+    element.  Multiplying every edge, as the unbounded base order does,
+    took 24,808 paired products."""
+    assert group8.base_orbits == (455, 64)
+    rows, inside = [], []
+    generates, mat_mul_pairs = gr.generates, kn.mat_mul_pairs
+
+    def traced_generates(*args):
+        inside.append(True)
+        try:
+            return generates(*args)
+        finally:
+            inside.pop()
+
+    def counted_products(ctx, a, b):
+        out = mat_mul_pairs(ctx, a, b)
+        if inside:
+            rows.append(len(out))
+        return out
+    monkeypatch.setattr(gr, "generates", traced_generates)
+    monkeypatch.setattr(kn, "mat_mul_pairs", counted_products)
+    assert len(tr.find_rank4_witnesses(ctx8, group8, count=32)) == 32
+    assert sum(rows) == 32 * 16
 
 
 def test_walk_triples_match_scalar_construction(ctx8, involutions8):
@@ -272,11 +338,11 @@ def test_batch_checks_match_scalar_oracle(ctx8, involutions8):
         s12 = la.mat_mul(f, s1, s2)
         s23 = la.mat_mul(f, s2, s3)
         want = (inv2(la.mat_mul(f, s12, s3)), inv2(s23), inv2(s12))
-        assert tr.involution_conditions(ctx8, t) == want
+        assert hp.involution_conditions(ctx8, t) == want
         seen.add(want)
         if la.mat_mul(f, s12, s3) == iota and want[1] and want[2]:
             lemma_rows += 1
-            assert tr.fixed_set_membership_lemma(ctx8, t) == (
+            assert hp.fixed_set_membership_lemma(ctx8, t) == (
                 hp.in_fixed_set(ctx8, la.invert(f, s1))
                 and hp.in_fixed_set(ctx8, la.invert(f, s3)))
     assert (True, True, True) in seen and len(seen) >= 5
