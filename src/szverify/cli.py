@@ -6,8 +6,7 @@ involutions, search-rank4, verify-all.
 Exit status: 0 when every executed check passes; 2 for usage errors;
 3 when a checked claim is contradicted by the computation (a theorem
 finding, e.g. the fixed-set scan disagreeing with its closed form);
-4 when an enumeration budget is exhausted; 5 for internal verification
-failures.
+5 for internal verification failures, any defect the engine detects.
 """
 from __future__ import annotations
 
@@ -29,12 +28,11 @@ from . import linalg4 as la
 from . import triples as tr
 from . import wilson as wl
 from .context import make_context
-from .errors import BudgetExceededError, SzVerifyError, VerificationError
+from .errors import SzVerifyError
 
 EXIT_PASS = 0
 EXIT_USAGE = 2
 EXIT_THEOREM = 3
-EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
 _E_FOR_Q = {8: 1, 32: 2}
@@ -81,7 +79,7 @@ class RunState:
 
     @cached_property
     def group(self) -> gr.GroupSet:
-        return gr.build_suzuki(self.ctx, ceiling=self.args.budget)
+        return gr.build_suzuki(self.ctx)
 
     def stage(self, name: str) -> StageResult:
         t0 = time.monotonic()
@@ -362,18 +360,9 @@ def cmd_verify_all(args) -> int:
     return EXIT_PASS if payload["overall"] else EXIT_THEOREM
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _add_common(p: argparse.ArgumentParser, mode: bool = False) -> None:
     p.add_argument("--q", type=int, choices=(8, 32), default=8)
     p.add_argument("--report", default=None)
-    p.add_argument("--budget", type=_positive_int, default=None,
-                   help="closure size ceiling override")
     if mode:
         p.add_argument("--mode", choices=("closed-form", "scan", "both"),
                        default="both")
@@ -405,10 +394,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except BudgetExceededError as ex:
-        print(f"budget exhausted: {ex}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (VerificationError, SzVerifyError) as ex:
+    except SzVerifyError as ex:
         print(f"verification error: {ex}", file=sys.stderr)
         return EXIT_INTERNAL
 

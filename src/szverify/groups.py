@@ -1,10 +1,15 @@
 """Exhaustive group machinery over 4x4 matrices.
 
-Breadth-first closure with canonical dedup, subgroups decided by index,
-exact subgroup orders from the base (e_2, e_3), and the generation test
-that stops both base orbits at the group's own (checked_base_orbits),
-the Sz(q) construction, the cached fixed-point scan and the involutions
-read off it, conjugation orbits, element orders, derived series.
+One way to build a group: the base pass on (e_2, e_3) (Sims 1970;
+Seress, Permutation Group Algorithms, 2003, ch. 4).  One orbit routine
+runs twice, for e_2 under the generators and for e_3 under the
+Schreier elements, and keeps a transversal matrix per orbit point; the
+elements are the products of the two transversals, proved to be the
+whole group by a closedness check.  closure builds any group that way,
+Sz(q) included, and subgroup (with generates on it) stops both orbits
+at the sizes they have in the enclosing group.  Also here: the cached
+fixed-point scan and the involutions read off it, conjugation orbits,
+element orders, derived series.
 """
 from __future__ import annotations
 
@@ -32,26 +37,37 @@ class GroupSet:
     ``__post_init__`` checks, so its cached ``keys`` are sorted and
     O(log n) membership is a binary search.  It is read-only:
     ``__post_init__`` clears its writeable flag, which keeps the cached
-    ``keys`` and ``fixed_points`` true to it.
+    ``keys`` and ``fixed_points`` true to it.  ``base_orbits`` is
+    (|O1|, |O2|), the sizes of the orbits of e_2 and e_3 that the group
+    was built from (_transversals); their product must be the order.
     """
 
     ctx: SuzukiContext
     entries: np.ndarray
     generators: Tuple[Mat4, ...]
+    base_orbits: Tuple[int, int]
 
     def __post_init__(self):
         # each row must be below the next at their first differing entry;
-        # equal rows differ nowhere, so duplicates fail too
-        a, b = self.entries[:-1], self.entries[1:]
-        first = (a != b).argmax(axis=1)
-        rows = np.arange(len(first))
-        if not (a[rows, first] < b[rows, first]).all():
-            raise VerificationError(
-                "group entries are not strictly increasing "
-                "(out of canonical order, or a duplicate element)")
+        # equal rows differ nowhere, so duplicates fail too.  In chunks,
+        # which keeps the temporaries small for a whole Sz(32).
+        n = len(self.entries)
+        for lo in range(0, n - 1, _CHUNK):
+            hi = min(lo + _CHUNK, n - 1)
+            a, b = self.entries[lo:hi], self.entries[lo + 1:hi + 1]
+            first = (a != b).argmax(axis=1)
+            rows = np.arange(len(first))
+            if not (a[rows, first] < b[rows, first]).all():
+                raise VerificationError(
+                    "group entries are not strictly increasing "
+                    "(out of canonical order, or a duplicate element)")
         self.entries.flags.writeable = False
         if la.identity() not in self:
             raise VerificationError("group does not contain the identity")
+        if self.base_orbits[0] * self.base_orbits[1] != self.order:
+            raise VerificationError(
+                f"base orbits {self.base_orbits} do not give the order "
+                f"{self.order}")
 
     @cached_property
     def keys(self) -> np.ndarray:
@@ -68,13 +84,6 @@ class GroupSet:
         rows = self.entries[kn.fixed_point_mask(self.ctx, self.entries)]
         rows.flags.writeable = False
         return rows
-
-    @cached_property
-    def base_orbits(self) -> Tuple[int, int]:
-        """checked_base_orbits of the generators: one exact check per
-        group, whose orbit sizes then bound generates' base orders.  The
-        generators must generate the entries, as closure makes them."""
-        return checked_base_orbits(self.ctx, self.generators, self.order)
 
     @property
     def order(self) -> int:
@@ -135,69 +144,23 @@ def _fresh_keys(seen: np.ndarray,
     return cand[fresh], pos[fresh]
 
 
-def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
-            ceiling: int) -> GroupSet:
-    """Breadth-first product closure of the generators.
-
-    The elements seen so far are kept as sorted keys
-    (kernels.entry_keys), whose order is the canonical order, so the
-    entries come out sorted.  Each level multiplies the frontier on the
-    right by every generator through its row tables
-    (kernels.row_action_table).  Deterministic: the result depends only
-    on the generator set.  Raises BudgetExceededError as soon as the
-    element count would pass ``ceiling``.
-    """
-    if ceiling < 1:
-        raise ValueError("ceiling must be >= 1")
-    gens = _dedup_generators(ctx, generators)
-    tables = kn.row_action_table(ctx, gens)
-
-    seen = kn.entry_keys(ctx, kn.mats_to_entries([la.identity()]))
-    frontier = seen
-    while gens:
-        frontier, pos = _fresh_keys(seen, kn.entry_keys(
-            ctx, kn.row_action(tables, kn.key_entries(frontier))))
-        if len(seen) + len(frontier) > ceiling:
-            raise BudgetExceededError(len(seen) + len(frontier), ceiling)
-        if not len(frontier):
-            break
-        # a merge, not a re-sort: both sides are sorted and disjoint
-        seen = np.insert(seen, pos, frontier)
-
-    return GroupSet(ctx=ctx, entries=kn.key_entries(seen),
-                    generators=tuple(gens) or (la.identity(),))
-
-
-def subgroup(ctx: SuzukiContext, generators: Sequence[Mat4],
-             group: GroupSet) -> GroupSet:
-    """The subgroup of ``group`` generated by ``generators``.
-
-    Closes with ceiling |group| / 2.  Past it the subgroup has index
-    less than 2 (Lagrange), so it is ``group`` itself, which is then
-    returned instead of finishing the closure.  Raises
-    VerificationError if a generator is not an element of ``group``.
-    """
-    if not group.member_mask(list(generators)).all():
-        raise VerificationError("generator outside the group")
-    try:
-        return closure(ctx, generators, max(1, group.order // 2))
-    except BudgetExceededError:
-        return group
-
-
 # The base, as 0-based indices: v1 = e_2 and v2 = e_3, row vectors.
 # Sz(q) moves e_2 onto (q^2+1)(q-1) vectors, and the stabiliser of e_2,
-# of order q^2, moves e_3 regularly, so the stabiliser of the pair in
-# Sz(q) is trivial; checked_base_orbits checks it for every group that
-# generates decides in.  v1 g is row _V1 of g.
+# of order q^2, moves e_3 regularly, so the stabiliser of the pair is
+# trivial in Sz(q) and in each of its subgroups; _group refuses a group
+# where it is not.  v t is row v of t for a unit row vector v.
 _V1, _V2 = 1, 2
 _UNIT = np.eye(4, dtype=np.uint8)
 
-# Off-tree edges in base_order's first batch of Schreier elements, spread
-# evenly over the edges in orbit order.  With 16, none of the 1,318
-# generating walk groups at q = 8 needed the second batch; with 8, 21
-# did.
+# Off-tree edges in _transversals' first batch of Schreier elements,
+# spread evenly over the edges in orbit order.  With 16, none of the
+# 1,318 generating walk groups at q = 8 needed the second batch; with 8,
+# 21 did.
 _FIRST_EDGES = 16
+
+# Rows per step of _group's products and of GroupSet's order check, so
+# that their temporaries stay under a MB even for a whole Sz(32).
+_CHUNK = 1 << 12
 
 
 def _radix(ctx: SuzukiContext) -> np.ndarray:
@@ -212,8 +175,7 @@ def _visit(where: np.ndarray, idx: np.ndarray, count: int) -> np.ndarray:
 
     No sort: each new point is scattered the positions of its images
     and keeps one of them, the one the scatter left.  Any image serves,
-    since base_order's orders do not depend on which transversal a
-    point has.
+    since a point needs some transversal, not a particular one.
     """
     fresh = np.flatnonzero(where[idx] < 0)
     cand = idx[fresh]
@@ -223,156 +185,207 @@ def _visit(where: np.ndarray, idx: np.ndarray, count: int) -> np.ndarray:
     return first
 
 
-def _orbit_size(ctx: SuzukiContext, tables: np.ndarray, seed: np.ndarray,
-                size: Optional[int] = None) -> int:
-    """The size of the orbit of the row vector ``seed`` under the
-    matrices whose row_action_tables are stacked in ``tables``, (k, 4, q).
+def _orbit(ctx: SuzukiContext, tables: np.ndarray, v: int,
+           size: Optional[int] = None
+           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A transversal of the orbit of the unit row vector e_v under the
+    matrices whose row_action_tables are stacked in ``tables``, (k, 4, q),
+    and the products that found it.
 
-    Breadth-first, numbering the points in a dense array over all q^4
-    vectors (_visit); it stops once the orbit holds ``size`` points, if
-    given.
+    Returns (trans, edges, rows).  ``trans`` holds one product t of the
+    matrices per orbit point as (n, 16) entries, the point being e_v t
+    (row v of t); the seed's t is the identity.  ``edges`` holds every
+    product t s that the search formed, and ``rows`` the row in
+    ``trans`` of each one's point.
+
+    Breadth-first: each level multiplies the last level's transversals
+    by every matrix (kernels.row_action), and each point not numbered
+    yet, in a dense array over all q^4 vectors, takes one of its images
+    (_visit).  Stops once the orbit holds ``size`` points, if given,
+    before that level is multiplied out; with no stop, every t s is in
+    ``edges``.
     """
     radix = _radix(ctx)
     where = np.full(ctx.q ** 4, -1, dtype=np.int32)
-    frontier = seed.reshape(1, 4)
-    where[frontier @ radix] = 0
+    where[_UNIT[v] @ radix] = 0
+    trans, edges, rows = [_UNIT.reshape(1, 16)], [], []
     count = 1
-    while len(frontier) and (size is None or count < size):
-        images = kn.row_action(tables, frontier)
-        first = _visit(where, images @ radix, count)
+    while len(tables) and len(trans[-1]) and (size is None or count < size):
+        images = kn.row_action(tables, trans[-1])
+        idx = images.reshape(-1, 4, 4)[:, v] @ radix
+        first = _visit(where, idx, count)
         count += len(first)
-        frontier = images[first]
-    return count
+        trans.append(images[first])
+        edges.append(images)
+        rows.append(where[idx])
+    return (np.concatenate(trans), np.concatenate(edges or [trans[0][:0]]),
+            np.concatenate(rows or [np.empty(0, dtype=np.int32)]))
 
 
-def _schreier_tables(ctx: SuzukiContext, edges: np.ndarray,
-                     inverses: np.ndarray) -> np.ndarray:
+def _schreier_tables(ctx: SuzukiContext, trans: np.ndarray,
+                     edges: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The row tables of the distinct Schreier elements t_u s t_us^-1,
-    for the edge products t_u s in ``edges`` and the inverses t_us^-1
-    of their points' transversals.  Each must fix v1, or
+    for the edge products t_u s in ``edges`` and the rows in ``trans``
+    of their points' transversals t_us.  Each must fix v1, or
     VerificationError is raised."""
-    schreier = kn.mat_mul_pairs(ctx, edges, inverses)
+    if not len(edges):
+        return kn.row_action_table(ctx, edges)
+    schreier = kn.mat_mul_pairs(
+        ctx, edges, kn.invert_symplectic(ctx, trans[rows]))
     if not (schreier.reshape(-1, 4, 4)[:, _V1] == _UNIT[_V1]).all():
         raise VerificationError("a Schreier element moves e_2")
     return kn.row_action_table(
         ctx, kn.key_entries(_sorted_unique(kn.entry_keys(ctx, schreier))))
 
 
-def _base_orbits(ctx: SuzukiContext, generators: Sequence[Mat4],
-                 bound: Optional[Tuple[int, int]] = None) -> Tuple[int, int]:
-    """(|O1|, |O2|) for H = <generators>, each orbit stopped at its
-    ``bound``; base_order says why the stops keep the product exact."""
+def _off_tree(trans: np.ndarray, edges: np.ndarray,
+              rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The edge products t_u s of an _orbit search that are not t_us,
+    with the rows of t_us in ``trans``: on the other edges, the tree
+    edges among them, the Schreier element t_u s t_us^-1 is trivial.
+    Each edge must end in the orbit, or VerificationError is raised."""
+    if not (rows < len(trans)).all():
+        raise VerificationError("an edge leaves the orbit")
+    off = (edges.view(np.uint64) != trans[rows].view(np.uint64)).any(axis=1)
+    return edges[off], rows[off]
+
+
+def _transversals(ctx: SuzukiContext, tables: np.ndarray,
+                  bound: Optional[Tuple[int, int]] = None
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Transversals (T, R) of the base orbits of H, the group of the
+    generators whose row tables are ``tables``.
+
+    T is _orbit's transversal of O1, the orbit of v1 = e_2 under H:
+    v1 t_u = u.  By Schreier's lemma the Schreier elements t_u s t_us^-1,
+    for every orbit point u and generator s, generate the stabiliser
+    H_v1; on a tree edge, where t_u s is t_us, they are trivial, so only
+    the other edges are multiplied out.  Each must fix v1, or
+    VerificationError is raised.  R is _orbit's transversal of O2, the
+    orbit of v2 = e_3 under them, which is v2^(H_v1); each r_w lies in
+    H_v1.  So |H| = |O1| |O2| |H_(v1,v2)|.
+
+    ``bound``, the base orbits of a group G that holds H, stops each
+    orbit at its size there, and both transversals stay exact.  O1(H)
+    lies in O1(G), so a full O1 is all of O1(H).  Any Schreier elements
+    lie in H_v1, within G_v1, so the orbit of v2 under some of them lies
+    in O2(H), within O2(G), and a full one is all of O2(H).  Hence, with
+    O1 full, O2 first runs under the Schreier elements of _FIRST_EDGES
+    off-tree edges of the levels before the stop.  When it comes back
+    full too, |H| >= |O1| |O2| = |G|, so H = G.  Otherwise O1 runs again
+    to its end, and O2 under the Schreier elements of every edge.
+    """
     n1, n2 = bound or (None, None)
-    gens = _dedup_generators(ctx, generators)
-    tables = kn.row_action_table(ctx, gens)
-    radix = _radix(ctx)
-
-    # One breadth-first pass over the transversals.  Each level's images
-    # t_u s, generator-major (kernels.row_action), are its edges, kept
-    # with their points us, and each new point us takes one of its
-    # images as its transversal t_us (_visit).
-    where = np.full(ctx.q ** 4, -1, dtype=np.int32)
-    where[_UNIT[_V1] @ radix] = 0
-    trans = [kn.mats_to_entries([la.identity()])]
-    edges, points = [trans[0][:0]], [np.empty(0, dtype=np.int64)]
-    count = 1
-    while len(tables) and (n1 is None or count < n1):
-        images = kn.row_action(tables, trans[-1])
-        idx = images.reshape(-1, 4, 4)[:, _V1] @ radix
-        edges.append(images)
-        points.append(idx)
-        first = _visit(where, idx, count)
-        if not len(first):
-            break
-        count += len(first)
-        trans.append(images[first])
-    last, trans = trans[-1], np.concatenate(trans)
-
-    def off_tree() -> Tuple[np.ndarray, np.ndarray]:
-        # the edge products t_u s that are not t_us, with the rows of
-        # t_us in trans: on the other edges, the tree edges among them,
-        # the Schreier element is trivial
-        ts = np.concatenate(edges)
-        rows = where[np.concatenate(points)]
-        off = (ts.view(np.uint64) != trans[rows].view(np.uint64)).any(axis=1)
-        return ts[off], rows[off]
-
-    if n1 is not None and count == n1:
-        # O1 is full, and the pass stopped before the last level's edges
-        ts, rows = off_tree()
+    t1, ts, rows = _orbit(ctx, tables, _V1, n1)
+    if len(t1) == n1:
+        ts, rows = _off_tree(t1, ts, rows)
         m = min(_FIRST_EDGES, len(ts))
         pick = np.arange(m) * len(ts) // max(m, 1)
-        inverses = kn.invert_symplectic(ctx, trans[rows[pick]])
-        o2 = _orbit_size(ctx, _schreier_tables(ctx, ts[pick], inverses),
-                         _UNIT[_V2], n2)
-        if o2 == n2:
-            return count, o2
-        edges.append(kn.row_action(tables, last))
-        points.append(edges[-1].reshape(-1, 4, 4)[:, _V1] @ radix)
-    ts, rows = off_tree()
-    inverses = kn.invert_symplectic(ctx, trans)[rows]
-    return count, _orbit_size(ctx, _schreier_tables(ctx, ts, inverses),
-                              _UNIT[_V2], n2)
+        t2 = _orbit(ctx, _schreier_tables(ctx, t1, ts[pick], rows[pick]),
+                    _V2, n2)[0]
+        if len(t2) == n2:
+            return t1, t2
+        t1, ts, rows = _orbit(ctx, tables, _V1)
+    ts, rows = _off_tree(t1, ts, rows)
+    return t1, _orbit(ctx, _schreier_tables(ctx, t1, ts, rows), _V2, n2)[0]
 
 
-def base_order(ctx: SuzukiContext, generators: Sequence[Mat4],
-               bound: Optional[Tuple[int, int]] = None) -> int:
-    """|O1| |O2| = |H : H_(v1,v2)| for H = <generators>.
+def _group(ctx: SuzukiContext, gens: List[Mat4], tables: np.ndarray,
+           t1: np.ndarray, t2: np.ndarray) -> GroupSet:
+    """H = <gens>, whose row tables are ``tables``, as the products r t,
+    r in t2 and t in t1, of the transversals of _transversals.
 
-    O1 is the orbit of v1 = e_2 under the right action of H, found by
-    one breadth-first pass that keeps a transversal product t_u
-    (v1 t_u = u) per orbit point and every edge product t_u s.  By
-    Schreier's lemma the Schreier elements t_u s t_us^-1, for every
-    orbit point u and generator s, generate the stabiliser H_v1; on a
-    tree edge, where t_u s is t_us, they are trivial, so only the other
-    edges are multiplied out.  Each must fix v1, or VerificationError is
-    raised.  O2 is the orbit of v2 = e_3 under them, which is
-    v2^(H_v1), so |H| = |O1| |H_v1| = |O1| |O2| |H_(v1,v2)|.
-
-    ``bound``, the (|O1(G)|, |O2(G)|) of checked_base_orbits for a group
-    G that holds H, stops each orbit at its size there.  The stops keep
-    the result exact.  O1(H) lies in O1(G), so a full O1 is O1(G).  Any
-    Schreier elements lie in H_v1, within G_v1, so the orbit O2' of v2
-    under some of them lies in O2(G), and |H| >= |O1(H)| |O2'|.  Once
-    both reach the bound, |H| >= |G|, so H = G.  Hence, with O1 full,
-    O2 first runs under the Schreier elements of _FIRST_EDGES off-tree
-    edges, and under all of them only if it is then short.  With no
-    bound, or with O1 short, every edge is used.
+    They are distinct: v1 r t = v1 t tells t apart, and then v2 r t
+    tells r apart.  They come out of one kernels.row_action per chunk of
+    t1 and are sorted in place through their keys.  They lie in H, and
+    the proof that they are all of it is that their set S holds I
+    (GroupSet checks) and S s = S for every generator s, compared as
+    sorted keys: then S holds every word in the generators, so S = H
+    and |H| = |O1| |O2|, which makes H_(v1,v2) trivial.  Raises
+    VerificationError otherwise, as for a nontrivial H_(v1,v2) or a
+    transversal short of its orbit: S is then a proper subset of H, and
+    not closed.
     """
-    o1, o2 = _base_orbits(ctx, generators, bound)
-    return o1 * o2
+    n1, n2 = len(t1), len(t2)
+    out = np.empty((n1 * n2, 16), dtype=np.uint8)
+    step = max(1, _CHUNK // n2)
+    for lo in range(0, n1, step):
+        out[lo * n2:(lo + step) * n2] = kn.row_action(
+            kn.row_action_table(ctx, t1[lo:lo + step]), t2)
+    keys = kn.entry_keys(ctx, out)
+    keys.sort()
+    group = GroupSet(ctx=ctx, entries=kn.key_entries(keys),
+                     generators=tuple(gens) or (la.identity(),),
+                     base_orbits=(n1, n2))
+    # as many generators at a time as fit in a chunk, and at least one:
+    # the sorted keys of S s, for k generators s, are each key of S k
+    # times
+    per = max(1, _CHUNK // group.order)
+    buf = np.empty((min(per, len(tables)) * group.order, 16), dtype=np.uint8)
+    for lo in range(0, len(tables), per):
+        tabs = tables[lo:lo + per]
+        moved = buf[:len(tabs) * group.order]
+        for at in range(0, group.order, _CHUNK):
+            rows = kn.row_action(tabs, group.entries[at:at + _CHUNK])
+            moved[at * len(tabs):at * len(tabs) + len(rows)] = rows
+        keys = kn.entry_keys(ctx, moved)
+        keys.sort()
+        if not (keys.reshape(-1, len(tabs)) == group.keys[:, None]).all():
+            raise VerificationError(
+                "the products of the base transversals are not closed "
+                "under the generators: a nontrivial element fixes e_2 "
+                "and e_3, or an orbit is short")
+    return group
 
 
-def checked_base_orbits(ctx: SuzukiContext, generators: Sequence[Mat4],
-                        order: int) -> Tuple[int, int]:
-    """The exact (|O1|, |O2|) of the group of that ``order`` that the
-    ``generators`` generate; raises VerificationError unless their
-    product is the order, that is, unless the identity alone fixes
-    (v1, v2), so that base_order is exact on every subgroup."""
-    o1, o2 = _base_orbits(ctx, generators)
-    if o1 * o2 != order:
-        raise VerificationError(
-            "a nontrivial element of the group fixes e_2 and e_3, "
-            "so base orders do not decide its subgroups")
-    return o1, o2
+def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
+            ceiling: int) -> GroupSet:
+    """The group generated by the generators, every element enumerated.
+
+    One unbounded base pass (_transversals), then the products of its
+    transversals, proved to be the whole group (_group).  Raises
+    BudgetExceededError, before any element is made, if the order
+    |O1| |O2| would pass ``ceiling``.  Deterministic: the entries are
+    the canonically sorted elements, and the generators those given,
+    without repeats.
+    """
+    if ceiling < 1:
+        raise ValueError("ceiling must be >= 1")
+    gens = _dedup_generators(ctx, generators)
+    tables = kn.row_action_table(ctx, gens)
+    t1, t2 = _transversals(ctx, tables)
+    if len(t1) * len(t2) > ceiling:
+        raise BudgetExceededError(len(t1) * len(t2), ceiling)
+    return _group(ctx, gens, tables, t1, t2)
+
+
+def subgroup(ctx: SuzukiContext, generators: Sequence[Mat4],
+             group: GroupSet) -> GroupSet:
+    """The subgroup of ``group`` generated by ``generators``.
+
+    One base pass bounded by ``group.base_orbits`` (_transversals).
+    When both orbits fill, the subgroup is ``group`` itself (Lagrange),
+    which is returned; otherwise its elements are multiplied out from
+    the exact transversals the pass holds, and proved closed (_group).
+    No classification of maximal subgroups is used.  Raises
+    VerificationError if a generator is not an element of ``group``.
+    """
+    if not group.member_mask(list(generators)).all():
+        raise VerificationError("generator outside the group")
+    gens = _dedup_generators(ctx, generators)
+    tables = kn.row_action_table(ctx, gens)
+    t1, t2 = _transversals(ctx, tables, group.base_orbits)
+    if (len(t1), len(t2)) == group.base_orbits:
+        return group
+    return _group(ctx, gens, tables, t1, t2)
 
 
 def generates(ctx: SuzukiContext, generators: Sequence[Mat4],
               group: GroupSet) -> bool:
-    """Whether ``generators`` generate all of ``group``.
-
-    Decided by Lagrange's theorem and Schreier's lemma, with no closure
-    and no classification of maximal subgroups.  For H = <generators>,
-    |H| = base_order |H_(v1,v2)|, and H_(v1,v2) lies in the stabiliser
-    of the pair in ``group``, which is trivial (GroupSet.base_orbits
-    raises VerificationError otherwise).  So base_order, bounded by the
-    group's base orbits, is |H|, and H is the group iff that is
-    |group|.  Raises VerificationError if a generator is not an element
-    of ``group``.
-    """
-    if not group.member_mask(list(generators)).all():
-        raise VerificationError("generator outside the group")
-    return base_order(ctx, generators, group.base_orbits) == group.order
+    """Whether ``generators`` generate all of ``group``: subgroup
+    returns ``group`` itself just when they do, and backs every other
+    answer by the elements of the proper subgroup."""
+    return subgroup(ctx, generators, group) is group
 
 
 def _suzuki_seeds(ctx: SuzukiContext) -> Tuple[np.ndarray, List[Mat4]]:
@@ -400,8 +413,7 @@ def _suzuki_seeds(ctx: SuzukiContext) -> Tuple[np.ndarray, List[Mat4]]:
     return sylow_ents, nontrivial[:2] + [iota]
 
 
-def build_suzuki(ctx: SuzukiContext,
-                 ceiling: Optional[int] = None) -> GroupSet:
+def build_suzuki(ctx: SuzukiContext) -> GroupSet:
     """Enumerate all of Sz(q) for q in {8, 32}.
 
     Closes the seeds of _suzuki_seeds: the first two nontrivial
@@ -413,11 +425,8 @@ def build_suzuki(ctx: SuzukiContext,
         raise SzVerifyError(
             f"full enumeration refused at q={ctx.q}: order {ctx.group_order}")
     expected = ctx.group_order
-    if ceiling is None:
-        ceiling = expected
-
     sylow_ents, seeds = _suzuki_seeds(ctx)
-    group = closure(ctx, seeds, ceiling)
+    group = closure(ctx, seeds, expected)
     if group.order != expected:
         raise VerificationError(
             f"seeds closed to order {group.order}, expected {expected}")
@@ -432,8 +441,7 @@ def conjugation_orbit(ctx: SuzukiContext, seed: Mat4,
     """Orbit of ``seed`` under conjugation by the group generators.
 
     Breadth-first, one batch of products per level: every g^-1 y g for
-    y in the frontier and g a generator, merged into sorted keys as in
-    closure.
+    y in the frontier and g a generator, merged into sorted keys.
     """
     if seed not in group:
         raise ValueError("seed is not an element of the group")

@@ -9,14 +9,14 @@ direct construction showing the restriction misses generating triples.
 Both build their triples from (sigma1^-1, sigma3^-1) with product
 iota, all at once as (n, 3, 16) entries, and check the whole batch
 (_checked_triples) through the batch kernels.  The restricted search
-closes each triple's subgroup (groups.subgroup), which is small, and
+builds each triple's subgroup (groups.subgroup), which is small, and
 takes its derived series once per distinct subgroup.  The witness walk
-only asks whether a triple generates the group: groups.generates
-reads the exact order of its subgroup off two vector orbits, by
-Schreier's lemma on the base (e_2, e_3), with no closure and no
-classification of maximal subgroups.  Both orbits stop at the size
-they have in the group, and a generating triple multiplies out only a
-few Schreier elements.
+only asks whether a triple generates the group (groups.generates): the
+base pass on (e_2, e_3) stops both orbits at the sizes they have in
+the group, and once both are full the triple generates by Lagrange's
+theorem, with no element enumerated and no classification of maximal
+subgroups.  A generating triple multiplies out only a few Schreier
+elements.
 """
 from __future__ import annotations
 

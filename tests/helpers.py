@@ -61,6 +61,31 @@ def sample(group, k: int, seed: int = 0) -> List[Mat4]:
     return [group.element(int(i)) for i in sorted(idx)]
 
 
+def bfs_closure(ctx: SuzukiContext, generators) -> np.ndarray:
+    """The group the generators generate, as canonically sorted (n, 16)
+    entries, by a keyed breadth-first closure: the reference for
+    groups.closure and groups.subgroup, which build groups from base
+    orbits instead.
+
+    The elements seen so far are kept as sorted keys
+    (kernels.entry_keys), whose order is the canonical order.  Each
+    level multiplies the frontier on the right by every generator and
+    keeps the products not seen before, until a level adds nothing.
+    """
+    gens = list(dict.fromkeys(tuple(int(v) for v in g) for g in generators))
+    tables = kn.row_action_table(ctx, gens)
+    seen = kn.entry_keys(ctx, kn.mats_to_entries([la.identity()]))
+    frontier = seen
+    while gens and len(frontier):
+        cand = np.sort(kn.entry_keys(
+            ctx, kn.row_action(tables, kn.key_entries(frontier))))
+        cand = cand[np.concatenate([[True], cand[1:] != cand[:-1]])]
+        pos = np.searchsorted(seen, cand)
+        frontier = cand[seen[np.minimum(pos, len(seen) - 1)] != cand]
+        seen = np.sort(np.concatenate([seen, frontier]))
+    return kn.key_entries(seen)
+
+
 def wilson_residual(ctx: SuzukiContext, g: Mat4, u: Vec4, v: Vec4) -> Vec4:
     """g(u) * g(v) + g(u * v); zero for members on perpendicular pairs.
 

@@ -191,10 +191,10 @@ def test_criterion_5_rank4_search(ctx8, group8, tmp_path):
         s1, s2, s3 = w.triple.mats()
         s12, s23 = la.mat_mul(f, s1, s2), la.mat_mul(f, s2, s3)
         s123 = la.mat_mul(f, s12, s3)
-        whole = gr.closure(ctx8, (s1, s2, s3), ceiling=SZ8_ORDER)
+        whole = hp.bfs_closure(ctx8, (s1, s2, s3))
         witnesses_ok.append(
             s123 == ctx8.iota and involution(s12) and involution(s23)
-            and involution(s123) and whole.order == SZ8_ORDER)
+            and involution(s123) and len(whole) == SZ8_ORDER)
 
     orders = {d.subgroup_order for d in report.details}
     facts = (report.candidates == 49 and report.successes == ()

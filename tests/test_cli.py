@@ -12,7 +12,9 @@ import pytest
 
 from szverify import cli
 from szverify import fixed_set as fs
+from szverify import groups as gr
 from szverify import kernels as kn
+from szverify.errors import BudgetExceededError
 
 
 def run(capsys, *argv):
@@ -38,12 +40,11 @@ def test_field_selftest_passes(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["no-such-command"],
-    ["build-group", "--budget", "0"],
-    ["verify-all", "--budget", "-5"],
+    ["build-group", "--budget", "200"],
     ["verify-all", "--cache-dir", "d"],
     ["verify-all", "--jobs", "2"],
-], ids=["unknown-command", "budget-zero", "budget-negative",
-        "no-cache-dir-option", "no-jobs-option"])
+], ids=["unknown-command", "no-budget-option", "no-cache-dir-option",
+        "no-jobs-option"])
 def test_usage_error_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as ex:
         cli.main(argv)
@@ -115,11 +116,15 @@ def test_search_rank4_exit_3(capsys, tmp_path):
     assert payload["certifies_nonexistence"] is False
 
 
-def test_budget_exit_4(capsys):
-    rc, _, err = run(capsys, "build-group", "--q", "8",
-                     "--budget", "200")
-    assert rc == 4
-    assert "budget exhausted" in err
+def test_budget_error_is_a_defect_exit_5(capsys, monkeypatch):
+    """The group is always closed with its own order as the ceiling, so
+    a closure that passes it is a defect: exit 5, like any other."""
+    def over(ctx, gens, ceiling):
+        raise BudgetExceededError(ceiling + 1, ceiling)
+    monkeypatch.setattr(gr, "closure", over)
+    rc, _, err = run(capsys, "build-group", "--q", "8")
+    assert rc == cli.EXIT_INTERNAL == 5
+    assert "verification error" in err
 
 
 def test_verify_all_exit_3_and_report(capsys, tmp_path):
@@ -234,7 +239,7 @@ def test_fixed_set_stage_fails_on_an_asymmetric_member():
     the census runs on the symmetric members, and the equations holding
     on every member are null.  The group is a stand-in whose scan is
     the closed form plus one asymmetric row."""
-    state = cli.RunState(argparse.Namespace(q=8, budget=None))
+    state = cli.RunState(argparse.Namespace(q=8))
     closed = fs.closed_form_X(state.ctx)
     asym = (1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
     state.__dict__["group"] = types.SimpleNamespace(

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,11 @@ from szverify.errors import (BudgetExceededError, DepthLimitError,
                              VerificationError)
 
 SZ8_ORDER = 29120
+
+# sha256 of the entries of Sz(8) as build_suzuki enumerates them, in
+# canonical order: any change in the elements or their order shows here.
+SZ8_SHA256 = \
+    "a1e37752cba1ae82e4d5b6d8db56db0266c5c36bbdce91d202ca96e24bd9655d"
 
 
 def dihedral_gens(ctx):
@@ -75,12 +82,15 @@ def test_closure_borel_many_levels(ctx8):
     """A torus element and a Sylow element (the 8th non-identity one of
     the sorted Sylow filter) generate the Borel subgroup of order
     q^2(q - 1) = 448, the largest proper subgroup.  Its elements lie up
-    to 11 levels from the identity, so the closure runs 12 levels, the
-    last of which finds nothing new."""
+    to 11 levels from the identity, yet its base orbits are (7, 64), and
+    a ceiling one short of their product refuses it before any element
+    is made."""
     gens = borel_gens(ctx8)
     members, levels = tuple_bfs(ctx8, gens)
     assert (len(members), levels) == (448, 11)
-    assert list(gr.closure(ctx8, gens, ceiling=448)) == sorted(members)
+    borel = gr.closure(ctx8, gens, ceiling=448)
+    assert list(borel) == sorted(members)
+    assert borel.base_orbits == (7, 64)
     with pytest.raises(BudgetExceededError):
         gr.closure(ctx8, gens, ceiling=447)
 
@@ -95,9 +105,15 @@ def test_groupset_requires_strictly_increasing_entries(ctx8):
     ]
     for ents in bad:
         with pytest.raises(VerificationError):
-            gr.GroupSet(ctx=ctx8, entries=ents, generators=d.generators)
+            gr.GroupSet(ctx=ctx8, entries=ents, generators=d.generators,
+                        base_orbits=d.base_orbits)
+    # base orbits whose product is not the order
+    with pytest.raises(VerificationError):
+        gr.GroupSet(ctx=ctx8, entries=d.entries.copy(),
+                    generators=d.generators, base_orbits=(7, 1))
     assert gr.GroupSet(ctx=ctx8, entries=d.entries.copy(),
-                       generators=d.generators).order == 14
+                       generators=d.generators,
+                       base_orbits=d.base_orbits).order == 14
 
 
 def test_entries_read_only(group8):
@@ -161,16 +177,18 @@ def _walk_triples(ctx, invs, count):
 
 
 def test_subgroup_agrees_with_full_closure(ctx8, group8, involutions8):
+    """subgroup against the tests' breadth-first closure, on the first
+    40 walk triples."""
     generating = proper = 0
     for triple in _walk_triples(ctx8, involutions8, 40):
         sub = gr.subgroup(ctx8, triple, group8)
-        full = gr.closure(ctx8, triple, SZ8_ORDER)
-        assert sub.order == full.order
-        if full.order == SZ8_ORDER:
+        full = hp.bfs_closure(ctx8, triple)
+        assert sub.order == len(full)
+        if len(full) == SZ8_ORDER:
             assert sub is group8
             generating += 1
         else:
-            assert np.array_equal(sub.entries, full.entries)
+            assert np.array_equal(sub.entries, full)
             proper += 1
     assert generating and proper
 
@@ -183,20 +201,34 @@ def test_subgroup_of_index_two(ctx8):
     assert c7.order == 7
     assert gr.subgroup(ctx8, dihedral_gens(ctx8), d14) is d14
     # the torus element scales e_2 by an element of order 7 and fixes no
-    # other image, so its base order is 7 * 1, the exact order of C7,
-    # half of |D14|
-    assert gr.base_order(ctx8, [fs.torus_element(ctx8, 2)]) == 7
+    # other image, so its base orbits are 7 and 1: the exact order of
+    # C7, half of |D14|
+    assert c7.base_orbits == (7, 1)
     assert not gr.generates(ctx8, [fs.torus_element(ctx8, 2)], d14)
     assert gr.generates(ctx8, dihedral_gens(ctx8), d14)
+
+
+def base_orbit_sizes(ctx, gens, bound=None):
+    """(|O1|, |O2|) of the base pass on ``gens``, stopped at ``bound``."""
+    t1, t2 = gr._transversals(ctx, kn.row_action_table(ctx, gens), bound)
+    return len(t1), len(t2)
 
 
 def test_base_order_is_exact_on_build_generators(ctx8, group8):
     """|O1| |O2| = |G| on the generators build_suzuki closes: e_2 has
     (q^2+1)(q-1) = 455 images, and the Schreier elements move e_3 onto
-    all q^2 = 64 images under its stabiliser, so (e_2, e_3) is a base."""
-    assert gr.base_order(ctx8, group8.generators) == SZ8_ORDER
+    all q^2 = 64 images under its stabiliser, so (e_2, e_3) is a base.
+    The tests' breadth-first closure finds the same 29,120 elements."""
+    assert base_orbit_sizes(ctx8, group8.generators) == (455, 64)
     assert group8.base_orbits == (455, 64)
     assert gr.generates(ctx8, group8.generators, group8)
+    assert np.array_equal(hp.bfs_closure(ctx8, group8.generators),
+                          group8.entries)
+
+
+def test_build_suzuki_q8_pinned(ctx8):
+    assert hashlib.sha256(gr.build_suzuki(ctx8).entries.tobytes()) \
+        .hexdigest() == SZ8_SHA256
 
 
 @pytest.fixture(scope="module")
@@ -208,15 +240,16 @@ def seeds32(ctx32):
 
 def test_base_order_is_exact_at_q32(ctx32, seeds32):
     """The same at q = 32, 31,775 * 1,024, on the seeds."""
-    assert gr.base_order(ctx32, seeds32) == ctx32.group_order == 32537600
+    o1, o2 = base_orbit_sizes(ctx32, seeds32)
+    assert (o1, o2) == (31775, 1024)
+    assert o1 * o2 == ctx32.group_order == 32537600
 
 
 def test_bounded_base_order_is_exact_at_q32(ctx32, seeds32):
-    """On 10 seeded pairs of words in the q = 32 seeds, the base order
-    bounded by the seeds' base orbits is the exact one, for generating
-    and proper subgroups alike."""
-    bound = gr.checked_base_orbits(ctx32, seeds32, ctx32.group_order)
-    assert bound == (31775, 1024)
+    """On 10 seeded pairs of words in the q = 32 seeds, the base orbits
+    stopped at the seeds' are the exact ones, for generating and proper
+    subgroups alike."""
+    bound = base_orbit_sizes(ctx32, seeds32)
     gens = kn.mats_to_entries(seeds32)
     rng = np.random.default_rng(32)
     orders = []
@@ -228,8 +261,9 @@ def test_bounded_base_order_is_exact_at_q32(ctx32, seeds32):
             for x in word[1:]:
                 w = kn.mat_mul_pairs(ctx32, w, x)
             pair.append(kn.entries_to_mat(w[0]))
-        orders.append(gr.base_order(ctx32, pair, bound))
-        assert orders[-1] == gr.base_order(ctx32, pair)
+        orbits = base_orbit_sizes(ctx32, pair, bound)
+        assert orbits == base_orbit_sizes(ctx32, pair)
+        orders.append(orbits[0] * orbits[1])
     assert orders.count(ctx32.group_order) == 6
 
 
@@ -238,27 +272,55 @@ def test_generates_needs_both_base_orbits(ctx8):
     the Sylow centre Z, generate Z:C7 of order 56 with base orbits
     (7, 8).  <d> moves e_2 onto all 7 of its images there, yet fixes
     e_3 up to a scalar, so its full O1 does not make it the group: its
-    O2 stays at 1 and its bounded base order is 7."""
+    O2 stays at 1 and its subgroup has order 7."""
     _, seeds = gr._suzuki_seeds(ctx8)
     d = fs.torus_element(ctx8, 2)
     group = gr.closure(ctx8, seeds[:2] + [d], ceiling=100)
     assert (group.order, group.base_orbits) == (56, (7, 8))
-    assert gr.base_order(ctx8, [d], group.base_orbits) == 7
+    assert gr.subgroup(ctx8, [d], group).order == 7
     assert not gr.generates(ctx8, [d], group)
     assert gr.generates(ctx8, [d, seeds[0]], group)
 
 
-def test_generates_refuses_a_group_with_a_nontrivial_base_stabiliser(ctx8):
-    """generates reads |H| off the base (e_2, e_3), which needs the
-    group to fix that pair by the identity alone.  <t> for the
-    transvection t fixes rows e_2 and e_3, so its base order is 1
-    against order 2, and generates raises rather than answer."""
+def test_closure_refuses_a_group_with_a_nontrivial_base_stabiliser(ctx8):
+    """closure reads |H| off the base (e_2, e_3), which needs the group
+    to fix that pair by the identity alone.  <t> for the transvection t
+    fixes rows e_2 and e_3, so its base orbits give 1 against order 2,
+    and closure raises rather than return the identity alone."""
     t = wl.e1_transvection(ctx8)
-    group = gr.closure(ctx8, [t], ceiling=10)
-    assert group.order == 2
-    assert gr.base_order(ctx8, [t]) == 1
+    assert len(hp.bfs_closure(ctx8, [t])) == 2
+    assert base_orbit_sizes(ctx8, [t]) == (1, 1)
     with pytest.raises(VerificationError):
-        gr.generates(ctx8, [t], group)
+        gr.closure(ctx8, [t], ceiling=10)
+
+
+@pytest.mark.parametrize("v", [1, 2], ids=["e2", "e3"])
+@pytest.mark.parametrize("edges_too", [True, False],
+                         ids=["point-and-edges", "point"])
+def test_a_short_orbit_raises_rather_than_shrink(ctx8, group8, monkeypatch,
+                                                 v, edges_too):
+    """An orbit routine that drops the last new point of the orbit of
+    e_2 (or of e_3) makes closure and subgroup raise VerificationError
+    rather than return a smaller group.  If it drops every edge into the
+    point too, as if the search had missed it, the products of the
+    transversals are not closed under the generators; otherwise an edge
+    leaves the orbit."""
+    orbit = gr._orbit
+
+    def short(ctx, tables, seed, size=None):
+        trans, edges, rows = orbit(ctx, tables, seed, size)
+        if seed == v and len(trans) > 1:
+            trans = trans[:-1]
+            if edges_too:
+                kept = rows < len(trans)
+                edges, rows = edges[kept], rows[kept]
+        return trans, edges, rows
+    monkeypatch.setattr(gr, "_orbit", short)
+    for gens in (group8.generators, borel_gens(ctx8)):
+        with pytest.raises(VerificationError):
+            gr.closure(ctx8, gens, SZ8_ORDER)
+        with pytest.raises(VerificationError):
+            gr.subgroup(ctx8, gens, group8)
 
 
 def test_subgroup_rejects_outside_generator(ctx8, group8):
@@ -284,7 +346,7 @@ def test_subgroup_rejects_entries_outside_field(request, ctx_name, group8):
 
 def test_closure_budget(ctx8):
     with pytest.raises(BudgetExceededError):
-        gr.build_suzuki(ctx8, ceiling=500)
+        gr.closure(ctx8, gr._suzuki_seeds(ctx8)[1], ceiling=500)
 
 
 def test_build_suzuki_order_and_determinism(ctx8):
@@ -360,13 +422,13 @@ def test_derived_series_depth_limit(ctx8):
 
 
 def derived_oracle(ctx, h):
-    """The closure of all |H|^2 commutators (ba)^-1 ab by scalar
-    products: normal by construction, so the derived subgroup."""
+    """The breadth-first closure of all |H|^2 commutators (ba)^-1 ab by
+    scalar products: normal by construction, so the derived subgroup."""
     f = ctx.field
     els = list(h)
     comms = {la.mat_mul(f, la.invert(f, la.mat_mul(f, b, a)),
                         la.mat_mul(f, a, b)) for a in els for b in els}
-    return gr.closure(ctx, sorted(comms), h.order)
+    return hp.bfs_closure(ctx, sorted(comms))
 
 
 def test_derived_subgroup_matches_oracle(ctx8, group8):
@@ -383,7 +445,7 @@ def test_derived_subgroup_matches_oracle(ctx8, group8):
     assert len(subs) == 50
     for h in subs:
         assert np.array_equal(gr.derived_subgroup(ctx8, h).entries,
-                              derived_oracle(ctx8, h).entries)
+                              derived_oracle(ctx8, h))
 
 
 def test_conjugation_orbit_q32_dihedral(ctx32):

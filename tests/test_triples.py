@@ -9,7 +9,7 @@ from szverify import groups as gr
 from szverify import kernels as kn
 from szverify import linalg4 as la
 from szverify import triples as tr
-from szverify.errors import BudgetExceededError, VerificationError
+from szverify.errors import VerificationError
 
 # Frozen from the first full search run at q = 8.
 EXPECTED_CANDIDATES = 49
@@ -165,37 +165,36 @@ def test_walk_makes_no_scalar_inverse_or_order_calls(ctx8, group8,
 
 def test_walk_closes_no_generating_triple(ctx8, group8, monkeypatch):
     """search_rank4 with 32 witnesses decides every generating triple
-    by its base order, so no closure reaches its budget, and it takes
-    the derived series once for each of the 2 distinct torus subgroups
-    (orders 2 and 14), not once per torus triple."""
-    budget_hits = []
+    by its base orbits, so no group it multiplies out is the whole
+    group, and it takes the derived series once for each of the 2
+    distinct torus subgroups (orders 2 and 14), not once per torus
+    triple."""
+    built = []
     series = []
-    close, derived = gr.closure, gr.derived_series
+    make, derived = gr._group, gr.derived_series
 
-    def recorded_closure(ctx, gens, ceiling):
-        try:
-            return close(ctx, gens, ceiling)
-        except BudgetExceededError:
-            budget_hits.append(ceiling)
-            raise
+    def recorded_group(*args):
+        out = make(*args)
+        built.append(out.order)
+        return out
 
     def recorded_series(ctx, group, depth_limit=8):
         series.append(group.order)
         return derived(ctx, group, depth_limit)
-    monkeypatch.setattr(gr, "closure", recorded_closure)
+    monkeypatch.setattr(gr, "_group", recorded_group)
     monkeypatch.setattr(gr, "derived_series", recorded_series)
     report = tr.search_rank4(ctx8, group8, witness_count=32)
     assert len(report.witnesses) == 32
-    assert budget_hits == []
+    assert built and max(built) < group8.order
     assert sorted(series) == [2, 14]
 
 
 @pytest.fixture(scope="module")
-def certificate_groups(ctx8, involutions8):
+def certificate_groups(ctx8, group8, involutions8):
     """The 1,408 groups of the generation certificate tests, as
-    (kind, generators, exact base order): the 453 walk triples with
-    their facet groups <s1, s2> and vertex-figure groups <s2, s3>, and
-    the 49 torus triples."""
+    (kind, generators, order of groups.subgroup): the 453 walk triples
+    with their facet groups <s1, s2> and vertex-figure groups <s2, s3>,
+    and the 49 torus triples."""
     ws = kn.mats_to_entries([w for w in involutions8 if w != ctx8.iota])
     rev = ws.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
     torus = kn.mats_to_entries(fs.torus_elements(ctx8))
@@ -215,28 +214,34 @@ def certificate_groups(ctx8, involutions8):
             for part, cols in parts[name].items():
                 mats = [kn.entries_to_mat(row[c]) for c in cols]
                 groups.append((f"{name} {part}", mats,
-                               gr.base_order(ctx8, mats)))
+                               gr.subgroup(ctx8, mats, group8).order))
     return groups
 
 
 def test_generation_certificate_on_every_triple(ctx8, group8,
                                                 certificate_groups):
-    """base_order is the exact order on all 1,408 groups.  A base order
-    is an index |H : H_(e2,e3)|, never above |H|, so a group whose base
-    order is |G| is G and needs no closure; every other one is closed,
-    and its order must be the base order.  The base order bounded by
-    G's base orbits is the same, and generates agrees throughout."""
-    generating, closed = {}, 0
+    """subgroup against the tests' breadth-first closure on all 1,408
+    groups.  Every proper subgroup must have the closure's elements,
+    and every generating verdict on a seeded sample of 64 must close to
+    all of G.  The generating counts are those the base orders gave
+    before subgroup was built from them."""
+    generating, proper = {}, 0
+    whole = []
     for key, mats, order in certificate_groups:
-        if order != group8.order:
-            assert gr.closure(ctx8, mats, group8.order).order == order
-            closed += 1
-        assert gr.base_order(ctx8, mats, group8.base_orbits) == order
+        if order == group8.order:
+            whole.append(mats)
+        else:
+            assert np.array_equal(gr.subgroup(ctx8, mats, group8).entries,
+                                  hp.bfs_closure(ctx8, mats))
+            proper += 1
         assert gr.generates(ctx8, mats, group8) == (order == group8.order)
         generating[key] = generating.get(key, 0) + (order == group8.order)
     assert generating == {"walk triple": 448, "walk F": 434, "walk V": 436,
                           "torus triple": 0}
-    assert closed == 3 * 453 + 49 - 448 - 434 - 436 == 90
+    assert proper == 3 * 453 + 49 - 448 - 434 - 436 == 90
+    rng = np.random.default_rng(1408)
+    for i in rng.choice(len(whole), size=64, replace=False):
+        assert len(hp.bfs_closure(ctx8, whole[i])) == group8.order
 
 
 def test_second_batch_keeps_every_verdict(ctx8, group8, certificate_groups,
@@ -244,26 +249,23 @@ def test_second_batch_keeps_every_verdict(ctx8, group8, certificate_groups,
     """With a first batch of one Schreier element, which cannot move e_3
     onto all 64 points of its orbit, O2 comes out short on every group
     with a full O1, and the second batch, every edge, decides it: each
-    bounded base order and each verdict of generates stays the same.
-    (With the default batch, no group here takes the second batch.)"""
-    bound = group8.base_orbits
+    subgroup order stays the same.  (With the default batch, no group
+    here takes the second batch.)"""
     runs = []
-    orbit_size = gr._orbit_size
+    orbit = gr._orbit
 
-    def counted(*args):
-        runs[-1] += 1
-        return orbit_size(*args)
+    def counted(ctx, tables, v, size=None):
+        runs[-1] += v == 2
+        return orbit(ctx, tables, v, size)
     monkeypatch.setattr(gr, "_FIRST_EDGES", 1)
-    monkeypatch.setattr(gr, "_orbit_size", counted)
+    monkeypatch.setattr(gr, "_orbit", counted)
     for _, mats, order in certificate_groups:
         runs.append(0)
-        assert gr.base_order(ctx8, mats, bound) == order
-        runs.append(0)
-        assert gr.generates(ctx8, mats, group8) == (order == group8.order)
+        assert gr.subgroup(ctx8, mats, group8).order == order
     # one orbit of e_3 per call, and a second one on every generating
     # group, where the first batch left O2 short
     assert max(runs) == 2
-    assert runs.count(2) == 2 * (448 + 434 + 436)
+    assert runs.count(2) == 448 + 434 + 436
 
 
 def test_walk_multiplies_out_few_schreier_elements(ctx8, group8, monkeypatch):
