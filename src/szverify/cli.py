@@ -216,7 +216,7 @@ def _stage_involutions(state: RunState):
     group = state.group
     invs = gr.involutions(group)
     expected = ctx.involution_count
-    orbit = gr.conjugation_orbit(ctx, tuple(ctx.iota), group)
+    orbit = gr.conjugation_orbit(ctx, tuple(ctx.iota), group.generators)
     single = orbit == set(invs)
     findings = {"count": len(invs), "expected": expected,
                 "orbit_of_iota": len(orbit), "single_class": single}

@@ -1,15 +1,16 @@
 """Exhaustive group machinery over 4x4 matrices.
 
 One way to build a group: the base pass on (e_2, e_3) (Sims 1970;
-Seress, Permutation Group Algorithms, 2003, ch. 4).  One orbit routine
-runs twice, for e_2 under the generators and for e_3 under the
-Schreier elements, and keeps a transversal matrix per orbit point; the
-elements are the products of the two transversals, proved to be the
-whole group by a closedness check.  closure builds any group that way,
-Sz(q) included, and subgroup (with generates on it) stops both orbits
-at the sizes they have in the enclosing group.  Also here: the cached
-fixed-point scan and the involutions read off it, conjugation orbits,
-element orders, derived series.
+Seress, Permutation Group Algorithms, 2003, ch. 4), for a batch of
+generator sets at once.  One orbit routine runs twice, for e_2 under
+each set's generators and for e_3 under its Schreier elements, and
+keeps a transversal matrix per orbit point; the elements are the
+products of the two transversals, proved to be the whole group by a
+closedness check.  subgroups is the one entry point: closure and
+subgroup (with generates on it) are its batches of one, and bounded by
+an enclosing group it stops both orbits at their sizes there.  Also
+here: the cached fixed-point scan and the involutions read off it,
+conjugation orbits, element orders, derived series.
 """
 from __future__ import annotations
 
@@ -117,30 +118,27 @@ class GroupSet:
         return kn.entries_to_mat(self.entries[i])
 
 
-def _dedup_generators(ctx: SuzukiContext, generators: Sequence[Mat4]) -> List[Mat4]:
-    """The generators in first-seen order without repeats, each checked
-    to lie in Sp4(q) by one kernels.invert_symplectic call."""
-    gens = [tuple(int(v) for v in g) for g in generators]
-    kn.invert_symplectic(ctx, np.array(gens))
-    return list(dict.fromkeys(gens))
-
-
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """The keys sorted and without repeats: np.unique without its
-    overhead, the first key of each run."""
-    keys = np.sort(keys)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
+def _dedup_generators(ctx: SuzukiContext,
+                      generator_sets: Sequence[Sequence[Mat4]]
+                      ) -> List[List[Mat4]]:
+    """Each set's generators in first-seen order without repeats, all of
+    them checked to lie in Sp4(q) by one kernels.invert_symplectic
+    call."""
+    sets = [list(dict.fromkeys(tuple(map(int, g)) for g in gens))
+            for gens in generator_sets]
+    kn.invert_symplectic(ctx, np.array([g for gens in sets for g in gens],
+                                       dtype=np.int64).reshape(-1, 16))
+    return sets
 
 
 def _fresh_keys(seen: np.ndarray,
                 cand: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The keys of ``cand`` not in the sorted ``seen``, sorted and without
     repeats, and the positions in ``seen`` where they go."""
-    cand = _sorted_unique(cand)
+    cand = np.sort(cand)
     pos = np.searchsorted(seen, cand)
     fresh = seen[np.minimum(pos, len(seen) - 1)] != cand
+    fresh[1:] &= cand[1:] != cand[:-1]
     return cand[fresh], pos[fresh]
 
 
@@ -152,20 +150,27 @@ def _fresh_keys(seen: np.ndarray,
 _V1, _V2 = 1, 2
 _UNIT = np.eye(4, dtype=np.uint8)
 
-# Off-tree edges in _transversals' first batch of Schreier elements,
-# spread evenly over the edges in orbit order.  With 16, none of the
-# 1,318 generating walk groups at q = 8 needed the second batch; with 8,
-# 21 did.
+# Off-tree edges per set in _transversals' first batch of Schreier
+# elements, spread evenly over its edges in orbit order.  With 16, none
+# of the 1,318 generating walk groups at q = 8 needed the second batch;
+# with 8, 21 did.
 _FIRST_EDGES = 16
 
 # Rows per step of _group's products and of GroupSet's order check, so
 # that their temporaries stay under a MB even for a whole Sz(32).
 _CHUNK = 1 << 12
 
+# Entries of the int32 visit array over (set, point) that one batch of
+# subgroups shares, and at least one set's q^4: 8 sets a batch at q = 8,
+# whose temporaries stay near 0.6 MB (16 ran the 32-triple walk 15 %
+# faster, but raised the process's peak RSS by 0.5 MB), and one at
+# q = 32, where 4 a batch measured slower.
+_VISIT = 1 << 15
+
 
 def _radix(ctx: SuzukiContext) -> np.ndarray:
     """v @ _radix(ctx) numbers the q^4 row vectors v from 0."""
-    return ctx.q ** np.arange(3, -1, -1)
+    return ctx.q ** np.arange(3, -1, -1, dtype=np.int32)
 
 
 def _visit(where: np.ndarray, idx: np.ndarray, count: int) -> np.ndarray:
@@ -185,109 +190,181 @@ def _visit(where: np.ndarray, idx: np.ndarray, count: int) -> np.ndarray:
     return first
 
 
-def _orbit(ctx: SuzukiContext, tables: np.ndarray, v: int,
-           size: Optional[int] = None
-           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A transversal of the orbit of the unit row vector e_v under the
-    matrices whose row_action_tables are stacked in ``tables``, (k, 4, q),
-    and the products that found it.
+def _orbit(ctx: SuzukiContext, tables: np.ndarray, owners: np.ndarray,
+           v: int, size: Optional[int], where: np.ndarray,
+           keep_edges: bool = True
+           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Transversals of the orbits of the unit row vector e_v under the
+    matrices of each set in ``owners``, whose row_action_tables are
+    ``tables[o]`` ((m, k, 4, q), shorter sets padded with I's).
 
-    Returns (trans, edges, rows).  ``trans`` holds one product t of the
-    matrices per orbit point as (n, 16) entries, the point being e_v t
-    (row v of t); the seed's t is the identity.  ``edges`` holds every
-    product t s that the search formed, and ``rows`` the row in
-    ``trans`` of each one's point.
+    Returns (trans, owner, edges, rows).  ``trans`` holds one product t
+    of its set's matrices per orbit point, the point being e_v t (row v
+    of t), and ``owner`` that set; each seed's t is I.  ``edges`` holds
+    the products t_u s formed that are not t_us, the transversal of
+    their point, and ``rows`` the row of t_us in ``trans``; on the other
+    edges, the tree edges among them, the Schreier element t_u s t_us^-1
+    is trivial.  Both stay empty unless ``keep_edges``.
 
-    Breadth-first: each level multiplies the last level's transversals
-    by every matrix (kernels.row_action), and each point not numbered
-    yet, in a dense array over all q^4 vectors, takes one of its images
-    (_visit).  Stops once the orbit holds ``size`` points, if given,
-    before that level is multiplied out; with no stop, every t s is in
-    ``edges``.
+    Breadth-first, one step per level for all sets: each row of the last
+    level is multiplied by the matrices of its own set, matrix by matrix
+    (kernels.row_action with owners), so each set sees its products in
+    the order of a search of its own, and each point not numbered yet in
+    ``where``, the batch's visit array over (set, point), takes one of
+    its images (_visit).  ``where`` must hold -1 throughout, and the
+    points numbered are reset, which leaves it so.  A set stops once its
+    orbit holds ``size`` points, if given, before its next level.
     """
+    q4 = ctx.q ** 4
     radix = _radix(ctx)
-    where = np.full(ctx.q ** 4, -1, dtype=np.int32)
-    where[_UNIT[v] @ radix] = 0
-    trans, edges, rows = [_UNIT.reshape(1, 16)], [], []
-    count = 1
-    while len(tables) and len(trans[-1]) and (size is None or count < size):
-        images = kn.row_action(tables, trans[-1])
-        idx = images.reshape(-1, 4, 4)[:, v] @ radix
-        first = _visit(where, idx, count)
-        count += len(first)
-        trans.append(images[first])
-        edges.append(images)
-        rows.append(where[idx])
-    return (np.concatenate(trans), np.concatenate(edges or [trans[0][:0]]),
+    m, k = tables.shape[:2]
+    owners = owners.astype(np.int32)
+    trans = front = np.tile(_UNIT.reshape(1, 16), (len(owners), 1))
+    fown, towner = owners, [owners]
+    seen = [owners * q4 + _UNIT[v] @ radix]
+    where[seen[0]] = np.arange(len(owners))
+    edges, rows = [], []
+    counts = np.bincount(owners, minlength=m)
+    while k and len(front):
+        if size is not None:
+            live = counts[fown] < size
+            if not live.all():
+                front, fown = front[live], fown[live]
+                if not len(front):
+                    break
+        images = kn.row_action(tables, front, fown)
+        own = np.concatenate([fown] * k)
+        idx = own * q4 + images.reshape(-1, 4, 4)[:, v] @ radix
+        first = _visit(where, idx, len(trans))
+        front, fown = images[first], own[first]
+        trans = np.concatenate([trans, front])
+        towner.append(fown)
+        seen.append(idx[first])
+        if size is not None:
+            counts += np.bincount(fown, minlength=m)
+        if keep_edges:
+            at = where[idx]
+            off = (images.view(np.uint64)
+                   != trans[at].view(np.uint64)).any(axis=1)
+            edges.append(images[off])
+            rows.append(at[off])
+    where[np.concatenate(seen)] = -1
+    return (trans, np.concatenate(towner),
+            np.concatenate(edges or [trans[:0]]),
             np.concatenate(rows or [np.empty(0, dtype=np.int32)]))
 
 
-def _schreier_tables(ctx: SuzukiContext, trans: np.ndarray,
-                     edges: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The row tables of the distinct Schreier elements t_u s t_us^-1,
-    for the edge products t_u s in ``edges`` and the rows in ``trans``
-    of their points' transversals t_us.  Each must fix v1, or
+def _check_edges(trans: np.ndarray, rows: np.ndarray) -> None:
+    """Each edge of an _orbit search must end in the orbit, or
     VerificationError is raised."""
-    if not len(edges):
-        return kn.row_action_table(ctx, edges)
+    if not (rows < len(trans)).all():
+        raise VerificationError("an edge leaves the orbit")
+
+
+def _spread(owner: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """Positions of up to _FIRST_EDGES edges of each ``chosen`` set,
+    spread evenly over its edges in the order given, whose sets
+    ``owner`` holds."""
+    order = np.argsort(owner, kind="stable")
+    n = np.bincount(owner, minlength=len(chosen))
+    take = np.where(chosen, np.minimum(_FIRST_EDGES, n), 0)
+    j = np.arange(_FIRST_EDGES)
+    at = (np.cumsum(n) - n)[:, None] + j * n[:, None] // np.maximum(
+        take, 1)[:, None]
+    return order[at[j < take[:, None]]]
+
+
+def _schreier_tables(ctx: SuzukiContext, trans: np.ndarray,
+                     owner: np.ndarray, edges: np.ndarray, rows: np.ndarray,
+                     m: int) -> np.ndarray:
+    """Row tables of the distinct Schreier elements t_u s t_us^-1 of
+    each of m sets, (m, k, 4, q) padded with I's, for the products
+    t_u s in ``edges`` and the rows of t_us in ``trans``, whose sets
+    ``owner`` holds: one kernels.mat_mul_pairs call for all.  Each must
+    fix v1, or VerificationError is raised."""
     schreier = kn.mat_mul_pairs(
         ctx, edges, kn.invert_symplectic(ctx, trans[rows]))
     if not (schreier.reshape(-1, 4, 4)[:, _V1] == _UNIT[_V1]).all():
         raise VerificationError("a Schreier element moves e_2")
-    return kn.row_action_table(
-        ctx, kn.key_entries(_sorted_unique(kn.entry_keys(ctx, schreier))))
+    own = owner[rows]
+    keys = kn.entry_keys(ctx, schreier)
+    order = np.lexsort((keys, own))
+    keys, own = keys[order], own[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]) | (own[1:] != own[:-1])
+    keys, own = keys[new], own[new]
+    n = np.bincount(own, minlength=m)
+    tables = np.empty((m, n.max(initial=0), 4, ctx.q), dtype=np.uint32)
+    tables[:] = kn.row_action_table(ctx, _UNIT)
+    tables[own, np.arange(len(own)) - (np.cumsum(n) - n)[own]] = \
+        kn.row_action_table(ctx, kn.key_entries(keys))
+    return tables
 
 
-def _off_tree(trans: np.ndarray, edges: np.ndarray,
-              rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The edge products t_u s of an _orbit search that are not t_us,
-    with the rows of t_us in ``trans``: on the other edges, the tree
-    edges among them, the Schreier element t_u s t_us^-1 is trivial.
-    Each edge must end in the orbit, or VerificationError is raised."""
-    if not (rows < len(trans)).all():
-        raise VerificationError("an edge leaves the orbit")
-    off = (edges.view(np.uint64) != trans[rows].view(np.uint64)).any(axis=1)
-    return edges[off], rows[off]
-
-
-def _transversals(ctx: SuzukiContext, tables: np.ndarray,
+def _transversals(ctx: SuzukiContext, tables: np.ndarray, where: np.ndarray,
                   bound: Optional[Tuple[int, int]] = None
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Transversals (T, R) of the base orbits of H, the group of the
-    generators whose row tables are ``tables``.
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Transversals T and R of the base orbits of H_o, the group of each
+    set o of generators, whose row tables are ``tables[o]``: (T, the set
+    of each row of T, R, the set of each row of R), each set's rows in
+    orbit order.  ``where`` is the batch's visit array (_orbit).
 
     T is _orbit's transversal of O1, the orbit of v1 = e_2 under H:
     v1 t_u = u.  By Schreier's lemma the Schreier elements t_u s t_us^-1,
     for every orbit point u and generator s, generate the stabiliser
-    H_v1; on a tree edge, where t_u s is t_us, they are trivial, so only
-    the other edges are multiplied out.  Each must fix v1, or
-    VerificationError is raised.  R is _orbit's transversal of O2, the
-    orbit of v2 = e_3 under them, which is v2^(H_v1); each r_w lies in
-    H_v1.  So |H| = |O1| |O2| |H_(v1,v2)|.
+    H_v1; where t_u s is t_us they are trivial, so only the other edges,
+    which _orbit keeps, are multiplied out.  Each must fix v1, and each
+    edge must end in the orbit, or VerificationError is raised.  R is
+    _orbit's transversal of O2, the orbit of v2 = e_3 under them, which
+    is v2^(H_v1).  So |H| = |O1| |O2| |H_(v1,v2)|.
 
-    ``bound``, the base orbits of a group G that holds H, stops each
-    orbit at its size there, and both transversals stay exact.  O1(H)
-    lies in O1(G), so a full O1 is all of O1(H).  Any Schreier elements
-    lie in H_v1, within G_v1, so the orbit of v2 under some of them lies
-    in O2(H), within O2(G), and a full one is all of O2(H).  Hence, with
-    O1 full, O2 first runs under the Schreier elements of _FIRST_EDGES
-    off-tree edges of the levels before the stop.  When it comes back
-    full too, |H| >= |O1| |O2| = |G|, so H = G.  Otherwise O1 runs again
-    to its end, and O2 under the Schreier elements of every edge.
+    ``bound``, the base orbits of a group G that holds every H, stops
+    each orbit at its size there, and all transversals stay exact.
+    O1(H) lies in O1(G), so a full O1 is all of O1(H).  Any Schreier
+    elements lie in H_v1, within G_v1, so the orbit of v2 under some of
+    them lies in O2(H), within O2(G), and a full one is all of O2(H).
+    Hence, for the sets with O1 full, O2 first runs under the Schreier
+    elements of _FIRST_EDGES edges each of the levels before the stop.
+    When it comes back full too, |H| >= |O1| |O2| = |G|, so H = G.
+    Otherwise O1 runs again to its end, and O2 under the Schreier
+    elements of every edge, as it does at once for the sets whose O1
+    ran to its end short of full.
     """
+    m = len(tables)
     n1, n2 = bound or (None, None)
-    t1, ts, rows = _orbit(ctx, tables, _V1, n1)
-    if len(t1) == n1:
-        ts, rows = _off_tree(t1, ts, rows)
-        m = min(_FIRST_EDGES, len(ts))
-        pick = np.arange(m) * len(ts) // max(m, 1)
-        t2 = _orbit(ctx, _schreier_tables(ctx, t1, ts[pick], rows[pick]),
-                    _V2, n2)[0]
-        if len(t2) == n2:
-            return t1, t2
-        t1, ts, rows = _orbit(ctx, tables, _V1)
-    ts, rows = _off_tree(t1, ts, rows)
-    return t1, _orbit(ctx, _schreier_tables(ctx, t1, ts, rows), _V2, n2)[0]
+    t1, own1, edges, rows = _orbit(ctx, tables, np.arange(m), _V1, n1, where)
+    _check_edges(t1, rows)
+    full = np.zeros(m, dtype=bool)
+    if n1 is not None:
+        full = np.bincount(own1, minlength=m) == n1
+    short = full
+    t2, own2 = t1[:0], own1[:0]
+    if full.any():
+        pick = _spread(own1[rows], full)
+        t2, own2 = _orbit(
+            ctx, _schreier_tables(ctx, t1, own1, edges[pick], rows[pick], m),
+            np.flatnonzero(full), _V2, n2, where, keep_edges=False)[:2]
+        short = full & (np.bincount(own2, minlength=m) != n2)
+        kept = ~short[own2]
+        t2, own2 = t2[kept], own2[kept]
+    rest = ~full | short
+    if not rest.any():
+        return t1, own1, t2, own2
+    r1, rown, redges, rrows = t1[:0], own1[:0], edges[:0], rows[:0]
+    if short.any():
+        r1, rown, redges, rrows = _orbit(
+            ctx, tables, np.flatnonzero(short), _V1, None, where)
+        _check_edges(r1, rrows)
+    sel = ~full[own1[rows]]
+    u2, uown = _orbit(
+        ctx, _schreier_tables(ctx, np.concatenate([t1, r1]),
+                              np.concatenate([own1, rown]),
+                              np.concatenate([edges[sel], redges]),
+                              np.concatenate([rows[sel], rrows + len(t1)]), m),
+        np.flatnonzero(rest), _V2, n2, where, keep_edges=False)[:2]
+    kept = ~short[own1]
+    return (np.concatenate([t1[kept], r1]), np.concatenate([own1[kept], rown]),
+            np.concatenate([t2, u2]), np.concatenate([own2, uown]))
 
 
 def _group(ctx: SuzukiContext, gens: List[Mat4], tables: np.ndarray,
@@ -338,46 +415,70 @@ def _group(ctx: SuzukiContext, gens: List[Mat4], tables: np.ndarray,
     return group
 
 
-def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
-            ceiling: int) -> GroupSet:
-    """The group generated by the generators, every element enumerated.
+def subgroups(ctx: SuzukiContext, generator_sets: Sequence[Sequence[Mat4]],
+              group: Optional[GroupSet] = None,
+              ceiling: Optional[int] = None) -> List[GroupSet]:
+    """The group each set of generators generates: one base pass
+    (_transversals) for a batch of _VISIT // q^4 sets (at least one) at
+    a time.
 
-    One unbounded base pass (_transversals), then the products of its
-    transversals, proved to be the whole group (_group).  Raises
-    BudgetExceededError, before any element is made, if the order
-    |O1| |O2| would pass ``ceiling``.  Deterministic: the entries are
-    the canonically sorted elements, and the generators those given,
-    without repeats.
+    With ``group`` the pass is bounded by ``group.base_orbits``, and
+    VerificationError is raised if a generator is not an element of
+    ``group``.  Without, it is unbounded, and BudgetExceededError is
+    raised if an order |O1| |O2| would pass ``ceiling``, before any
+    element of that batch is made.
+
+    One rule answers a set from a group H proved already, ``group``
+    itself or a proper subgroup built earlier in the call: H holds the
+    set's generators and has the base orbits the set's pass found.
+    Then <gens> <= H and |<gens>| >= |O1| |O2| = |H|, so <gens> = H
+    (Lagrange): equal subgroups come back as one object, and a set that
+    generates ``group`` gets ``group`` itself.  The other sets have
+    their elements multiplied out from the exact transversals of the
+    pass and proved closed (_group).  No classification of maximal
+    subgroups is used.  Deterministic: the entries are the canonically
+    sorted elements, and the generators those given, without repeats.
     """
-    if ceiling < 1:
-        raise ValueError("ceiling must be >= 1")
-    gens = _dedup_generators(ctx, generators)
-    tables = kn.row_action_table(ctx, gens)
-    t1, t2 = _transversals(ctx, tables)
-    if len(t1) * len(t2) > ceiling:
-        raise BudgetExceededError(len(t1) * len(t2), ceiling)
-    return _group(ctx, gens, tables, t1, t2)
+    sets = [list(gens) for gens in generator_sets]
+    if group is not None and not group.member_mask(
+            [g for gens in sets for g in gens]).all():
+        raise VerificationError("generator outside the group")
+    sets = _dedup_generators(ctx, sets)
+    proved = [] if group is None else [group]
+    out: List[GroupSet] = []
+    per = max(1, _VISIT // ctx.q ** 4)
+    for batch in (sets[lo:lo + per] for lo in range(0, len(sets), per)):
+        m, k = len(batch), max(map(len, batch))
+        ents = np.tile(_UNIT.reshape(1, 1, 16), (m, k, 1))
+        for o, gens in enumerate(batch):
+            ents[o, :len(gens)] = np.reshape(gens, (-1, 16))
+        tables = kn.row_action_table(ctx, ents).reshape(m, k, 4, ctx.q)
+        where = np.full(m * ctx.q ** 4, -1, dtype=np.int32)
+        t1, own1, t2, own2 = _transversals(
+            ctx, tables, where, group.base_orbits if group else None)
+        n1 = np.bincount(own1, minlength=m)
+        n2 = np.bincount(own2, minlength=m)
+        if ceiling is not None and (n1 * n2 > ceiling).any():
+            o = int(np.argmax(n1 * n2 > ceiling))
+            raise BudgetExceededError(int(n1[o] * n2[o]), ceiling)
+        for o, gens in enumerate(batch):
+            orbits = (int(n1[o]), int(n2[o]))
+            h = next((h for h in proved if h.base_orbits == orbits and (
+                h is group or h.member_mask(ents[o, :len(gens)]).all())),
+                None)
+            if h is None:
+                h = _group(ctx, gens, tables[o, :len(gens)], t1[own1 == o],
+                           t2[own2 == o])
+                proved.append(h)
+            out.append(h)
+    return out
 
 
 def subgroup(ctx: SuzukiContext, generators: Sequence[Mat4],
              group: GroupSet) -> GroupSet:
-    """The subgroup of ``group`` generated by ``generators``.
-
-    One base pass bounded by ``group.base_orbits`` (_transversals).
-    When both orbits fill, the subgroup is ``group`` itself (Lagrange),
-    which is returned; otherwise its elements are multiplied out from
-    the exact transversals the pass holds, and proved closed (_group).
-    No classification of maximal subgroups is used.  Raises
-    VerificationError if a generator is not an element of ``group``.
-    """
-    if not group.member_mask(list(generators)).all():
-        raise VerificationError("generator outside the group")
-    gens = _dedup_generators(ctx, generators)
-    tables = kn.row_action_table(ctx, gens)
-    t1, t2 = _transversals(ctx, tables, group.base_orbits)
-    if (len(t1), len(t2)) == group.base_orbits:
-        return group
-    return _group(ctx, gens, tables, t1, t2)
+    """The subgroup of ``group`` generated by ``generators``: subgroups
+    on a batch of one."""
+    return subgroups(ctx, [generators], group)[0]
 
 
 def generates(ctx: SuzukiContext, generators: Sequence[Mat4],
@@ -386,6 +487,17 @@ def generates(ctx: SuzukiContext, generators: Sequence[Mat4],
     returns ``group`` itself just when they do, and backs every other
     answer by the elements of the proper subgroup."""
     return subgroup(ctx, generators, group) is group
+
+
+def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
+            ceiling: int) -> GroupSet:
+    """The group generated by the generators, every element enumerated:
+    subgroups on an unbounded batch of one.  Raises BudgetExceededError,
+    before any element is made, if the order would pass ``ceiling``.
+    """
+    if ceiling < 1:
+        raise ValueError("ceiling must be >= 1")
+    return subgroups(ctx, [generators], ceiling=ceiling)[0]
 
 
 def _suzuki_seeds(ctx: SuzukiContext) -> Tuple[np.ndarray, List[Mat4]]:
@@ -437,15 +549,14 @@ def build_suzuki(ctx: SuzukiContext) -> GroupSet:
 
 
 def conjugation_orbit(ctx: SuzukiContext, seed: Mat4,
-                      group: GroupSet) -> Set[Mat4]:
-    """Orbit of ``seed`` under conjugation by the group generators.
+                      generators: Sequence[Mat4]) -> Set[Mat4]:
+    """Orbit of ``seed`` under conjugation by the group that
+    ``generators`` generate, with no element of the group enumerated.
 
     Breadth-first, one batch of products per level: every g^-1 y g for
     y in the frontier and g a generator, merged into sorted keys.
     """
-    if seed not in group:
-        raise ValueError("seed is not an element of the group")
-    gens = kn.mats_to_entries(group.generators)
+    gens = kn.mats_to_entries(generators)
     inv_gens = kn.invert_symplectic(ctx, gens)
     frontier = kn.mats_to_entries([seed])
     seen = kn.entry_keys(ctx, frontier)

@@ -11,11 +11,13 @@ record that compares bytewise.
 Right multiplication by a fixed g acts on each row separately, and
 linearly: r g = r_0 (row 0 of g) + ... + r_3 (row 3 of g).  So four
 q-entry tables of 4-byte rows (row_action_table) turn a whole batch
-product into four gathers and three XORs (row_action).  Products
-of paired batches, x_i y_i with a different y per row, go through the
-flat multiplication table instead (mat_mul_pairs); the batch inverse,
-element orders and the fixed-point test are built on it.  Each of these
-checks that its entries lie in GF(q) before any cast (field_rows).
+product into four gathers and three XORs (row_action), also when each
+row has matrices of its own, as the rows of a batch of orbits do.
+Products of paired batches, x_i y_i with a different y per row, go
+through the flat multiplication table instead (mat_mul_pairs); the
+batch inverse, element orders and the fixed-point test are built on
+it.  Each of these checks that its entries lie in GF(q) before any cast
+(field_rows).
 
 All tables are uint8-indexed, which caps the batch layer at field degree
 7; group enumeration is only supported through q = 32 anyway.
@@ -24,6 +26,7 @@ All tables are uint8-indexed, which caps the batch layer at field degree
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -118,15 +121,27 @@ def row_action_table(ctx: SuzukiContext, mats) -> np.ndarray:
         rows.transpose(1, 2, 0, 3)).view(np.uint32)[..., 0]
 
 
-def row_action(tables: np.ndarray, ents: np.ndarray) -> np.ndarray:
+def row_action(tables: np.ndarray, ents: np.ndarray,
+               owner: Optional[np.ndarray] = None) -> np.ndarray:
     """Entries of x g for every x in ents and g in the row_action_table
     ``tables``, (k, 4, q).
 
     ``ents`` holds matrices, (n, 16), or row vectors, (n, 4); each row of
     4 entries is acted on alone, so the result has the width of ``ents``.
     The products come table by table, k n of them: row g n + x holds x g.
+
+    With ``owner``, ``tables`` stacks the tables of k matrices for each
+    of m owners, (m, k, 4, q), and each x is multiplied by the k of its
+    own, ``owner[x]``: row g n + x holds x times matrix g of that owner.
+    The owners' tables are laid side by side, q entries each, so each
+    gather still serves all k tables at once.
     """
     x = ents.reshape(-1, 4)
+    if owner is not None:
+        m, k, _, q = tables.shape
+        tables = np.ascontiguousarray(
+            tables.transpose(1, 2, 0, 3)).reshape(k, 4, m * q)
+        x = x + np.repeat(owner * q, ents.shape[-1] // 4)[:, None]
     rows = np.take(tables[..., 0, :], x[:, 0], axis=-1)
     for i in range(1, 4):
         rows ^= np.take(tables[..., i, :], x[:, i], axis=-1)

@@ -9,9 +9,10 @@ direct construction showing the restriction misses generating triples.
 Both build their triples from (sigma1^-1, sigma3^-1) with product
 iota, all at once as (n, 3, 16) entries, and check the whole batch
 (_checked_triples) through the batch kernels.  The restricted search
-builds each triple's subgroup (groups.subgroup), which is small, and
-takes its derived series once per distinct subgroup.  The witness walk
-only asks whether a triple generates the group (groups.generates): the
+builds the subgroups of all its triples in one groups.subgroups call,
+which returns equal subgroups as one object, and takes the derived
+series once per object.  The witness walk only asks whether a triple
+generates the group, a chunk of triples per groups.subgroups call: the
 base pass on (e_2, e_3) stops both orbits at the sizes they have in
 the group, and once both are full the triple generates by Lagrange's
 theorem, with no element enumerated and no classification of maximal
@@ -256,9 +257,11 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
     Deterministic: w1 is the canonically first involution
     (groups.involutions) other than iota, then w3 walks the remaining
     ones in canonical order; the first ``count`` pairs whose triple
-    generates the whole group (groups.generates) are kept.  Every
-    triple of the walk is built and checked up front, the membership
-    lemma included; only the generation tests stop at ``count``.
+    generates the whole group (groups.subgroups returns the group
+    itself) are kept.  Every triple of the walk is built and checked up
+    front, the membership lemma included; only the generation tests
+    stop at ``count``.  They go in chunks of ``count`` less the triples
+    kept so far, so they test just the triples a one-by-one walk would.
     """
     iota = tuple(ctx.iota)
     ws = kn.mats_to_entries([w for w in gr.involutions(group) if w != iota])
@@ -267,13 +270,14 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
     if not lemma.all():
         raise VerificationError("a walk triple violated the membership lemma")
     kept: List[Tuple[int, ChiralTriple]] = []
-    for i, row in enumerate(sigmas):
-        triple = ChiralTriple(*map(kn.entries_to_mat, row))
-        if not gr.generates(ctx, triple.mats(), group):
-            continue
-        kept.append((i, triple))
-        if len(kept) >= count:
-            break
+    at = 0
+    while len(kept) < count and at < len(sigmas):
+        chunk = [ChiralTriple(*map(kn.entries_to_mat, row))
+                 for row in sigmas[at:at + count - len(kept)]]
+        subs = gr.subgroups(ctx, [t.mats() for t in chunk], group)
+        kept += [(at + j, t) for j, (t, sub) in enumerate(zip(chunk, subs))
+                 if sub is group]
+        at += len(chunk)
     rows = [i for i, _ in kept]
     orders = kn.element_orders(ctx, sigmas[rows].reshape(-1, 16))
     closed = set(fs.closed_form_X(ctx))
@@ -304,10 +308,11 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet,
 
     Walks every ordered pair of torus elements as (sigma1^-1,
     sigma3^-1), certifies the membership lemma for each triple, and
-    records the subgroup it generates and whether that is solvable,
-    decided once per distinct subgroup.  The audit side records that the
-    closed form does not exhaust the scanned fixed set and exhibits
-    generating triples built from fixed set members outside it, so
+    records the subgroup it generates (one groups.subgroups call for
+    all of them) and whether that is solvable, decided once per
+    distinct subgroup.  The audit side records that the closed form
+    does not exhaust the scanned fixed set and exhibits generating
+    triples built from fixed set members outside it, so
     ``certifies_nonexistence`` stays False.
     """
     result = fs.fixed_set_result(ctx, group)
@@ -320,18 +325,17 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet,
     orders = kn.element_orders(ctx, sigmas.reshape(-1, 16)).reshape(-1, 3)
     details: List[PairDetail] = []
     successes: List[ChiralTriple] = []
-    solvable: Dict[bytes, bool] = {}
-    for i, row in enumerate(sigmas):
-        triple = ChiralTriple(*map(kn.entries_to_mat, row))
-        sub = gr.subgroup(ctx, triple.mats(), group)
-        key = sub.keys.tobytes()
-        if key not in solvable:
-            solvable[key] = gr.derived_series_solvable(ctx, sub)
+    triples = [ChiralTriple(*map(kn.entries_to_mat, row)) for row in sigmas]
+    subs = gr.subgroups(ctx, [t.mats() for t in triples], group)
+    solvable: Dict[gr.GroupSet, bool] = {}
+    for i, (triple, sub) in enumerate(zip(triples, subs)):
+        if sub not in solvable:
+            solvable[sub] = gr.derived_series_solvable(ctx, sub)
         details.append(PairDetail(
             a=kn.entries_to_mat(s1_inv[i]), b=kn.entries_to_mat(s3_inv[i]),
-            triple=triple, subgroup_order=sub.order, solvable=solvable[key],
+            triple=triple, subgroup_order=sub.order, solvable=solvable[sub],
             sigma_orders=tuple(int(k) for k in orders[i])))
-        if sub.order == group.order:
+        if sub is group:
             successes.append(triple)
 
     if witness_count is None:

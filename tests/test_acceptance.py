@@ -145,7 +145,7 @@ def test_criterion_4_involution_class(ctx8, group8, involutions8):
     the fixed-point scan) must equal.
     """
     invs = gr.involutions(group8)
-    orbit = gr.conjugation_orbit(ctx8, ctx8.iota, group8)
+    orbit = gr.conjugation_orbit(ctx8, ctx8.iota, group8.generators)
     single = orbit == set(involutions8)
     ok = len(involutions8) == 455 and invs == involutions8 and single
     record_criterion(4, ok, f"{len(involutions8)} involutions, single class")

@@ -210,7 +210,9 @@ def test_subgroup_of_index_two(ctx8):
 
 def base_orbit_sizes(ctx, gens, bound=None):
     """(|O1|, |O2|) of the base pass on ``gens``, stopped at ``bound``."""
-    t1, t2 = gr._transversals(ctx, kn.row_action_table(ctx, gens), bound)
+    where = np.full(ctx.q ** 4, -1, dtype=np.int32)
+    t1, _, t2, _ = gr._transversals(
+        ctx, kn.row_action_table(ctx, gens)[None], where, bound)
     return len(t1), len(t2)
 
 
@@ -245,15 +247,14 @@ def test_base_order_is_exact_at_q32(ctx32, seeds32):
     assert o1 * o2 == ctx32.group_order == 32537600
 
 
-def test_bounded_base_order_is_exact_at_q32(ctx32, seeds32):
-    """On 10 seeded pairs of words in the q = 32 seeds, the base orbits
-    stopped at the seeds' are the exact ones, for generating and proper
-    subgroups alike."""
-    bound = base_orbit_sizes(ctx32, seeds32)
+def word_pairs32(ctx32, seeds32, count):
+    """``count`` seeded pairs of words of 2 to 8 letters in the q = 32
+    seeds; the first 10 are those of
+    test_bounded_base_order_is_exact_at_q32."""
     gens = kn.mats_to_entries(seeds32)
     rng = np.random.default_rng(32)
-    orders = []
-    for _ in range(10):
+    pairs = []
+    for _ in range(count):
         pair = []
         for _ in range(2):
             word = gens[rng.integers(len(gens), size=rng.integers(2, 9))]
@@ -261,10 +262,43 @@ def test_bounded_base_order_is_exact_at_q32(ctx32, seeds32):
             for x in word[1:]:
                 w = kn.mat_mul_pairs(ctx32, w, x)
             pair.append(kn.entries_to_mat(w[0]))
+        pairs.append(pair)
+    return pairs
+
+
+def test_bounded_base_order_is_exact_at_q32(ctx32, seeds32):
+    """On 10 seeded pairs of words in the q = 32 seeds, the base orbits
+    stopped at the seeds' are the exact ones, for generating and proper
+    subgroups alike."""
+    bound = base_orbit_sizes(ctx32, seeds32)
+    orders = []
+    for pair in word_pairs32(ctx32, seeds32, 10):
         orbits = base_orbit_sizes(ctx32, pair, bound)
         assert orbits == base_orbit_sizes(ctx32, pair)
         orders.append(orbits[0] * orbits[1])
     assert orders.count(ctx32.group_order) == 6
+
+
+def test_batched_base_orbits_at_q32(ctx32, seeds32):
+    """The 20 seeded word pairs in batches of 4 owners, a visit array of
+    2^22 entries (subgroups runs one a batch at q = 32): each owner's
+    base orbits, stopped at the seeds', are those of its own unbounded
+    pass, and every batch leaves its visit array clean."""
+    bound = base_orbit_sizes(ctx32, seeds32)
+    pairs = word_pairs32(ctx32, seeds32, 20)
+    per = 4
+    got = []
+    for lo in range(0, len(pairs), per):
+        batch = pairs[lo:lo + per]
+        tables = kn.row_action_table(ctx32, batch).reshape(
+            len(batch), 2, 4, ctx32.q)
+        where = np.full(len(batch) * ctx32.q ** 4, -1, dtype=np.int32)
+        _, own1, _, own2 = gr._transversals(ctx32, tables, where, bound)
+        assert (where == -1).all()
+        got += zip(np.bincount(own1, minlength=len(batch)).tolist(),
+                   np.bincount(own2, minlength=len(batch)).tolist())
+    assert got == [base_orbit_sizes(ctx32, pair) for pair in pairs]
+    assert sum(a * b == ctx32.group_order for a, b in got) == 10
 
 
 def test_generates_needs_both_base_orbits(ctx8):
@@ -307,14 +341,15 @@ def test_a_short_orbit_raises_rather_than_shrink(ctx8, group8, monkeypatch,
     leaves the orbit."""
     orbit = gr._orbit
 
-    def short(ctx, tables, seed, size=None):
-        trans, edges, rows = orbit(ctx, tables, seed, size)
+    def short(ctx, tables, owners, seed, size, where, **kw):
+        trans, owner, edges, rows = orbit(ctx, tables, owners, seed, size,
+                                          where, **kw)
         if seed == v and len(trans) > 1:
-            trans = trans[:-1]
+            trans, owner = trans[:-1], owner[:-1]
             if edges_too:
                 kept = rows < len(trans)
                 edges, rows = edges[kept], rows[kept]
-        return trans, edges, rows
+        return trans, owner, edges, rows
     monkeypatch.setattr(gr, "_orbit", short)
     for gens in (group8.generators, borel_gens(ctx8)):
         with pytest.raises(VerificationError):
@@ -397,7 +432,7 @@ def test_involutions_count(ctx8, group8):
 
 
 def test_conjugation_orbit_single_class(ctx8, group8):
-    orbit = gr.conjugation_orbit(ctx8, ctx8.iota, group8)
+    orbit = gr.conjugation_orbit(ctx8, ctx8.iota, group8.generators)
     invs = gr.involutions(group8)
     assert set(orbit) == set(invs)
 
@@ -448,11 +483,20 @@ def test_derived_subgroup_matches_oracle(ctx8, group8):
                               derived_oracle(ctx8, h))
 
 
+def test_conjugation_orbit_q32_from_seeds(ctx32, seeds32):
+    """iota's conjugacy class in Sz(32), found from the build seeds with
+    no element of the group enumerated: (q^2+1)(q-1) = 31,775
+    involutions."""
+    orbit = gr.conjugation_orbit(ctx32, ctx32.iota, seeds32)
+    assert len(orbit) == 31775
+    assert kn.involution_mask(ctx32, kn.mats_to_entries(sorted(orbit))).all()
+
+
 def test_conjugation_orbit_q32_dihedral(ctx32):
     """Under D62, iota's orbit is the 31 reflections d^k iota."""
     f = ctx32.field
     d62 = gr.closure(ctx32, dihedral_gens(ctx32), ceiling=100)
     want = {m for m in d62 if m != la.identity()
             and la.mat_mul(f, m, m) == la.identity()}
-    assert gr.conjugation_orbit(ctx32, ctx32.iota, d62) == want
+    assert gr.conjugation_orbit(ctx32, ctx32.iota, d62.generators) == want
     assert len(want) == 31

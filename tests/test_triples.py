@@ -9,6 +9,7 @@ from szverify import groups as gr
 from szverify import kernels as kn
 from szverify import linalg4 as la
 from szverify import triples as tr
+from szverify import wilson as wl
 from szverify.errors import VerificationError
 
 # Frozen from the first full search run at q = 8.
@@ -250,39 +251,113 @@ def test_second_batch_keeps_every_verdict(ctx8, group8, certificate_groups,
     onto all 64 points of its orbit, O2 comes out short on every group
     with a full O1, and the second batch, every edge, decides it: each
     subgroup order stays the same.  (With the default batch, no group
-    here takes the second batch.)"""
+    here takes the second batch.)  One subgroups call on all 1,408
+    groups, so each owner's orbits of e_3 are counted within its
+    batch."""
     runs = []
-    orbit = gr._orbit
+    transversals, orbit = gr._transversals, gr._orbit
 
-    def counted(ctx, tables, v, size=None):
-        runs[-1] += v == 2
-        return orbit(ctx, tables, v, size)
+    def batch(ctx, tables, where, bound=None):
+        runs.append(np.zeros(len(tables), dtype=int))
+        return transversals(ctx, tables, where, bound)
+
+    def counted(ctx, tables, owners, v, size, where, **kw):
+        if v == 2:
+            runs[-1][owners] += 1
+        return orbit(ctx, tables, owners, v, size, where, **kw)
     monkeypatch.setattr(gr, "_FIRST_EDGES", 1)
+    monkeypatch.setattr(gr, "_transversals", batch)
     monkeypatch.setattr(gr, "_orbit", counted)
-    for _, mats, order in certificate_groups:
-        runs.append(0)
-        assert gr.subgroup(ctx8, mats, group8).order == order
-    # one orbit of e_3 per call, and a second one on every generating
+    subs = gr.subgroups(ctx8, [mats for _, mats, _ in certificate_groups],
+                        group8)
+    assert [h.order for h in subs] == [o for *_, o in certificate_groups]
+    # one orbit of e_3 per owner, and a second one on every generating
     # group, where the first batch left O2 short
-    assert max(runs) == 2
-    assert runs.count(2) == 448 + 434 + 436
+    runs = np.concatenate(runs)
+    assert len(runs) == len(certificate_groups)
+    assert runs.min() == 1 and runs.max() == 2
+    assert (runs == 2).sum() == 448 + 434 + 436
+
+
+def test_subgroups_agrees_with_subgroup_and_closure(ctx8, group8,
+                                                    certificate_groups):
+    """subgroups on all 1,408 groups in one call, row for row against
+    subgroup (the batch of one) and the tests' breadth-first closure,
+    with the comparisons of test_generation_certificate_on_every_triple:
+    every proper subgroup has the closure's elements, and a seeded 64
+    of the generating verdicts close to all of G."""
+    mats = [m for _, m, _ in certificate_groups]
+    subs = gr.subgroups(ctx8, mats, group8)
+    whole = []
+    for sub, (_, gens, order) in zip(subs, certificate_groups):
+        assert sub.order == order
+        if sub is group8:
+            whole.append(gens)
+            continue
+        assert order < group8.order
+        assert np.array_equal(sub.entries, gr.subgroup(ctx8, gens,
+                                                       group8).entries)
+        assert np.array_equal(sub.entries, hp.bfs_closure(ctx8, gens))
+    assert len(whole) == 448 + 434 + 436
+    rng = np.random.default_rng(1408)
+    for i in rng.choice(len(whole), size=64, replace=False):
+        assert len(hp.bfs_closure(ctx8, whole[i])) == group8.order
+
+
+def test_subgroups_follows_a_permuted_batch(ctx8, group8,
+                                            certificate_groups):
+    """Permuting the rows of a batch permutes the answers: each owner is
+    answered from its own generators, whatever its place."""
+    mats = [m for _, m, _ in certificate_groups]
+    perm = np.random.default_rng(19).permutation(len(mats))
+    subs = gr.subgroups(ctx8, mats, group8)
+    moved = gr.subgroups(ctx8, [mats[i] for i in perm], group8)
+    for i, sub in zip(perm, moved):
+        assert (sub is group8) == (subs[i] is group8)
+        assert np.array_equal(sub.entries, subs[i].entries)
+
+
+def test_subgroups_answers_equal_subgroups_with_one_object(
+        ctx8, group8, certificate_groups):
+    """Equal proper subgroups come back as one object, so the 90 proper
+    answers are as many objects as distinct element sets."""
+    subs = gr.subgroups(ctx8, [m for _, m, _ in certificate_groups], group8)
+    proper = [h for h in subs if h is not group8]
+    assert len(proper) == 90
+    distinct = {h.entries.tobytes() for h in proper}
+    assert len({id(h) for h in proper}) == len(distinct)
+    torus = [h for (kind, *_), h in zip(certificate_groups, subs)
+             if kind == "torus triple"]
+    assert len(torus) == 49 and len({id(h) for h in torus}) == 2
+
+
+def test_subgroups_rejects_a_batch_with_one_outside_generator(
+        ctx8, group8, certificate_groups):
+    """One generator outside the group, in the last set of a batch,
+    makes the whole call raise."""
+    mats = [m for _, m, _ in certificate_groups[:40]]
+    outside = wl.e1_transvection(ctx8)
+    assert outside not in group8
+    mats[-1] = mats[-1] + [outside]
+    with pytest.raises(VerificationError):
+        gr.subgroups(ctx8, mats, group8)
 
 
 def test_walk_multiplies_out_few_schreier_elements(ctx8, group8, monkeypatch):
     """The 32-witness walk multiplies out 512 Schreier elements under
-    generates, 16 for each of its 32 generating triples.  The 5 triples
+    subgroups, 16 for each of its 32 generating triples.  The 5 triples
     before them generate dihedral groups of order 14, which move e_2
     regularly, so none of their edges gives a nontrivial Schreier
     element.  Multiplying every edge, as the unbounded base order does,
     took 24,808 paired products."""
     assert group8.base_orbits == (455, 64)
     rows, inside = [], []
-    generates, mat_mul_pairs = gr.generates, kn.mat_mul_pairs
+    subgroups, mat_mul_pairs = gr.subgroups, kn.mat_mul_pairs
 
-    def traced_generates(*args):
+    def traced_subgroups(*args):
         inside.append(True)
         try:
-            return generates(*args)
+            return subgroups(*args)
         finally:
             inside.pop()
 
@@ -291,7 +366,7 @@ def test_walk_multiplies_out_few_schreier_elements(ctx8, group8, monkeypatch):
         if inside:
             rows.append(len(out))
         return out
-    monkeypatch.setattr(gr, "generates", traced_generates)
+    monkeypatch.setattr(gr, "subgroups", traced_subgroups)
     monkeypatch.setattr(kn, "mat_mul_pairs", counted_products)
     assert len(tr.find_rank4_witnesses(ctx8, group8, count=32)) == 32
     assert sum(rows) == 32 * 16
