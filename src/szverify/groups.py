@@ -4,18 +4,22 @@ One way to build a group: the base pass on (e_2, e_3) (Sims 1970;
 Seress, Permutation Group Algorithms, 2003, ch. 4), for a batch of
 generator sets at once.  One orbit routine runs twice, for e_2 under
 each set's generators and for e_3 under its Schreier elements, and
-keeps a transversal matrix per orbit point; the elements are the
-products of the two transversals, proved to be the whole group by a
-closedness check.  subgroups is the one entry point: closure and
-subgroup (with generates on it) are its batches of one, and bounded by
-an enclosing group it stops both orbits at their sizes there.  Also
-here: the cached fixed-point scan and the involutions read off it,
-conjugation orbits, element orders, derived series.
+keeps a transversal matrix per orbit point and each off-tree edge as
+indices; the elements are the products of the two transversals, proved
+to be the whole group by a closedness check.  subgroups is the one
+entry point, on an (n, k, 16) batch of entries: closure and subgroup
+(with generates on it) are its batches of one.  Bounded by an
+enclosing group, it numbers each orbit point by its place in that
+group's base orbits, which the group keeps from its own pass, and
+stops both orbits at their sizes there; unbounded, it numbers the q^4
+row vectors.  Also here: the cached fixed-point scan and the
+involutions read off it, conjugation orbits, element orders, derived
+series.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -38,15 +42,17 @@ class GroupSet:
     ``__post_init__`` checks, so its cached ``keys`` are sorted and
     O(log n) membership is a binary search.  It is read-only:
     ``__post_init__`` clears its writeable flag, which keeps the cached
-    ``keys`` and ``fixed_points`` true to it.  ``base_orbits`` is
-    (|O1|, |O2|), the sizes of the orbits of e_2 and e_3 that the group
-    was built from (_transversals); their product must be the order.
+    ``keys`` and ``fixed_points`` true to it.  ``base_points`` holds the
+    orbits the group was built from (_transversals), each point as its
+    _codes number, in the order of their transversals: O1, the orbit of
+    e_2, and O2, the orbit of e_3 under the stabiliser of e_2.  Their
+    sizes, ``base_orbits``, must multiply to the order.
     """
 
     ctx: SuzukiContext
     entries: np.ndarray
     generators: Tuple[Mat4, ...]
-    base_orbits: Tuple[int, int]
+    base_points: Tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
         # each row must be below the next at their first differing entry;
@@ -63,12 +69,25 @@ class GroupSet:
                     "group entries are not strictly increasing "
                     "(out of canonical order, or a duplicate element)")
         self.entries.flags.writeable = False
+        for points in self.base_points:
+            points.flags.writeable = False
         if la.identity() not in self:
             raise VerificationError("group does not contain the identity")
         if self.base_orbits[0] * self.base_orbits[1] != self.order:
             raise VerificationError(
                 f"base orbits {self.base_orbits} do not give the order "
                 f"{self.order}")
+
+    @property
+    def base_orbits(self) -> Tuple[int, int]:
+        """(|O1|, |O2|), the sizes of the base orbits."""
+        return len(self.base_points[0]), len(self.base_points[1])
+
+    @cached_property
+    def base_numbering(self) -> Tuple[Tuple[np.ndarray, int], ...]:
+        """_numbering of O1 and of O2: a pass that this group bounds
+        numbers its orbit points by their places in them."""
+        return tuple(_numbering(self.ctx, p) for p in self.base_points)
 
     @cached_property
     def keys(self) -> np.ndarray:
@@ -118,17 +137,25 @@ class GroupSet:
         return kn.entries_to_mat(self.entries[i])
 
 
-def _dedup_generators(ctx: SuzukiContext,
-                      generator_sets: Sequence[Sequence[Mat4]]
-                      ) -> List[List[Mat4]]:
-    """Each set's generators in first-seen order without repeats, all of
-    them checked to lie in Sp4(q) by one kernels.invert_symplectic
-    call."""
-    sets = [list(dict.fromkeys(tuple(map(int, g)) for g in gens))
-            for gens in generator_sets]
-    kn.invert_symplectic(ctx, np.array([g for gens in sets for g in gens],
-                                       dtype=np.int64).reshape(-1, 16))
-    return sets
+def _generator_batch(ctx: SuzukiContext, generator_sets
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """An (n, k, 16) batch of generator sets as uint8 entries, each
+    set's distinct generators first, in first-seen order, and padded
+    with I, with the number of each; repeats are found by their
+    kernels.entry_keys.  Every entry is checked to lie in GF(q)
+    (kernels.field_rows) and every generator in Sp4(q), by one
+    kernels.invert_symplectic call."""
+    n, k = np.shape(generator_sets)[:2]
+    ents = kn.field_rows(ctx, generator_sets)
+    kn.invert_symplectic(ctx, ents)
+    ents = ents.reshape(n, k, 16)
+    keys = kn.entry_keys(ctx, ents).reshape(n, k)
+    repeat = np.tril(keys[:, :, None] == keys[:, None, :], -1).any(axis=2)
+    ents = np.take_along_axis(
+        ents, np.argsort(repeat, axis=1, kind="stable")[:, :, None], axis=1)
+    count = k - repeat.sum(axis=1)
+    ents[np.arange(k) >= count[:, None]] = _UNIT.reshape(16)
+    return ents[:, :count.max(initial=0)], count
 
 
 def _fresh_keys(seen: np.ndarray,
@@ -160,17 +187,60 @@ _FIRST_EDGES = 16
 # that their temporaries stay under a MB even for a whole Sz(32).
 _CHUNK = 1 << 12
 
-# Entries of the int32 visit array over (set, point) that one batch of
-# subgroups shares, and at least one set's q^4: 8 sets a batch at q = 8,
-# whose temporaries stay near 0.6 MB (16 ran the 32-triple walk 15 %
-# faster, but raised the process's peak RSS by 0.5 MB), and one at
-# q = 32, where 4 a batch measured slower.
-_VISIT = 1 << 15
+# Places of O1's visit array per batch of subgroups, and at least one
+# set's: bounded, 288 sets a batch at q = 8 (455 places each), so each
+# call of the rank-4 searches is one batch, and 4 at q = 32 (31,775),
+# where 20 seeded word pairs took 58 ms 4 a batch and 61 ms one a batch;
+# unbounded (q^4 places), 32 at q = 8 and one at q = 32.
+_VISIT = 1 << 17
 
 
-def _radix(ctx: SuzukiContext) -> np.ndarray:
-    """v @ _radix(ctx) numbers the q^4 row vectors v from 0."""
-    return ctx.q ** np.arange(3, -1, -1, dtype=np.int32)
+@lru_cache(maxsize=None)
+def _pair_codes(ctx: SuzukiContext) -> Tuple[np.ndarray, np.ndarray]:
+    """The numbers e + f q and (e + f q) q^2 of two adjacent entries e, f
+    in GF(q), at index e + 256 f, their little-endian uint16."""
+    e = np.arange(ctx.q)
+    low = np.zeros(256 * ctx.q, dtype=np.int32)
+    low[e[:, None] + 256 * e] = e[:, None] + ctx.q * e
+    return low, low * ctx.q ** 2
+
+
+def _codes(ctx: SuzukiContext, ents: np.ndarray, v: int) -> np.ndarray:
+    """The number e_0 + e_1 q + e_2 q^2 + e_3 q^3 of row v, (e_0, e_1,
+    e_2, e_3), of each matrix of the (n, 16) entries: one lookup per
+    pair of entries."""
+    low, high = _pair_codes(ctx)
+    pairs = ents.view("<u2")
+    return low.take(pairs[:, 2 * v]) + high.take(pairs[:, 2 * v + 1])
+
+
+def _numbering(ctx: SuzukiContext,
+               points: np.ndarray) -> Tuple[np.ndarray, int]:
+    """(number, n): ``number`` maps the _codes of the q^4 row vectors to
+    their places among the n ``points``, and every other vector to -1.
+    On all q^4 codes in order it is the dense numbering of an unbounded
+    pass."""
+    number = np.full(ctx.q ** 4, -1, dtype=np.int32)
+    number[points] = np.arange(len(points), dtype=np.int32)
+    return number, len(points)
+
+
+def _base_points(ctx: SuzukiContext, t1: np.ndarray,
+                 t2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The _codes of the base orbit points of transversals T and R:
+    e_2 t for t in T and e_3 r for r in R."""
+    return _codes(ctx, t1, _V1), _codes(ctx, t2, _V2)
+
+
+def _places(ctx: SuzukiContext, number: np.ndarray, ents: np.ndarray,
+            v: int) -> np.ndarray:
+    """The places ``number`` gives the points e_v x, rows v of the (n, 16)
+    entries x; VerificationError if one has none."""
+    place = number.take(_codes(ctx, ents, v))
+    if place.min(initial=0) < 0:
+        raise VerificationError(
+            "an orbit point lies outside the bounding group's base orbit")
+    return place
 
 
 def _visit(where: np.ndarray, idx: np.ndarray, count: int) -> np.ndarray:
@@ -182,82 +252,81 @@ def _visit(where: np.ndarray, idx: np.ndarray, count: int) -> np.ndarray:
     and keeps one of them, the one the scatter left.  Any image serves,
     since a point needs some transversal, not a particular one.
     """
-    fresh = np.flatnonzero(where[idx] < 0)
-    cand = idx[fresh]
+    fresh = np.flatnonzero(where.take(idx) < 0)
+    cand = idx.take(fresh)
     where[cand] = fresh
-    first = fresh[where[cand] == fresh]
-    where[idx[first]] = np.arange(count, count + len(first))
+    first = fresh[where.take(cand) == fresh]
+    where[idx.take(first)] = np.arange(count, count + len(first))
     return first
 
 
 def _orbit(ctx: SuzukiContext, tables: np.ndarray, owners: np.ndarray,
-           v: int, size: Optional[int], where: np.ndarray,
-           keep_edges: bool = True
-           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+           v: int, numbering: Tuple[np.ndarray, int], stop: bool = True
+           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Transversals of the orbits of the unit row vector e_v under the
     matrices of each set in ``owners``, whose row_action_tables are
     ``tables[o]`` ((m, k, 4, q), shorter sets padded with I's).
 
-    Returns (trans, owner, edges, rows).  ``trans`` holds one product t
-    of its set's matrices per orbit point, the point being e_v t (row v
-    of t), and ``owner`` that set; each seed's t is I.  ``edges`` holds
-    the products t_u s formed that are not t_us, the transversal of
-    their point, and ``rows`` the row of t_us in ``trans``; on the other
-    edges, the tree edges among them, the Schreier element t_u s t_us^-1
-    is trivial.  Both stay empty unless ``keep_edges``.
+    Returns (trans, owner, edges).  ``trans`` holds one product t of its
+    set's matrices per orbit point, the point being e_v t (row v of t),
+    and ``owner`` that set; each seed's t is I.  ``edges``, (3, E),
+    holds an edge u -> us as a column of indices (row of t_u in
+    ``trans``, s, row of t_us), for each product t_u s formed whose row
+    v2 = e_3 differs from that of t_us, compared as 4 bytes; the
+    product itself is not kept.  On the other edges, the tree edges
+    among them, the Schreier element t_u s t_us^-1 fixes e_3 (and e_2,
+    as each does), so the orbit of e_3 itself keeps no edges.
 
+    ``numbering`` is (number, n) from _numbering: each point is visited
+    at its place there, in a visit array over (set, place) made for
+    this search, and a point with no place raises VerificationError.
     Breadth-first, one step per level for all sets: each row of the last
     level is multiplied by the matrices of its own set, matrix by matrix
     (kernels.row_action with owners), so each set sees its products in
-    the order of a search of its own, and each point not numbered yet in
-    ``where``, the batch's visit array over (set, point), takes one of
-    its images (_visit).  ``where`` must hold -1 throughout, and the
-    points numbered are reset, which leaves it so.  A set stops once its
-    orbit holds ``size`` points, if given, before its next level.
+    the order of a search of its own, and each point not visited yet
+    takes one of its images (_visit).  With ``stop``, a set stops once
+    its orbit holds all n places, before its next level.
     """
-    q4 = ctx.q ** 4
-    radix = _radix(ctx)
+    number, n = numbering
     m, k = tables.shape[:2]
     owners = owners.astype(np.int32)
+    where = np.full(m * n, -1, dtype=np.int32)
     trans = front = np.tile(_UNIT.reshape(1, 16), (len(owners), 1))
-    fown, towner = owners, [owners]
-    seen = [owners * q4 + _UNIT[v] @ radix]
-    where[seen[0]] = np.arange(len(owners))
-    edges, rows = [], []
+    fown, towner, edges = owners, [owners], []
+    where[owners * n + _places(ctx, number, front, v)] = np.arange(
+        len(owners))
     counts = np.bincount(owners, minlength=m)
     while k and len(front):
-        if size is not None:
-            live = counts[fown] < size
+        rows = np.arange(len(trans) - len(front), len(trans), dtype=np.int32)
+        if stop:
+            live = counts[fown] < n
             if not live.all():
-                front, fown = front[live], fown[live]
+                front, fown, rows = front[live], fown[live], rows[live]
                 if not len(front):
                     break
         images = kn.row_action(tables, front, fown)
         own = np.concatenate([fown] * k)
-        idx = own * q4 + images.reshape(-1, 4, 4)[:, v] @ radix
+        idx = own * n + _places(ctx, number, images, v)
         first = _visit(where, idx, len(trans))
         front, fown = images[first], own[first]
         trans = np.concatenate([trans, front])
         towner.append(fown)
-        seen.append(idx[first])
-        if size is not None:
-            counts += np.bincount(fown, minlength=m)
-        if keep_edges:
-            at = where[idx]
-            off = (images.view(np.uint64)
-                   != trans[at].view(np.uint64)).any(axis=1)
-            edges.append(images[off])
-            rows.append(at[off])
-    where[np.concatenate(seen)] = -1
-    return (trans, np.concatenate(towner),
-            np.concatenate(edges or [trans[:0]]),
-            np.concatenate(rows or [np.empty(0, dtype=np.int32)]))
+        counts += np.bincount(fown, minlength=m)
+        if v == _V2:
+            continue
+        at = where.take(idx)
+        off = np.flatnonzero(images.view("<u4")[:, _V2]
+                             != trans.view("<u4")[:, _V2].take(at))
+        s, x = np.divmod(off.astype(np.int32), len(rows))
+        edges.append(np.array([rows[x], s, at[off]]))
+    return (trans, np.concatenate(towner), np.concatenate(
+        edges or [np.empty((3, 0), dtype=np.int32)], axis=1))
 
 
-def _check_edges(trans: np.ndarray, rows: np.ndarray) -> None:
-    """Each edge of an _orbit search must end in the orbit, or
+def _check_edges(trans: np.ndarray, edges: np.ndarray) -> None:
+    """Each edge of an _orbit search must start and end in the orbit, or
     VerificationError is raised."""
-    if not (rows < len(trans)).all():
+    if edges.size and edges[::2].max() >= len(trans):
         raise VerificationError("an edge leaves the orbit")
 
 
@@ -274,19 +343,25 @@ def _spread(owner: np.ndarray, chosen: np.ndarray) -> np.ndarray:
     return order[at[j < take[:, None]]]
 
 
-def _schreier_tables(ctx: SuzukiContext, trans: np.ndarray,
-                     owner: np.ndarray, edges: np.ndarray, rows: np.ndarray,
-                     m: int) -> np.ndarray:
+def _schreier_tables(ctx: SuzukiContext, tables: np.ndarray,
+                     trans: np.ndarray, owner: np.ndarray,
+                     edges: np.ndarray) -> np.ndarray:
     """Row tables of the distinct Schreier elements t_u s t_us^-1 of
-    each of m sets, (m, k, 4, q) padded with I's, for the products
-    t_u s in ``edges`` and the rows of t_us in ``trans``, whose sets
-    ``owner`` holds: one kernels.mat_mul_pairs call for all.  Each must
-    fix v1, or VerificationError is raised."""
+    each set, (m, k, 4, q) padded with I's, for the _orbit ``edges`` into
+    ``trans``, whose sets ``owner`` holds, under the generators of
+    ``tables``: t_u s is formed here, by one kernels.row_action, and
+    only for these edges; the Schreier elements by one
+    kernels.mat_mul_pairs call.  Each must fix v1, or
+    VerificationError is raised."""
+    m, k, _, q = tables.shape
+    src, gen, dst = edges
+    own = owner[src]
+    prods = kn.row_action(tables.reshape(m * k, 1, 4, q), trans[src],
+                          own * k + gen)
     schreier = kn.mat_mul_pairs(
-        ctx, edges, kn.invert_symplectic(ctx, trans[rows]))
+        ctx, prods, kn.invert_symplectic(ctx, trans[dst]))
     if not (schreier.reshape(-1, 4, 4)[:, _V1] == _UNIT[_V1]).all():
         raise VerificationError("a Schreier element moves e_2")
-    own = owner[rows]
     keys = kn.entry_keys(ctx, schreier)
     order = np.lexsort((keys, own))
     keys, own = keys[order], own[order]
@@ -294,83 +369,97 @@ def _schreier_tables(ctx: SuzukiContext, trans: np.ndarray,
     new[1:] = (keys[1:] != keys[:-1]) | (own[1:] != own[:-1])
     keys, own = keys[new], own[new]
     n = np.bincount(own, minlength=m)
-    tables = np.empty((m, n.max(initial=0), 4, ctx.q), dtype=np.uint32)
-    tables[:] = kn.row_action_table(ctx, _UNIT)
-    tables[own, np.arange(len(own)) - (np.cumsum(n) - n)[own]] = \
+    out = np.empty((m, n.max(initial=0), 4, q), dtype=np.uint32)
+    out[:] = kn.row_action_table(ctx, _UNIT)
+    out[own, np.arange(len(own)) - (np.cumsum(n) - n)[own]] = \
         kn.row_action_table(ctx, kn.key_entries(keys))
-    return tables
+    return out
 
 
-def _transversals(ctx: SuzukiContext, tables: np.ndarray, where: np.ndarray,
-                  bound: Optional[Tuple[int, int]] = None
+def _transversals(ctx: SuzukiContext, tables: np.ndarray,
+                  base: Sequence[Tuple[np.ndarray, int]]
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Transversals T and R of the base orbits of H_o, the group of each
     set o of generators, whose row tables are ``tables[o]``: (T, the set
     of each row of T, R, the set of each row of R), each set's rows in
-    orbit order.  ``where`` is the batch's visit array (_orbit).
+    orbit order.  ``base`` numbers the points of O1 and of O2
+    (_numbering, read by _orbit): the base orbits of a group G that
+    holds every H, or all q^4 row vectors for an unbounded pass.
 
     T is _orbit's transversal of O1, the orbit of v1 = e_2 under H:
     v1 t_u = u.  By Schreier's lemma the Schreier elements t_u s t_us^-1,
     for every orbit point u and generator s, generate the stabiliser
-    H_v1; where t_u s is t_us they are trivial, so only the other edges,
-    which _orbit keeps, are multiplied out.  Each must fix v1, and each
-    edge must end in the orbit, or VerificationError is raised.  R is
-    _orbit's transversal of O2, the orbit of v2 = e_3 under them, which
-    is v2^(H_v1).  So |H| = |O1| |O2| |H_(v1,v2)|.
+    H_v1.  Only the edges _orbit keeps are multiplied out, those where
+    t_u s and t_us differ in row v2 = e_3, and each product t_u s only
+    where its Schreier element is.  Each must fix v1, and each edge must
+    lie in the orbit, or VerificationError is raised.  R is _orbit's
+    transversal of O2, the orbit of v2 = e_3 under them, within
+    v2^(H_v1).  So |H| >= |O1| |O2|, with equality when R is all of
+    v2^(H_v1) and H_(v1,v2) is trivial, which _group proves.
 
-    ``bound``, the base orbits of a group G that holds every H, stops
-    each orbit at its size there, and all transversals stay exact.
-    O1(H) lies in O1(G), so a full O1 is all of O1(H).  Any Schreier
-    elements lie in H_v1, within G_v1, so the orbit of v2 under some of
-    them lies in O2(H), within O2(G), and a full one is all of O2(H).
-    Hence, for the sets with O1 full, O2 first runs under the Schreier
-    elements of _FIRST_EDGES edges each of the levels before the stop.
-    When it comes back full too, |H| >= |O1| |O2| = |G|, so H = G.
-    Otherwise O1 runs again to its end, and O2 under the Schreier
-    elements of every edge, as it does at once for the sets whose O1
-    ran to its end short of full.
+    No verdict depends on the edges dropped.  A "generates" verdict,
+    like any answer by a group proved earlier (subgroups), rests only on
+    the bound |H| >= |O1| |O2|, which holds for any subset of the
+    Schreier elements.  Every other group, a proper subgroup or one of
+    an unbounded pass, is still multiplied out and proved closed by
+    _group, which refuses a short R or a nontrivial H_(v1,v2).  And
+    inside a bounding G, whose pair stabiliser G_(v1,v2) is trivial, a
+    Schreier element that fixes v2 is I, so comparing row v2 drops just
+    the edges that comparing all 16 entries would.
+
+    Bounded by G, each orbit stops at its size there, and all
+    transversals stay exact.  O1(H) lies in O1(G), so a full O1 is all
+    of O1(H).  Any Schreier elements lie in H_v1, within G_v1, so the
+    orbit of v2 under some of them lies in O2(H), within O2(G), and a
+    full one is all of O2(H).  Hence, for the sets with O1 full, O2
+    first runs under the Schreier elements of _FIRST_EDGES edges each of
+    the levels before the stop.  When it comes back full too,
+    |H| >= |O1| |O2| = |G|, so H = G.  Otherwise O1 runs again to its
+    end, and O2 under the Schreier elements of every edge kept, as it
+    does at once for the sets whose O1 ran to its end short of full, and
+    for every set of an unbounded pass, whose orbits never fill q^4.
     """
     m = len(tables)
-    n1, n2 = bound or (None, None)
-    t1, own1, edges, rows = _orbit(ctx, tables, np.arange(m), _V1, n1, where)
-    _check_edges(t1, rows)
-    full = np.zeros(m, dtype=bool)
-    if n1 is not None:
-        full = np.bincount(own1, minlength=m) == n1
+    (_, n1), (_, n2) = base
+    t1, own1, edges = _orbit(ctx, tables, np.arange(m), _V1, base[0])
+    _check_edges(t1, edges)
+    full = np.bincount(own1, minlength=m) == n1
     short = full
     t2, own2 = t1[:0], own1[:0]
     if full.any():
-        pick = _spread(own1[rows], full)
-        t2, own2 = _orbit(
-            ctx, _schreier_tables(ctx, t1, own1, edges[pick], rows[pick], m),
-            np.flatnonzero(full), _V2, n2, where, keep_edges=False)[:2]
+        pick = edges[:, _spread(own1[edges[0]], full)]
+        t2, own2, _ = _orbit(
+            ctx, _schreier_tables(ctx, tables, t1, own1, pick),
+            np.flatnonzero(full), _V2, base[1])
         short = full & (np.bincount(own2, minlength=m) != n2)
         kept = ~short[own2]
         t2, own2 = t2[kept], own2[kept]
     rest = ~full | short
     if not rest.any():
         return t1, own1, t2, own2
-    r1, rown, redges, rrows = t1[:0], own1[:0], edges[:0], rows[:0]
+    r1, rown, redges = t1[:0], own1[:0], edges[:, :0]
     if short.any():
-        r1, rown, redges, rrows = _orbit(
-            ctx, tables, np.flatnonzero(short), _V1, None, where)
-        _check_edges(r1, rrows)
-    sel = ~full[own1[rows]]
-    u2, uown = _orbit(
-        ctx, _schreier_tables(ctx, np.concatenate([t1, r1]),
-                              np.concatenate([own1, rown]),
-                              np.concatenate([edges[sel], redges]),
-                              np.concatenate([rows[sel], rrows + len(t1)]), m),
-        np.flatnonzero(rest), _V2, n2, where, keep_edges=False)[:2]
+        r1, rown, redges = _orbit(ctx, tables, np.flatnonzero(short), _V1,
+                                  base[0], stop=False)
+        _check_edges(r1, redges)
+    redges = redges + [[len(t1)], [0], [len(t1)]]
+    u2, uown, _ = _orbit(
+        ctx, _schreier_tables(
+            ctx, tables, np.concatenate([t1, r1]),
+            np.concatenate([own1, rown]),
+            np.concatenate([edges[:, ~full[own1[edges[0]]]], redges],
+                           axis=1)),
+        np.flatnonzero(rest), _V2, base[1])
     kept = ~short[own1]
     return (np.concatenate([t1[kept], r1]), np.concatenate([own1[kept], rown]),
             np.concatenate([t2, u2]), np.concatenate([own2, uown]))
 
 
-def _group(ctx: SuzukiContext, gens: List[Mat4], tables: np.ndarray,
+def _group(ctx: SuzukiContext, gens: np.ndarray, tables: np.ndarray,
            t1: np.ndarray, t2: np.ndarray) -> GroupSet:
-    """H = <gens>, whose row tables are ``tables``, as the products r t,
-    r in t2 and t in t1, of the transversals of _transversals.
+    """H = <gens>, (k, 16) entries whose row tables are ``tables``, as
+    the products r t, r in t2 and t in t1, of the transversals of
+    _transversals.
 
     They are distinct: v1 r t = v1 t tells t apart, and then v2 r t
     tells r apart.  They come out of one kernels.row_action per chunk of
@@ -378,10 +467,10 @@ def _group(ctx: SuzukiContext, gens: List[Mat4], tables: np.ndarray,
     the proof that they are all of it is that their set S holds I
     (GroupSet checks) and S s = S for every generator s, compared as
     sorted keys: then S holds every word in the generators, so S = H
-    and |H| = |O1| |O2|, which makes H_(v1,v2) trivial.  Raises
-    VerificationError otherwise, as for a nontrivial H_(v1,v2) or a
-    transversal short of its orbit: S is then a proper subset of H, and
-    not closed.
+    and |H| = |O1| |O2|, which makes H_(v1,v2) trivial and the points of
+    t1 and t2 the base orbits of H.  Raises VerificationError otherwise,
+    as for a nontrivial H_(v1,v2) or a transversal short of its orbit:
+    S is then a proper subset of H, and not closed.
     """
     n1, n2 = len(t1), len(t2)
     out = np.empty((n1 * n2, 16), dtype=np.uint8)
@@ -391,9 +480,10 @@ def _group(ctx: SuzukiContext, gens: List[Mat4], tables: np.ndarray,
             kn.row_action_table(ctx, t1[lo:lo + step]), t2)
     keys = kn.entry_keys(ctx, out)
     keys.sort()
-    group = GroupSet(ctx=ctx, entries=kn.key_entries(keys),
-                     generators=tuple(gens) or (la.identity(),),
-                     base_orbits=(n1, n2))
+    group = GroupSet(
+        ctx=ctx, entries=kn.key_entries(keys),
+        generators=tuple(map(kn.entries_to_mat, gens)) or (la.identity(),),
+        base_points=_base_points(ctx, t1, t2))
     # as many generators at a time as fit in a chunk, and at least one:
     # the sorted keys of S s, for k generators s, are each key of S k
     # times
@@ -415,18 +505,21 @@ def _group(ctx: SuzukiContext, gens: List[Mat4], tables: np.ndarray,
     return group
 
 
-def subgroups(ctx: SuzukiContext, generator_sets: Sequence[Sequence[Mat4]],
+def subgroups(ctx: SuzukiContext, generator_sets,
               group: Optional[GroupSet] = None,
               ceiling: Optional[int] = None) -> List[GroupSet]:
-    """The group each set of generators generates: one base pass
-    (_transversals) for a batch of _VISIT // q^4 sets (at least one) at
-    a time.
+    """The group each set of generators generates, for an (n, k, 16)
+    batch of entries, uint8 as the kernels make them (a wider integer
+    type is checked against GF(q) before the cast, _generator_batch):
+    one base pass (_transversals) for a batch of _VISIT // |O1| sets
+    (at least one) at a time, |O1| the places of the orbit of e_2.
 
-    With ``group`` the pass is bounded by ``group.base_orbits``, and
+    With ``group`` the pass is bounded by ``group.base_numbering``, and
     VerificationError is raised if a generator is not an element of
-    ``group``.  Without, it is unbounded, and BudgetExceededError is
-    raised if an order |O1| |O2| would pass ``ceiling``, before any
-    element of that batch is made.
+    ``group``.  Without, it is unbounded, on the dense numbering of the
+    q^4 row vectors, and BudgetExceededError is raised if an order
+    |O1| |O2| would pass ``ceiling``, before any element of that batch
+    is made.
 
     One rule answers a set from a group H proved already, ``group``
     itself or a proper subgroup built earlier in the call: H holds the
@@ -439,46 +532,49 @@ def subgroups(ctx: SuzukiContext, generator_sets: Sequence[Sequence[Mat4]],
     subgroups is used.  Deterministic: the entries are the canonically
     sorted elements, and the generators those given, without repeats.
     """
-    sets = [list(gens) for gens in generator_sets]
-    if group is not None and not group.member_mask(
-            [g for gens in sets for g in gens]).all():
+    ents = np.asarray(generator_sets)
+    if group is not None and not group.member_mask(ents).all():
         raise VerificationError("generator outside the group")
-    sets = _dedup_generators(ctx, sets)
+    ents, count = _generator_batch(ctx, ents)
+    tables = kn.row_action_table(ctx, ents).reshape(*ents.shape[:2], 4,
+                                                     ctx.q)
+    base = group.base_numbering if group else (
+        _numbering(ctx, np.arange(ctx.q ** 4)),) * 2
     proved = [] if group is None else [group]
     out: List[GroupSet] = []
-    per = max(1, _VISIT // ctx.q ** 4)
-    for batch in (sets[lo:lo + per] for lo in range(0, len(sets), per)):
-        m, k = len(batch), max(map(len, batch))
-        ents = np.tile(_UNIT.reshape(1, 1, 16), (m, k, 1))
-        for o, gens in enumerate(batch):
-            ents[o, :len(gens)] = np.reshape(gens, (-1, 16))
-        tables = kn.row_action_table(ctx, ents).reshape(m, k, 4, ctx.q)
-        where = np.full(m * ctx.q ** 4, -1, dtype=np.int32)
-        t1, own1, t2, own2 = _transversals(
-            ctx, tables, where, group.base_orbits if group else None)
+    per = max(1, _VISIT // base[0][1])
+    for lo in range(0, len(ents), per):
+        m = len(ents[lo:lo + per])
+        t1, own1, t2, own2 = _transversals(ctx, tables[lo:lo + m], base)
         n1 = np.bincount(own1, minlength=m)
         n2 = np.bincount(own2, minlength=m)
         if ceiling is not None and (n1 * n2 > ceiling).any():
             o = int(np.argmax(n1 * n2 > ceiling))
             raise BudgetExceededError(int(n1[o] * n2[o]), ceiling)
-        for o, gens in enumerate(batch):
+        for o in range(m):
+            gens = ents[lo + o, :count[lo + o]]
             orbits = (int(n1[o]), int(n2[o]))
             h = next((h for h in proved if h.base_orbits == orbits and (
-                h is group or h.member_mask(ents[o, :len(gens)]).all())),
-                None)
+                h is group or h.member_mask(gens).all())), None)
             if h is None:
-                h = _group(ctx, gens, tables[o, :len(gens)], t1[own1 == o],
-                           t2[own2 == o])
+                h = _group(ctx, gens, tables[lo + o, :len(gens)],
+                           t1[own1 == o], t2[own2 == o])
                 proved.append(h)
             out.append(h)
     return out
+
+
+def _one_set(generators: Sequence[Mat4]) -> np.ndarray:
+    """A list of matrices as a (1, k, 16) batch, int64 so that subgroups
+    sees an entry outside GF(q) as it is."""
+    return np.array(generators, dtype=np.int64).reshape(1, -1, 16)
 
 
 def subgroup(ctx: SuzukiContext, generators: Sequence[Mat4],
              group: GroupSet) -> GroupSet:
     """The subgroup of ``group`` generated by ``generators``: subgroups
     on a batch of one."""
-    return subgroups(ctx, [generators], group)[0]
+    return subgroups(ctx, _one_set(generators), group)[0]
 
 
 def generates(ctx: SuzukiContext, generators: Sequence[Mat4],
@@ -497,7 +593,7 @@ def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
     """
     if ceiling < 1:
         raise ValueError("ceiling must be >= 1")
-    return subgroups(ctx, [generators], ceiling=ceiling)[0]
+    return subgroups(ctx, _one_set(generators), ceiling=ceiling)[0]
 
 
 def _suzuki_seeds(ctx: SuzukiContext) -> Tuple[np.ndarray, List[Mat4]]:

@@ -243,9 +243,10 @@ def element_orders(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
 
 
 def symplectic_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
-    """Which matrices satisfy x^T iota x == iota."""
+    """Which matrices satisfy x^T iota x == iota; an entry outside
+    GF(q) raises FieldRangeError (field_rows)."""
     mul, _, _ = field_tables(ctx)
-    x = ents.reshape(-1, 4, 4)
+    x = field_rows(ctx, ents).reshape(-1, 4, 4)
     ok = np.ones(x.shape[0], dtype=bool)
     for i in range(4):
         for j in range(i, 4):
@@ -294,8 +295,10 @@ def suzuki_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
     R_ij = c_i * c_j + x(e_i * e_j).  A matrix is a member iff it is
     symplectic, R_ij = 0 on the eight PERP_BASIS_PAIRS, and
     R_03 = R_12; the wilson module docstring proves this.  Rows go in
-    chunks so that the temporaries stay small for a whole Sz(32).
+    chunks so that the temporaries stay small for a whole Sz(32).  An
+    entry outside GF(q) raises FieldRangeError (field_rows).
     """
+    ents = field_rows(ctx, ents)
     mul, frob, _ = field_tables(ctx)
     basis = ctx.bullet_basis
     # (p, r) pairs feeding coordinate k of a product: e_p * e_r has e_k

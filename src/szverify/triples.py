@@ -269,25 +269,22 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
     sigmas, lemma = _checked_triples(ctx, s1_inv, s3_inv)
     if not lemma.all():
         raise VerificationError("a walk triple violated the membership lemma")
-    kept: List[Tuple[int, ChiralTriple]] = []
+    rows: List[int] = []
     at = 0
-    while len(kept) < count and at < len(sigmas):
-        chunk = [ChiralTriple(*map(kn.entries_to_mat, row))
-                 for row in sigmas[at:at + count - len(kept)]]
-        subs = gr.subgroups(ctx, [t.mats() for t in chunk], group)
-        kept += [(at + j, t) for j, (t, sub) in enumerate(zip(chunk, subs))
-                 if sub is group]
+    while len(rows) < count and at < len(sigmas):
+        chunk = sigmas[at:at + count - len(rows)]
+        subs = gr.subgroups(ctx, chunk, group)
+        rows += [at + j for j, sub in enumerate(subs) if sub is group]
         at += len(chunk)
-    rows = [i for i, _ in kept]
     orders = kn.element_orders(ctx, sigmas[rows].reshape(-1, 16))
     closed = set(fs.closed_form_X(ctx))
     scan = set(fs.brute_force_X(group))
     s1 = kn.entries_to_mat(s1_inv[0])
     out: List[Witness] = []
-    for (i, triple), sigma_orders in zip(kept, orders.reshape(-1, 3)):
+    for i, sigma_orders in zip(rows, orders.reshape(-1, 3)):
         s3 = kn.entries_to_mat(s3_inv[i])
         wit = Witness(
-            triple=triple,
+            triple=ChiralTriple(*map(kn.entries_to_mat, sigmas[i])),
             subgroup_order=group.order,
             sigma_orders=tuple(int(k) for k in sigma_orders),
             sigma1_inv_in_scan=s1 in scan,
@@ -325,10 +322,10 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet,
     orders = kn.element_orders(ctx, sigmas.reshape(-1, 16)).reshape(-1, 3)
     details: List[PairDetail] = []
     successes: List[ChiralTriple] = []
-    triples = [ChiralTriple(*map(kn.entries_to_mat, row)) for row in sigmas]
-    subs = gr.subgroups(ctx, [t.mats() for t in triples], group)
+    subs = gr.subgroups(ctx, sigmas, group)
     solvable: Dict[gr.GroupSet, bool] = {}
-    for i, (triple, sub) in enumerate(zip(triples, subs)):
+    for i, sub in enumerate(subs):
+        triple = ChiralTriple(*map(kn.entries_to_mat, sigmas[i]))
         if sub not in solvable:
             solvable[sub] = gr.derived_series_solvable(ctx, sub)
         details.append(PairDetail(

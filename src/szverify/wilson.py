@@ -84,7 +84,7 @@ def bullet(ctx: SuzukiContext, u: Vec4, v: Vec4) -> Vec4:
 
 def is_suzuki(ctx: SuzukiContext, g: Mat4) -> bool:
     """Membership in Sz(q): the nine-equation batch test on one matrix."""
-    return bool(kn.suzuki_mask(ctx, kn.mats_to_entries([g]))[0])
+    return bool(kn.suzuki_mask(ctx, [g])[0])
 
 
 # Row x pair cells per step of the all-pairs oracle, so that its

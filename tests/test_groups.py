@@ -106,14 +106,16 @@ def test_groupset_requires_strictly_increasing_entries(ctx8):
     for ents in bad:
         with pytest.raises(VerificationError):
             gr.GroupSet(ctx=ctx8, entries=ents, generators=d.generators,
-                        base_orbits=d.base_orbits)
+                        base_points=d.base_points)
     # base orbits whose product is not the order
+    o1, o2 = d.base_points
+    assert d.base_orbits == (len(o1), len(o2)) == (14, 1)
     with pytest.raises(VerificationError):
         gr.GroupSet(ctx=ctx8, entries=d.entries.copy(),
-                    generators=d.generators, base_orbits=(7, 1))
+                    generators=d.generators, base_points=(o1[:7], o2))
     assert gr.GroupSet(ctx=ctx8, entries=d.entries.copy(),
                        generators=d.generators,
-                       base_orbits=d.base_orbits).order == 14
+                       base_points=d.base_points).order == 14
 
 
 def test_entries_read_only(group8):
@@ -208,12 +210,25 @@ def test_subgroup_of_index_two(ctx8):
     assert gr.generates(ctx8, dihedral_gens(ctx8), d14)
 
 
-def base_orbit_sizes(ctx, gens, bound=None):
-    """(|O1|, |O2|) of the base pass on ``gens``, stopped at ``bound``."""
-    where = np.full(ctx.q ** 4, -1, dtype=np.int32)
+def numbering(ctx, bound=None):
+    """The numbering of a base pass bounded by the base points
+    ``bound`` of an enclosing group, or of an unbounded one."""
+    return [gr._numbering(ctx, p)
+            for p in bound or (np.arange(ctx.q ** 4),) * 2]
+
+
+def base_points(ctx, gens, bound=None):
+    """The base points (O1, O2) of the base pass on ``gens``, as a
+    group built from them keeps them, bounded by ``bound``."""
     t1, _, t2, _ = gr._transversals(
-        ctx, kn.row_action_table(ctx, gens)[None], where, bound)
-    return len(t1), len(t2)
+        ctx, kn.row_action_table(ctx, gens)[None], numbering(ctx, bound))
+    return gr._base_points(ctx, t1, t2)
+
+
+def base_orbit_sizes(ctx, gens, bound=None):
+    """(|O1|, |O2|) of the base pass on ``gens``, bounded by the base
+    points ``bound``."""
+    return tuple(map(len, base_points(ctx, gens, bound)))
 
 
 def test_base_order_is_exact_on_build_generators(ctx8, group8):
@@ -268,9 +283,9 @@ def word_pairs32(ctx32, seeds32, count):
 
 def test_bounded_base_order_is_exact_at_q32(ctx32, seeds32):
     """On 10 seeded pairs of words in the q = 32 seeds, the base orbits
-    stopped at the seeds' are the exact ones, for generating and proper
+    bounded by the seeds' are the exact ones, for generating and proper
     subgroups alike."""
-    bound = base_orbit_sizes(ctx32, seeds32)
+    bound = base_points(ctx32, seeds32)
     orders = []
     for pair in word_pairs32(ctx32, seeds32, 10):
         orbits = base_orbit_sizes(ctx32, pair, bound)
@@ -280,11 +295,10 @@ def test_bounded_base_order_is_exact_at_q32(ctx32, seeds32):
 
 
 def test_batched_base_orbits_at_q32(ctx32, seeds32):
-    """The 20 seeded word pairs in batches of 4 owners, a visit array of
-    2^22 entries (subgroups runs one a batch at q = 32): each owner's
-    base orbits, stopped at the seeds', are those of its own unbounded
-    pass, and every batch leaves its visit array clean."""
-    bound = base_orbit_sizes(ctx32, seeds32)
+    """The 20 seeded word pairs in batches of 4 owners: each owner's
+    base orbits, bounded by the seeds', are those of its own unbounded
+    pass."""
+    base = numbering(ctx32, base_points(ctx32, seeds32))
     pairs = word_pairs32(ctx32, seeds32, 20)
     per = 4
     got = []
@@ -292,9 +306,7 @@ def test_batched_base_orbits_at_q32(ctx32, seeds32):
         batch = pairs[lo:lo + per]
         tables = kn.row_action_table(ctx32, batch).reshape(
             len(batch), 2, 4, ctx32.q)
-        where = np.full(len(batch) * ctx32.q ** 4, -1, dtype=np.int32)
-        _, own1, _, own2 = gr._transversals(ctx32, tables, where, bound)
-        assert (where == -1).all()
+        _, own1, _, own2 = gr._transversals(ctx32, tables, base)
         got += zip(np.bincount(own1, minlength=len(batch)).tolist(),
                    np.bincount(own2, minlength=len(batch)).tolist())
     assert got == [base_orbit_sizes(ctx32, pair) for pair in pairs]
@@ -341,21 +353,40 @@ def test_a_short_orbit_raises_rather_than_shrink(ctx8, group8, monkeypatch,
     leaves the orbit."""
     orbit = gr._orbit
 
-    def short(ctx, tables, owners, seed, size, where, **kw):
-        trans, owner, edges, rows = orbit(ctx, tables, owners, seed, size,
-                                          where, **kw)
+    def short(ctx, tables, owners, seed, numbering, **kw):
+        trans, owner, edges = orbit(ctx, tables, owners, seed, numbering,
+                                    **kw)
         if seed == v and len(trans) > 1:
             trans, owner = trans[:-1], owner[:-1]
             if edges_too:
-                kept = rows < len(trans)
-                edges, rows = edges[kept], rows[kept]
-        return trans, owner, edges, rows
+                edges = edges[:, (edges[::2] < len(trans)).all(axis=0)]
+        return trans, owner, edges
     monkeypatch.setattr(gr, "_orbit", short)
     for gens in (group8.generators, borel_gens(ctx8)):
         with pytest.raises(VerificationError):
             gr.closure(ctx8, gens, SZ8_ORDER)
         with pytest.raises(VerificationError):
             gr.subgroup(ctx8, gens, group8)
+
+
+@pytest.mark.parametrize("orbit", [0, 1], ids=["O1", "O2"])
+def test_an_orbit_point_outside_the_bounding_base_raises(ctx8, group8,
+                                                          orbit):
+    """A bounded pass numbers each orbit point by its place in the
+    bounding group's base orbits.  Against a copy of Sz(8) whose stored
+    O1 (or O2) has its last point swapped for a vector outside that
+    orbit, the generators of Sz(8) reach the dropped point, which has no
+    place, and subgroups raises VerificationError rather than count it
+    in another's place."""
+    points = list(group8.base_points)
+    outside = np.setdiff1d(np.arange(ctx8.q ** 4), points[orbit])[-1]
+    points[orbit] = np.append(points[orbit][:-1], outside)
+    bad = gr.GroupSet(ctx=ctx8, entries=group8.entries,
+                      generators=group8.generators,
+                      base_points=tuple(points))
+    assert bad.order == group8.order
+    with pytest.raises(VerificationError, match="outside"):
+        gr.subgroup(ctx8, group8.generators, bad)
 
 
 def test_subgroup_rejects_outside_generator(ctx8, group8):

@@ -318,6 +318,32 @@ def test_paired_kernels_refuse_entries_outside_field(ctx8, v):
         hp.involution_conditions(ctx8, trip)
 
 
+@pytest.mark.parametrize("v", [9, 257, -1])
+def test_membership_masks_refuse_entries_outside_field(ctx8, v):
+    """suzuki_mask and symplectic_mask, and so wilson.is_suzuki, check
+    their entries before any table lookup: at q = 8 an entry 9 used to
+    index past the 8-row tables (IndexError)."""
+    bad = np.array(la.identity(), dtype=np.int64)
+    bad[3] = v
+    for call in (lambda: kn.suzuki_mask(ctx8, bad),
+                 lambda: kn.symplectic_mask(ctx8, bad),
+                 lambda: wl.is_suzuki(ctx8, tuple(bad.tolist()))):
+        with pytest.raises(FieldRangeError):
+            call()
+
+
+def test_membership_masks_take_an_int64_batch(ctx8, group8):
+    """An int64 batch, members and non-members, gets the masks of its
+    uint8 batch; it used to fail on a uint8 in-place XOR."""
+    rows = np.concatenate([group8.entries[:50], kn.mats_to_entries(
+        [wl.e1_transvection(ctx8), la.diag(1, 1, 1, 3)])])
+    for mask in (kn.suzuki_mask, kn.symplectic_mask):
+        want = mask(ctx8, rows)
+        assert np.array_equal(mask(ctx8, rows.astype(np.int64)), want)
+    assert kn.suzuki_mask(ctx8, rows.astype(np.int64)).tolist() \
+        == [True] * 50 + [False, False]
+
+
 def test_element_orders_match_scalar_on_sz8(ctx8, group8):
     orders = kn.element_orders(ctx8, group8.entries)
     assert orders.tolist() == [gr.element_order(ctx8, x) for x in group8]

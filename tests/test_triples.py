@@ -219,6 +219,15 @@ def certificate_groups(ctx8, group8, involutions8):
     return groups
 
 
+def batch(sets):
+    """Generator sets of 2 or 3 matrices as one (n, 3, 16) entries
+    batch for groups.subgroups, each shorter set padded with repeats of
+    its last matrix, which subgroups drops."""
+    k = max(map(len, sets))
+    return kn.mats_to_entries([list(g) + [g[-1]] * (k - len(g))
+                               for g in sets]).reshape(len(sets), k, 16)
+
+
 def test_generation_certificate_on_every_triple(ctx8, group8,
                                                 certificate_groups):
     """subgroup against the tests' breadth-first closure on all 1,408
@@ -257,18 +266,18 @@ def test_second_batch_keeps_every_verdict(ctx8, group8, certificate_groups,
     runs = []
     transversals, orbit = gr._transversals, gr._orbit
 
-    def batch(ctx, tables, where, bound=None):
+    def one_batch(ctx, tables, base):
         runs.append(np.zeros(len(tables), dtype=int))
-        return transversals(ctx, tables, where, bound)
+        return transversals(ctx, tables, base)
 
-    def counted(ctx, tables, owners, v, size, where, **kw):
+    def counted(ctx, tables, owners, v, numbering, **kw):
         if v == 2:
             runs[-1][owners] += 1
-        return orbit(ctx, tables, owners, v, size, where, **kw)
+        return orbit(ctx, tables, owners, v, numbering, **kw)
     monkeypatch.setattr(gr, "_FIRST_EDGES", 1)
-    monkeypatch.setattr(gr, "_transversals", batch)
+    monkeypatch.setattr(gr, "_transversals", one_batch)
     monkeypatch.setattr(gr, "_orbit", counted)
-    subs = gr.subgroups(ctx8, [mats for _, mats, _ in certificate_groups],
+    subs = gr.subgroups(ctx8, batch([m for _, m, _ in certificate_groups]),
                         group8)
     assert [h.order for h in subs] == [o for *_, o in certificate_groups]
     # one orbit of e_3 per owner, and a second one on every generating
@@ -287,7 +296,7 @@ def test_subgroups_agrees_with_subgroup_and_closure(ctx8, group8,
     every proper subgroup has the closure's elements, and a seeded 64
     of the generating verdicts close to all of G."""
     mats = [m for _, m, _ in certificate_groups]
-    subs = gr.subgroups(ctx8, mats, group8)
+    subs = gr.subgroups(ctx8, batch(mats), group8)
     whole = []
     for sub, (_, gens, order) in zip(subs, certificate_groups):
         assert sub.order == order
@@ -304,14 +313,36 @@ def test_subgroups_agrees_with_subgroup_and_closure(ctx8, group8,
         assert len(hp.bfs_closure(ctx8, whole[i])) == group8.order
 
 
+def test_one_set_a_batch_keeps_every_answer(ctx8, group8,
+                                            certificate_groups, monkeypatch):
+    """The 1,408 groups one set a batch (a batch budget of one place)
+    and all in one batch get the same orders, and the same answers
+    share one object: the Lagrange rule reuses groups across batches as
+    within one."""
+    mats = batch([m for _, m, _ in certificate_groups])
+
+    def classes(subs):
+        first = {}
+        return [first.setdefault(id(h), i) for i, h in enumerate(subs)]
+    answers = []
+    for visit in (1, len(mats) * group8.base_orbits[0]):
+        monkeypatch.setattr(gr, "_VISIT", visit)
+        answers.append(gr.subgroups(ctx8, mats, group8))
+    one, whole = answers
+    assert [h.order for h in one] == [h.order for h in whole] \
+        == [o for *_, o in certificate_groups]
+    assert classes(one) == classes(whole)
+    assert all((a is group8) == (b is group8) for a, b in zip(one, whole))
+
+
 def test_subgroups_follows_a_permuted_batch(ctx8, group8,
                                             certificate_groups):
     """Permuting the rows of a batch permutes the answers: each owner is
     answered from its own generators, whatever its place."""
-    mats = [m for _, m, _ in certificate_groups]
+    mats = batch([m for _, m, _ in certificate_groups])
     perm = np.random.default_rng(19).permutation(len(mats))
     subs = gr.subgroups(ctx8, mats, group8)
-    moved = gr.subgroups(ctx8, [mats[i] for i in perm], group8)
+    moved = gr.subgroups(ctx8, mats[perm], group8)
     for i, sub in zip(perm, moved):
         assert (sub is group8) == (subs[i] is group8)
         assert np.array_equal(sub.entries, subs[i].entries)
@@ -321,7 +352,8 @@ def test_subgroups_answers_equal_subgroups_with_one_object(
         ctx8, group8, certificate_groups):
     """Equal proper subgroups come back as one object, so the 90 proper
     answers are as many objects as distinct element sets."""
-    subs = gr.subgroups(ctx8, [m for _, m, _ in certificate_groups], group8)
+    subs = gr.subgroups(ctx8, batch([m for _, m, _ in certificate_groups]),
+                        group8)
     proper = [h for h in subs if h is not group8]
     assert len(proper) == 90
     distinct = {h.entries.tobytes() for h in proper}
@@ -340,7 +372,7 @@ def test_subgroups_rejects_a_batch_with_one_outside_generator(
     assert outside not in group8
     mats[-1] = mats[-1] + [outside]
     with pytest.raises(VerificationError):
-        gr.subgroups(ctx8, mats, group8)
+        gr.subgroups(ctx8, batch(mats), group8)
 
 
 def test_walk_multiplies_out_few_schreier_elements(ctx8, group8, monkeypatch):
@@ -366,10 +398,38 @@ def test_walk_multiplies_out_few_schreier_elements(ctx8, group8, monkeypatch):
         if inside:
             rows.append(len(out))
         return out
+    def counted_edges(ctx, tables, trans, owner, edges):
+        formed.append(edges.shape[1])
+        return schreier_tables(ctx, tables, trans, owner, edges)
+    formed, schreier_tables = [], gr._schreier_tables
     monkeypatch.setattr(gr, "subgroups", traced_subgroups)
     monkeypatch.setattr(kn, "mat_mul_pairs", counted_products)
+    monkeypatch.setattr(gr, "_schreier_tables", counted_edges)
     assert len(tr.find_rank4_witnesses(ctx8, group8, count=32)) == 32
     assert sum(rows) == 32 * 16
+    # each edge product t_u s is formed only for the Schreier elements
+    assert sum(formed) == 32 * 16
+
+
+def test_search_makes_one_base_pass_per_call(ctx8, group8, monkeypatch):
+    """search_rank4 with 32 witnesses runs one bounded base pass for the
+    49 torus triples and one per chunk of the witness walk (32 triples,
+    then the 5 that replace the 5 dihedral ones), and the unbounded
+    passes of batches of one that the derived series of the 2 distinct
+    torus subgroups close: 3 of them."""
+    passes = []
+    transversals = gr._transversals
+
+    def counted(ctx, tables, base):
+        passes.append((len(tables), base[0][1]))
+        return transversals(ctx, tables, base)
+    monkeypatch.setattr(gr, "_transversals", counted)
+    report = tr.search_rank4(ctx8, group8, witness_count=32)
+    assert len(report.witnesses) == 32
+    bounded = [m for m, n in passes if n == group8.base_orbits[0]]
+    assert bounded == [49, 32, 5]
+    assert passes.count((1, ctx8.q ** 4)) == 3
+    assert len(passes) == 6
 
 
 def test_walk_triples_match_scalar_construction(ctx8, involutions8):
