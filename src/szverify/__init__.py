@@ -6,8 +6,8 @@ characterisation, audits the fixed-set equation system, and searches for
 generating triples subject to three involution conditions.
 """
 from .context import SuzukiContext, make_context
-from .errors import (BudgetExceededError, DepthLimitError,
-                     SingularMatrixError, SzVerifyError, VerificationError)
+from .errors import (BudgetExceededError, SingularMatrixError, SzVerifyError,
+                     VerificationError)
 from .field import BinaryField, TwistedField
 from .groups import GroupSet, build_suzuki, closure
 from .wilson import bullet, is_suzuki
@@ -15,7 +15,7 @@ from .wilson import bullet, is_suzuki
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryField", "BudgetExceededError", "DepthLimitError", "GroupSet",
+    "BinaryField", "BudgetExceededError", "GroupSet",
     "SingularMatrixError", "SuzukiContext", "SzVerifyError", "TwistedField",
     "VerificationError", "build_suzuki", "bullet", "closure",
     "is_suzuki", "make_context", "__version__",

@@ -26,11 +26,6 @@ class NotSymplecticError(SzVerifyError):
     """A matrix expected in Sp4(q) does not preserve the form."""
 
 
-class DepthLimitError(SzVerifyError):
-    """The derived series neither stabilised nor reached the trivial group
-    within the depth limit."""
-
-
 class VerificationError(SzVerifyError):
     """A check that the underlying theorems guarantee must pass has failed.
 

@@ -11,10 +11,11 @@ entry point, on an (n, k, 16) batch of entries: closure and subgroup
 (with generates on it) are its batches of one.  Bounded by an
 enclosing group, it numbers each orbit point by its place in that
 group's base orbits, which the group keeps from its own pass, and
-stops both orbits at their sizes there; unbounded, it numbers the q^4
-row vectors.  Also here: the cached fixed-point scan and the
-involutions read off it, conjugation orbits, element orders, derived
-series.
+stops the orbit of e_3 at its size there; unbounded, it numbers the
+q^4 row vectors.  The orbit of e_2 always runs to its end, once per
+set: its edges are the input to Schreier's lemma.  Also here: the
+cached fixed-point scan and the involutions read off it, conjugation
+orbits, element orders, derived series.
 """
 from __future__ import annotations
 
@@ -27,8 +28,7 @@ import numpy as np
 from . import kernels as kn
 from . import linalg4 as la
 from .context import SuzukiContext
-from .errors import (BudgetExceededError, DepthLimitError, SzVerifyError,
-                     VerificationError)
+from .errors import BudgetExceededError, SzVerifyError, VerificationError
 from .linalg4 import Mat4
 from .wilson import is_suzuki
 
@@ -180,7 +180,7 @@ _UNIT = np.eye(4, dtype=np.uint8)
 # Off-tree edges per set in _transversals' first batch of Schreier
 # elements, spread evenly over its edges in orbit order.  With 16, none
 # of the 1,318 generating walk groups at q = 8 needed the second batch;
-# with 8, 21 did.
+# with 8, 65 did.
 _FIRST_EDGES = 16
 
 # Rows per step of _group's products and of GroupSet's order check, so
@@ -261,7 +261,7 @@ def _visit(where: np.ndarray, idx: np.ndarray, count: int) -> np.ndarray:
 
 
 def _orbit(ctx: SuzukiContext, tables: np.ndarray, owners: np.ndarray,
-           v: int, numbering: Tuple[np.ndarray, int], stop: bool = True
+           v: int, numbering: Tuple[np.ndarray, int]
            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Transversals of the orbits of the unit row vector e_v under the
     matrices of each set in ``owners``, whose row_action_tables are
@@ -284,8 +284,9 @@ def _orbit(ctx: SuzukiContext, tables: np.ndarray, owners: np.ndarray,
     level is multiplied by the matrices of its own set, matrix by matrix
     (kernels.row_action with owners), so each set sees its products in
     the order of a search of its own, and each point not visited yet
-    takes one of its images (_visit).  With ``stop``, a set stops once
-    its orbit holds all n places, before its next level.
+    takes one of its images (_visit).  In the orbit of e_3 a set stops
+    once its orbit holds all n places, before its next level; the orbit
+    of e_2 runs to its end, so that it keeps the edges of every level.
     """
     number, n = numbering
     m, k = tables.shape[:2]
@@ -298,7 +299,7 @@ def _orbit(ctx: SuzukiContext, tables: np.ndarray, owners: np.ndarray,
     counts = np.bincount(owners, minlength=m)
     while k and len(front):
         rows = np.arange(len(trans) - len(front), len(trans), dtype=np.int32)
-        if stop:
+        if v == _V2:
             live = counts[fown] < n
             if not live.all():
                 front, fown, rows = front[live], fown[live], rows[live]
@@ -407,24 +408,26 @@ def _transversals(ctx: SuzukiContext, tables: np.ndarray,
     Schreier element that fixes v2 is I, so comparing row v2 drops just
     the edges that comparing all 16 entries would.
 
-    Bounded by G, each orbit stops at its size there, and all
-    transversals stay exact.  O1(H) lies in O1(G), so a full O1 is all
-    of O1(H).  Any Schreier elements lie in H_v1, within G_v1, so the
-    orbit of v2 under some of them lies in O2(H), within O2(G), and a
-    full one is all of O2(H).  Hence, for the sets with O1 full, O2
-    first runs under the Schreier elements of _FIRST_EDGES edges each of
-    the levels before the stop.  When it comes back full too,
-    |H| >= |O1| |O2| = |G|, so H = G.  Otherwise O1 runs again to its
-    end, and O2 under the Schreier elements of every edge kept, as it
-    does at once for the sets whose O1 ran to its end short of full, and
-    for every set of an unbounded pass, whose orbits never fill q^4.
+    Bounded by G, O2 stops at its size there, and all transversals stay
+    exact.  O1 is not stopped: it runs to its end, once per set, because
+    its edges are the input to Schreier's lemma, and a stop at its size
+    would leave those of its last level unformed.  O1(H) lies in O1(G),
+    so a full O1 is all of O1(H).  Any Schreier elements lie in H_v1,
+    within G_v1, so the orbit of v2 under some of them lies in O2(H),
+    within O2(G), and a full one is all of O2(H).  Hence, for the sets
+    with O1 full, O2 first runs under the Schreier elements of
+    _FIRST_EDGES edges each.  When it comes back full too,
+    |H| >= |O1| |O2| = |G|, so H = G.  Otherwise O2 runs again under the
+    Schreier elements of every edge kept, as it does at once for the
+    sets whose O1 is short of full, and for every set of an unbounded
+    pass, whose orbits never fill q^4.
     """
     m = len(tables)
     (_, n1), (_, n2) = base
     t1, own1, edges = _orbit(ctx, tables, np.arange(m), _V1, base[0])
     _check_edges(t1, edges)
     full = np.bincount(own1, minlength=m) == n1
-    short = full
+    rest = ~full
     t2, own2 = t1[:0], own1[:0]
     if full.any():
         pick = edges[:, _spread(own1[edges[0]], full)]
@@ -434,25 +437,14 @@ def _transversals(ctx: SuzukiContext, tables: np.ndarray,
         short = full & (np.bincount(own2, minlength=m) != n2)
         kept = ~short[own2]
         t2, own2 = t2[kept], own2[kept]
-    rest = ~full | short
+        rest |= short
     if not rest.any():
         return t1, own1, t2, own2
-    r1, rown, redges = t1[:0], own1[:0], edges[:, :0]
-    if short.any():
-        r1, rown, redges = _orbit(ctx, tables, np.flatnonzero(short), _V1,
-                                  base[0], stop=False)
-        _check_edges(r1, redges)
-    redges = redges + [[len(t1)], [0], [len(t1)]]
     u2, uown, _ = _orbit(
-        ctx, _schreier_tables(
-            ctx, tables, np.concatenate([t1, r1]),
-            np.concatenate([own1, rown]),
-            np.concatenate([edges[:, ~full[own1[edges[0]]]], redges],
-                           axis=1)),
+        ctx, _schreier_tables(ctx, tables, t1, own1,
+                              edges[:, rest[own1[edges[0]]]]),
         np.flatnonzero(rest), _V2, base[1])
-    kept = ~short[own1]
-    return (np.concatenate([t1[kept], r1]), np.concatenate([own1[kept], rown]),
-            np.concatenate([t2, u2]), np.concatenate([own2, uown]))
+    return t1, own1, np.concatenate([t2, u2]), np.concatenate([own2, uown])
 
 
 def _group(ctx: SuzukiContext, gens: np.ndarray, tables: np.ndarray,
@@ -652,9 +644,9 @@ def conjugation_orbit(ctx: SuzukiContext, seed: Mat4,
     Breadth-first, one batch of products per level: every g^-1 y g for
     y in the frontier and g a generator, merged into sorted keys.
     """
-    gens = kn.mats_to_entries(generators)
+    gens = kn.field_rows(ctx, generators)
     inv_gens = kn.invert_symplectic(ctx, gens)
-    frontier = kn.mats_to_entries([seed])
+    frontier = kn.field_rows(ctx, [seed])
     seen = kn.entry_keys(ctx, frontier)
     while len(frontier):
         n = len(frontier)
@@ -667,9 +659,11 @@ def conjugation_orbit(ctx: SuzukiContext, seed: Mat4,
     return set(map(kn.entries_to_mat, kn.key_entries(seen)))
 
 
-def element_order(ctx: SuzukiContext, g: Mat4, cap: int = 1 << 20) -> int:
+def element_order(ctx: SuzukiContext, g: Mat4) -> int:
     """Least k >= 1 with g^k = I, by scalar products.
 
+    g is checked invertible first (la.invert), and an element of GL4(q)
+    has order below q^4, the bound kernels.element_orders applies too.
     szverify takes its orders from kernels.element_orders; this loop is
     the tests' independent oracle for it.
     """
@@ -681,8 +675,8 @@ def element_order(ctx: SuzukiContext, g: Mat4, cap: int = 1 << 20) -> int:
     while p != ident:
         p = la.mat_mul(f, p, g)
         k += 1
-        if k > cap:
-            raise SzVerifyError(f"element order exceeds cap {cap}")
+        if k >= ctx.q ** 4:
+            raise SzVerifyError(f"element order exceeds q^4 = {ctx.q ** 4}")
     return k
 
 
@@ -719,30 +713,23 @@ def derived_subgroup(ctx: SuzukiContext, group: GroupSet) -> GroupSet:
                       + list(map(kn.entries_to_mat, extra)), group.order)
 
 
-def derived_series(ctx: SuzukiContext, group: GroupSet,
-                   depth_limit: int = 8) -> List[GroupSet]:
-    """The derived series until trivial or stabilised.
+def derived_series(ctx: SuzukiContext, group: GroupSet) -> List[GroupSet]:
+    """The derived series until trivial or stabilised (a perfect tail).
 
-    Raises DepthLimitError if neither happens within ``depth_limit``
-    steps; a stabilised nontrivial (perfect) tail terminates normally.
+    Each derived subgroup lies in the one before, so the order falls
+    until it repeats, and the loop ends within log2 |group| steps.
     """
     series = [group]
-    if group.order == 1:
-        return series
-    for _ in range(depth_limit):
-        nxt = derived_subgroup(ctx, series[-1])
-        series.append(nxt)
-        if nxt.order == 1 or nxt.order == series[-2].order:
-            return series
-    raise DepthLimitError(
-        f"derived series did not settle within {depth_limit} steps "
-        f"(orders {[g.order for g in series]})")
+    while series[-1].order > 1:
+        series.append(derived_subgroup(ctx, series[-1]))
+        if series[-1].order == series[-2].order:
+            break
+    return series
 
 
-def derived_series_solvable(ctx: SuzukiContext, group: GroupSet,
-                            depth_limit: int = 8) -> bool:
+def derived_series_solvable(ctx: SuzukiContext, group: GroupSet) -> bool:
     """True iff the derived series reaches the trivial group."""
-    return derived_series(ctx, group, depth_limit)[-1].order == 1
+    return derived_series(ctx, group)[-1].order == 1
 
 
 def involutions(group: GroupSet) -> List[Mat4]:

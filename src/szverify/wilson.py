@@ -50,7 +50,6 @@ import numpy as np
 
 from . import kernels as kn
 from .context import PERP_BASIS_PAIRS, SuzukiContext  # noqa: F401 (re-export)
-from .errors import FieldRangeError
 from .field import BinaryField
 from .linalg4 import (
     Mat4,
@@ -170,9 +169,7 @@ def bruteforce_mask(ctx: SuzukiContext, mats) -> np.ndarray:
     """
     if ctx.q > 8:
         raise ValueError("brute-force membership is ~q^7 pairs; q = 8 only")
-    ents = kn.mats_to_entries(mats)
-    if ents.size and ents.max() >= ctx.q:
-        raise FieldRangeError(f"an entry lies outside GF({ctx.q})")
+    ents = kn.field_rows(ctx, mats)
     ok = np.array([is_symplectic(ctx.field, row) for row in ents.tolist()],
                   dtype=bool)
     live = np.flatnonzero(ok)

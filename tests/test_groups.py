@@ -9,8 +9,7 @@ from szverify import groups as gr
 from szverify import kernels as kn
 from szverify import linalg4 as la
 from szverify import wilson as wl
-from szverify.errors import (BudgetExceededError, DepthLimitError,
-                             VerificationError)
+from szverify.errors import BudgetExceededError, VerificationError
 
 SZ8_ORDER = 29120
 
@@ -353,9 +352,8 @@ def test_a_short_orbit_raises_rather_than_shrink(ctx8, group8, monkeypatch,
     leaves the orbit."""
     orbit = gr._orbit
 
-    def short(ctx, tables, owners, seed, numbering, **kw):
-        trans, owner, edges = orbit(ctx, tables, owners, seed, numbering,
-                                    **kw)
+    def short(ctx, tables, owners, seed, numbering):
+        trans, owner, edges = orbit(ctx, tables, owners, seed, numbering)
         if seed == v and len(trans) > 1:
             trans, owner = trans[:-1], owner[:-1]
             if edges_too:
@@ -479,12 +477,6 @@ def test_derived_series_dihedral_solvable(ctx8):
     series = gr.derived_series(ctx8, d)
     assert [g.order for g in series] == [14, 7, 1]
     assert gr.derived_series_solvable(ctx8, d)
-
-
-def test_derived_series_depth_limit(ctx8):
-    d = gr.closure(ctx8, dihedral_gens(ctx8), ceiling=100)
-    with pytest.raises(DepthLimitError):
-        gr.derived_series(ctx8, d, depth_limit=1)
 
 
 def derived_oracle(ctx, h):

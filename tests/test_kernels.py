@@ -322,12 +322,19 @@ def test_paired_kernels_refuse_entries_outside_field(ctx8, v):
 def test_membership_masks_refuse_entries_outside_field(ctx8, v):
     """suzuki_mask and symplectic_mask, and so wilson.is_suzuki, check
     their entries before any table lookup: at q = 8 an entry 9 used to
-    index past the 8-row tables (IndexError)."""
+    index past the 8-row tables (IndexError).  The all-pairs oracle and
+    conjugation_orbit check theirs before the cast to uint8: an entry
+    257 used to wrap to 1 in the oracle's int64 batch, and -1 or 257 in
+    a tuple raised numpy's OverflowError."""
     bad = np.array(la.identity(), dtype=np.int64)
     bad[3] = v
     for call in (lambda: kn.suzuki_mask(ctx8, bad),
                  lambda: kn.symplectic_mask(ctx8, bad),
-                 lambda: wl.is_suzuki(ctx8, tuple(bad.tolist()))):
+                 lambda: wl.is_suzuki(ctx8, tuple(bad.tolist())),
+                 lambda: wl.bruteforce_mask(ctx8, bad),
+                 lambda: wl.is_suzuki_bruteforce(ctx8, tuple(bad.tolist())),
+                 lambda: gr.conjugation_orbit(ctx8, tuple(bad.tolist()),
+                                              [ctx8.iota])):
         with pytest.raises(FieldRangeError):
             call()
 

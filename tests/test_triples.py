@@ -179,9 +179,9 @@ def test_walk_closes_no_generating_triple(ctx8, group8, monkeypatch):
         built.append(out.order)
         return out
 
-    def recorded_series(ctx, group, depth_limit=8):
+    def recorded_series(ctx, group):
         series.append(group.order)
-        return derived(ctx, group, depth_limit)
+        return derived(ctx, group)
     monkeypatch.setattr(gr, "_group", recorded_group)
     monkeypatch.setattr(gr, "derived_series", recorded_series)
     report = tr.search_rank4(ctx8, group8, witness_count=32)
@@ -259,33 +259,35 @@ def test_second_batch_keeps_every_verdict(ctx8, group8, certificate_groups,
     """With a first batch of one Schreier element, which cannot move e_3
     onto all 64 points of its orbit, O2 comes out short on every group
     with a full O1, and the second batch, every edge, decides it: each
-    subgroup order stays the same.  (With the default batch, no group
-    here takes the second batch.)  One subgroups call on all 1,408
-    groups, so each owner's orbits of e_3 are counted within its
+    subgroup order stays the same, and the second batch reuses the
+    edges of the one orbit of e_2 per owner.  (With the default batch,
+    no group here takes the second batch.)  One subgroups call on all
+    1,408 groups, so each owner's orbits are counted within its
     batch."""
     runs = []
     transversals, orbit = gr._transversals, gr._orbit
 
     def one_batch(ctx, tables, base):
-        runs.append(np.zeros(len(tables), dtype=int))
+        runs.append(np.zeros((2, len(tables)), dtype=int))
         return transversals(ctx, tables, base)
 
-    def counted(ctx, tables, owners, v, numbering, **kw):
-        if v == 2:
-            runs[-1][owners] += 1
-        return orbit(ctx, tables, owners, v, numbering, **kw)
+    def counted(ctx, tables, owners, v, numbering):
+        runs[-1][v - 1, owners] += 1
+        return orbit(ctx, tables, owners, v, numbering)
     monkeypatch.setattr(gr, "_FIRST_EDGES", 1)
     monkeypatch.setattr(gr, "_transversals", one_batch)
     monkeypatch.setattr(gr, "_orbit", counted)
     subs = gr.subgroups(ctx8, batch([m for _, m, _ in certificate_groups]),
                         group8)
     assert [h.order for h in subs] == [o for *_, o in certificate_groups]
-    # one orbit of e_3 per owner, and a second one on every generating
-    # group, where the first batch left O2 short
-    runs = np.concatenate(runs)
-    assert len(runs) == len(certificate_groups)
-    assert runs.min() == 1 and runs.max() == 2
-    assert (runs == 2).sum() == 448 + 434 + 436
+    # one orbit of e_2 per owner; one orbit of e_3 per owner, and a
+    # second one on every generating group, where the first batch left
+    # O2 short
+    e2, e3 = np.concatenate(runs, axis=1)
+    assert len(e3) == len(certificate_groups)
+    assert (e2 == 1).all()
+    assert e3.min() == 1 and e3.max() == 2
+    assert (e3 == 2).sum() == 448 + 434 + 436
 
 
 def test_subgroups_agrees_with_subgroup_and_closure(ctx8, group8,
