@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial
+from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
@@ -180,17 +181,20 @@ def _stage_group(state: RunState):
                 f"{expected} from a q^2-element Sylow filter"), findings
 
 
+def _scan_census(state: RunState):
+    """The equation census of the symmetric fixed-set scan members, the
+    system's domain, and the number of asymmetric members."""
+    scan = state.group.fixed_points.reshape(-1, 4, 4)
+    symmetric = (scan == scan.transpose(0, 2, 1)).all(axis=(1, 2))
+    return (fs.equation_census(state.ctx, scan[symmetric]),
+            int(len(scan) - symmetric.sum()))
+
+
 def _stage_fixed_set(state: RunState):
     ctx = state.ctx
     result = fs.fixed_set_result(ctx, state.group)
-    scan = state.group.fixed_points.reshape(-1, 4, 4)
-    symmetric = (scan == scan.transpose(0, 2, 1)).all(axis=(1, 2))
-    all_symmetric = bool(symmetric.all())
-    # The equation system is stated for symmetric matrices, so the
-    # census runs on the symmetric members; an asymmetric member lies
-    # outside the system, and the equations holding on every member are
-    # then reported as null.
-    census = fs.equation_census(ctx, scan[symmetric])
+    census, asymmetric = _scan_census(state)
+    all_symmetric = not asymmetric
     findings = {
         "closed_form_size": len(result.closed_form),
         "scan_size": len(result.brute_force),
@@ -303,8 +307,10 @@ def cmd_enumerate_x(args) -> int:
 
 def cmd_check_equations(args) -> int:
     state = RunState(args)
-    census = fs.equation_census(state.ctx, state.group.fixed_points)
+    census, asymmetric = _scan_census(state)
     print(f"scan members: {census.total}")
+    if asymmetric:
+        print(f"asymmetric scan members, outside the system: {asymmetric}")
     print(f"{'label':<6} {'satisfied':>9}  origin")
     for eq in fs.EQUATIONS:
         o = eq.origin
@@ -316,7 +322,8 @@ def cmd_check_equations(args) -> int:
         print(f"{eq.label:<6} {census.per_label[eq.label]:>9}  {src}")
     print(f"full-system solutions: {len(census.full_solutions)} "
           f"(closed form size {len(census.closed_form)})")
-    ok = (census.closed_form_satisfied and census.solutions_match_closed_form)
+    ok = (not asymmetric and census.closed_form_satisfied
+          and census.solutions_match_closed_form)
     print("closed form satisfies every equation: "
           f"{str(census.closed_form_satisfied).lower()}")
     payload = {"schema": "szverify-equations-census v1", "q": args.q,
@@ -325,6 +332,8 @@ def cmd_check_equations(args) -> int:
                "closed_form_satisfied": census.closed_form_satisfied,
                "solutions_match_closed_form":
                    census.solutions_match_closed_form}
+    if asymmetric:
+        payload["asymmetric_scan_members"] = asymmetric
     _write_report(args.report, payload)
     return EXIT_PASS if ok else EXIT_THEOREM
 
@@ -392,6 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # before the first stage, so that no run ends on an unwritable report
+    if args.report and not Path(args.report).parent.is_dir():
+        print(f"szverify: report directory does not exist: {args.report}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except SzVerifyError as ex:

@@ -48,17 +48,10 @@ _BULLET_NONZERO = {
 
 
 def _basis_products():
-    rows = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            vec = [0, 0, 0, 0]
-            k = _BULLET_NONZERO.get((i, j))
-            if k is not None:
-                vec[k] = 1
-            row.append(tuple(vec))
-        rows.append(tuple(row))
-    return tuple(rows)
+    """The table as basis_products[i][j] = e_i * e_j, a 0/1 4-tuple."""
+    return tuple(tuple(tuple(int(_BULLET_NONZERO.get((i, j)) == k)
+                             for k in range(4)) for j in range(4))
+                 for i in range(4))
 
 
 def validate_modulus(poly: int) -> bool:
@@ -129,16 +122,10 @@ def make_context(e: int) -> SuzukiContext:
 
 def _check_context(ctx: SuzukiContext) -> None:
     assert 2 * ctx.t * ctx.t == ctx.q
+    pairs = [(i, j) for i in range(4) for j in range(4)]
     # iota is the antidiagonal identity and its own inverse
-    for i in range(4):
-        for j in range(4):
-            expect = 1 if i + j == 3 else 0
-            assert ctx.iota[4 * i + j] == expect
+    assert ctx.iota == tuple(int(i + j == 3) for i, j in pairs)
     # basis product table is symmetric with exactly eight nonzero entries
-    nonzero = 0
-    for i in range(4):
-        for j in range(4):
-            assert ctx.bullet_basis[i][j] == ctx.bullet_basis[j][i]
-            if any(ctx.bullet_basis[i][j]):
-                nonzero += 1
-    assert nonzero == 8
+    basis = ctx.bullet_basis
+    assert all(basis[i][j] == basis[j][i] for i, j in pairs)
+    assert sum(any(basis[i][j]) for i, j in pairs) == 8

@@ -12,10 +12,12 @@ entry point, on an (n, k, 16) batch of entries: closure and subgroup
 enclosing group, it numbers each orbit point by its place in that
 group's base orbits, which the group keeps from its own pass, and
 stops the orbit of e_3 at its size there; unbounded, it numbers the
-q^4 row vectors.  The orbit of e_2 always runs to its end, once per
-set: its edges are the input to Schreier's lemma.  Also here: the
-cached fixed-point scan and the involutions read off it, conjugation
-orbits, element orders, derived series.
+q^4 row vectors, in closure, which only build_suzuki calls: every other
+group, a derived subgroup too, is built inside one already held.  The
+orbit of e_2 always runs to its end, once per set: its edges are the
+input to Schreier's lemma.  Also here: the cached fixed-point scan and
+the involutions read off it, conjugation orbits, element orders,
+derived series.
 """
 from __future__ import annotations
 
@@ -115,11 +117,11 @@ class GroupSet:
     def member_mask(self, mats) -> np.ndarray:
         """Which of the matrices (rows of 16 entries) are elements.
 
-        A row with an entry outside GF(q) is no element, at either key
-        layout; it is looked up as the zero matrix, which no group has.
+        A row with an entry outside GF(q) (kernels.field_mask) is no
+        element; it is looked up as the zero matrix, which no group has.
         """
         ents = np.asarray(mats).reshape(-1, 16)
-        field = ((ents >= 0) & (ents < self.ctx.q)).all(axis=1)
+        field = kn.field_mask(self.ctx, ents).all(axis=1)
         if not field.all():
             ents = np.where(field[:, None], ents, 0)
         keys = kn.entry_keys(self.ctx, ents)
@@ -324,13 +326,6 @@ def _orbit(ctx: SuzukiContext, tables: np.ndarray, owners: np.ndarray,
         edges or [np.empty((3, 0), dtype=np.int32)], axis=1))
 
 
-def _check_edges(trans: np.ndarray, edges: np.ndarray) -> None:
-    """Each edge of an _orbit search must start and end in the orbit, or
-    VerificationError is raised."""
-    if edges.size and edges[::2].max() >= len(trans):
-        raise VerificationError("an edge leaves the orbit")
-
-
 def _spread(owner: np.ndarray, chosen: np.ndarray) -> np.ndarray:
     """Positions of up to _FIRST_EDGES edges of each ``chosen`` set,
     spread evenly over its edges in the order given, whose sets
@@ -425,7 +420,8 @@ def _transversals(ctx: SuzukiContext, tables: np.ndarray,
     m = len(tables)
     (_, n1), (_, n2) = base
     t1, own1, edges = _orbit(ctx, tables, np.arange(m), _V1, base[0])
-    _check_edges(t1, edges)
+    if edges[::2].max(initial=0) >= len(t1):
+        raise VerificationError("an edge leaves the orbit")
     full = np.bincount(own1, minlength=m) == n1
     rest = ~full
     t2, own2 = t1[:0], own1[:0]
@@ -540,9 +536,8 @@ def subgroups(ctx: SuzukiContext, generator_sets,
         t1, own1, t2, own2 = _transversals(ctx, tables[lo:lo + m], base)
         n1 = np.bincount(own1, minlength=m)
         n2 = np.bincount(own2, minlength=m)
-        if ceiling is not None and (n1 * n2 > ceiling).any():
-            o = int(np.argmax(n1 * n2 > ceiling))
-            raise BudgetExceededError(int(n1[o] * n2[o]), ceiling)
+        if ceiling is not None and (n1 * n2).max() > ceiling:
+            raise BudgetExceededError(int((n1 * n2).max()), ceiling)
         for o in range(m):
             gens = ents[lo + o, :count[lo + o]]
             orbits = (int(n1[o]), int(n2[o]))
@@ -557,9 +552,9 @@ def subgroups(ctx: SuzukiContext, generator_sets,
 
 
 def _one_set(generators: Sequence[Mat4]) -> np.ndarray:
-    """A list of matrices as a (1, k, 16) batch, int64 so that subgroups
-    sees an entry outside GF(q) as it is."""
-    return np.array(generators, dtype=np.int64).reshape(1, -1, 16)
+    """A list of matrices as a (1, k, 16) batch, values as given, so
+    that subgroups sees an entry outside GF(q) as it is."""
+    return np.array(generators).reshape(1, -1, 16)
 
 
 def subgroup(ctx: SuzukiContext, generators: Sequence[Mat4],
@@ -681,27 +676,27 @@ def element_order(ctx: SuzukiContext, g: Mat4) -> int:
 
 
 def derived_subgroup(ctx: SuzukiContext, group: GroupSet) -> GroupSet:
-    """Normal closure of the commutators of the group's generators.
+    """Normal closure of the commutators of the group's generators, each
+    candidate a subgroups pass bounded by ``group``, so that one which
+    generates ``group`` is ``group`` itself, with no element made.
 
-    Subgroup closure of generator commutators need not be normal, so
-    conjugates g^-1 d g of its generators d are folded in until it
-    stabilises; the fixed point is the derived subgroup.  Commutators
-    (ba)^-1 ab come a-major and conjugates g-major, each list from one
-    batch of paired products, and the conjugates are looked up in the
-    subgroup in one batch.
+    The subgroup of the commutators need not be normal, so conjugates
+    g^-1 d g of its generators d are folded in until it stabilises, but
+    for the trivial group.  Commutators (ba)^-1 ab come a-major and
+    conjugates g-major, each list from one batch of paired products,
+    and the conjugates are looked up in the subgroup in one batch.
     """
     gens = kn.mats_to_entries(group.generators)
     k = len(gens)
     a, b = np.repeat(gens, k, axis=0), np.tile(gens, (k, 1))
     ba_inv = kn.invert_symplectic(ctx, kn.mat_mul_pairs(ctx, b, a))
-    comms = kn.mat_mul_pairs(ctx, ba_inv, kn.mat_mul_pairs(ctx, a, b))
-    comms = comms[~kn.identity_mask(comms)]
-    if not len(comms):
-        return closure(ctx, [], 1)
-    sub = closure(ctx, list(map(kn.entries_to_mat, comms)), group.order)
+    ds = kn.mat_mul_pairs(ctx, ba_inv, kn.mat_mul_pairs(ctx, a, b))
+    ds = ds[~kn.identity_mask(ds)]
+    sub = subgroups(ctx, ds[None], group)[0]
+    if not len(ds):
+        return sub
     inv_gens = kn.invert_symplectic(ctx, gens)
     while True:
-        ds = kn.mats_to_entries(sub.generators)
         m = len(ds)
         conj = kn.mat_mul_pairs(ctx, np.repeat(inv_gens, m, axis=0),
                                 kn.mat_mul_pairs(ctx, np.tile(ds, (k, 1)),
@@ -709,8 +704,8 @@ def derived_subgroup(ctx: SuzukiContext, group: GroupSet) -> GroupSet:
         extra = conj[~sub.member_mask(conj)]
         if not len(extra):
             return sub
-        sub = closure(ctx, list(sub.generators)
-                      + list(map(kn.entries_to_mat, extra)), group.order)
+        ds = np.concatenate([ds, extra])
+        sub = subgroups(ctx, ds[None], group)[0]
 
 
 def derived_series(ctx: SuzukiContext, group: GroupSet) -> List[GroupSet]:

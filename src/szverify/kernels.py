@@ -30,14 +30,14 @@ from typing import Optional
 
 import numpy as np
 
-from .context import PERP_BASIS_PAIRS, SuzukiContext
+from .context import SuzukiContext
 from .errors import FieldRangeError, NotSymplecticError, SzVerifyError
 from .linalg4 import Mat4
 
 # The basis pairs whose residuals decide membership (see wilson): the
-# eight perpendicular ones, then the two antidiagonal ones, which need
-# only agree with each other.
-_RESIDUAL_PAIRS = PERP_BASIS_PAIRS + ((0, 3), (1, 2))
+# four perpendicular ones off the diagonal (R_ii vanishes for every
+# matrix), then the two antidiagonal ones, which need only agree.
+_RESIDUAL_PAIRS = ((0, 1), (0, 2), (1, 3), (2, 3), (0, 3), (1, 2))
 
 # Rows per step of the batch kernels, so that their temporaries stay
 # small for a whole Sz(32): a paired product gathers through intp
@@ -153,13 +153,20 @@ def identity_mask(ents: np.ndarray) -> np.ndarray:
     return (ents.reshape(-1, 16) == _IDENTITY).all(axis=1)
 
 
+def field_mask(ctx: SuzukiContext, x: np.ndarray) -> np.ndarray:
+    """Which entries of ``x`` lie in GF(q), the integers 0 to q - 1; a
+    value that is not an integer (0.5, NaN) does not."""
+    if x.dtype == np.uint8:
+        return x < ctx.q
+    return (x >= 0) & (x < ctx.q) & (x % 1 == 0)
+
+
 def field_rows(ctx: SuzukiContext, ents) -> np.ndarray:
     """A batch as (n, 16) uint8 entries, each checked to lie in GF(q)
-    before the cast, so no entry wraps into the field; raises
-    FieldRangeError otherwise."""
+    (field_mask) before the cast, so no entry wraps or truncates into
+    the field; raises FieldRangeError otherwise."""
     x = np.asarray(ents)
-    if x.size and ((x.dtype != np.uint8 and x.min() < 0)
-                   or x.max() >= ctx.q):
+    if not field_mask(ctx, x).all():
         raise FieldRangeError(f"an entry lies outside GF({ctx.q})")
     return x.astype(np.uint8, copy=False).reshape(-1, 16)
 
@@ -293,8 +300,8 @@ def suzuki_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
 
     With c_i = x e_i the columns of x, the basis residuals are
     R_ij = c_i * c_j + x(e_i * e_j).  A matrix is a member iff it is
-    symplectic, R_ij = 0 on the eight PERP_BASIS_PAIRS, and
-    R_03 = R_12; the wilson module docstring proves this.  Rows go in
+    symplectic and meets the five equations R_01 = R_02 = R_13 = R_23 = 0
+    and R_03 = R_12; the wilson module docstring proves this.  Rows go in
     chunks so that the temporaries stay small for a whole Sz(32).  An
     entry outside GF(q) raises FieldRangeError (field_rows).
     """
@@ -306,7 +313,6 @@ def suzuki_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
              for k in range(4)]
     left = [i for i, _ in _RESIDUAL_PAIRS]
     right = [j for _, j in _RESIDUAL_PAIRS]
-    npp = len(PERP_BASIS_PAIRS)
     ok = symplectic_mask(ctx, ents)
     x = ents.reshape(-1, 4, 4)
     for lo in range(0, x.shape[0], _CHUNK):
@@ -321,8 +327,8 @@ def suzuki_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
             for k in range(4):
                 if basis[i][j][k]:
                     res[:, n] ^= cols[:, k]
-        ok[lo:lo + _CHUNK] &= ~res[:, :npp].any(axis=(1, 2))
-        ok[lo:lo + _CHUNK] &= (res[:, npp] == res[:, npp + 1]).all(axis=1)
+        ok[lo:lo + _CHUNK] &= ~res[:, :4].any(axis=(1, 2))
+        ok[lo:lo + _CHUNK] &= (res[:, 4] == res[:, 5]).all(axis=1)
     return ok
 
 

@@ -21,7 +21,7 @@ elements.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -45,9 +45,8 @@ class ChiralTriple:
         return (self.sigma1, self.sigma2, self.sigma3)
 
     def to_json_dict(self) -> dict:
-        return {"sigma1": la.mat_to_hex(self.sigma1),
-                "sigma2": la.mat_to_hex(self.sigma2),
-                "sigma3": la.mat_to_hex(self.sigma3)}
+        return {f"sigma{i}": la.mat_to_hex(m)
+                for i, m in enumerate(self.mats(), 1)}
 
 
 def _column_reversed(ents: np.ndarray) -> np.ndarray:
@@ -152,11 +151,7 @@ class ReductionStatus:
     membership_lemma_held: bool
 
     def to_json_dict(self) -> dict:
-        return {"closed_form_size": self.closed_form_size,
-                "scan_size": self.scan_size,
-                "fixed_set_equal": self.fixed_set_equal,
-                "iota_pairs_rejected": self.iota_pairs_rejected,
-                "membership_lemma_held": self.membership_lemma_held}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

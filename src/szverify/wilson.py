@@ -9,7 +9,7 @@ where a -> a^t is the field twist.  A symplectic matrix g lies in Sz(q)
 exactly when it respects this product on perpendicular pairs:
 g(u) * g(v) == g(u * v) whenever f(u, v) = 0.
 
-Nine vector equations decide this.  Expanding u and v in the basis, and
+Five vector equations decide this.  Expanding u and v in the basis, and
 using that the twist is additive and multiplicative, the residual is
 
     g(u) * g(v) + g(u * v) = sum_{i,j} (u_i v_j)^t R_ij,
@@ -25,10 +25,11 @@ two units.  So the residual vanishes on every perpendicular pair iff it
 vanishes on that basis.  As R is symmetric, that leaves R_ij = 0 on the
 eight PERP_BASIS_PAIRS and R_03 = R_12 (R_03 + R_30 = 0 holds in
 characteristic 2).  The two antidiagonal residuals need only agree;
-neither need vanish.  The four diagonal equations R_ii = 0 hold for
-every g, since u * u = 0 in characteristic 2.
+neither need vanish.  R_ii = 0 holds for every g, as e_i * e_i = 0 and
+u * u = 0 (the basis table is symmetric with a zero diagonal, and the
+characteristic is 2): R_01 = R_02 = R_13 = R_23 = 0 and R_03 = R_12 remain.
 
-kernels.suzuki_mask evaluates the nine equations over a batch and
+kernels.suzuki_mask evaluates the five equations over a batch and
 is_suzuki runs it on one matrix.  The brute-force path stays as an
 oracle with no shared logic beyond the field tables: bruteforce_mask
 checks the product condition itself on all q^3(q^4 + q - 1) ordered
@@ -82,7 +83,7 @@ def bullet(ctx: SuzukiContext, u: Vec4, v: Vec4) -> Vec4:
 
 
 def is_suzuki(ctx: SuzukiContext, g: Mat4) -> bool:
-    """Membership in Sz(q): the nine-equation batch test on one matrix."""
+    """Membership in Sz(q): the five-equation batch test on one matrix."""
     return bool(kn.suzuki_mask(ctx, [g])[0])
 
 
@@ -165,7 +166,7 @@ def bruteforce_mask(ctx: SuzukiContext, mats) -> np.ndarray:
     row x pair cells.  A row leaves the batch at its first failing step,
     and the walk ends when no row is left, so a member is checked on every
     pair.  Vectorised with numpy but structurally independent of the
-    nine-equation test.
+    five-equation test.
     """
     if ctx.q > 8:
         raise ValueError("brute-force membership is ~q^7 pairs; q = 8 only")

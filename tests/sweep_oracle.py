@@ -1,6 +1,6 @@
 """The reduced projective sweep: an independent membership oracle.
 
-This is the membership test szverify used before the nine-equation
+This is the membership test szverify used before the five-equation
 basis-residual test in ``kernels.suzuki_mask`` replaced it.  It checks
 the product condition g(u) * g(v) == g(u * v) directly on
 3(q^3 + q^2 + q + 1) perpendicular pairs: the residual at (u, v) scales

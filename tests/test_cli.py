@@ -252,6 +252,34 @@ def test_fixed_set_stage_fails_on_an_asymmetric_member():
     assert res.findings["full_system_solutions_equal_closed_form"]
 
 
+def test_check_equations_fails_on_an_asymmetric_member(capsys,
+                                                      monkeypatch):
+    """check-equations runs the census on the symmetric scan members, as
+    the fixed-set stage does, and fails with exit 3 on an asymmetric
+    one rather than raise from the census.  The group is the stand-in of
+    test_fixed_set_stage_fails_on_an_asymmetric_member."""
+    ctx = cli.make_context(1)
+    closed = fs.closed_form_X(ctx)
+    asym = (1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
+    monkeypatch.setattr(gr, "build_suzuki", lambda ctx: types.SimpleNamespace(
+        fixed_points=kn.mats_to_entries(closed + [asym])))
+    rc, out, _ = run(capsys, "check-equations", "--q", "8")
+    assert rc == 3
+    assert f"scan members: {len(closed)}" in out
+    assert "asymmetric scan members, outside the system: 1" in out
+
+
+def test_report_in_missing_directory_is_a_usage_error(capsys, tmp_path):
+    """Refused before the first stage runs (it prints nothing), with
+    exit 2 and a one-line message."""
+    rc, out, err = run(capsys, "field-selftest", "--report",
+                       str(tmp_path / "missing" / "r.json"))
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_verify_all_imports_no_numpy_ma():
     """A cold verify-all never imports numpy.ma: np.unique(..., axis=0)
     pulls it in at numpy 2.4, some 15 ms of import, so the engine

@@ -401,7 +401,7 @@ def test_subgroup_rejects_entries_outside_field(request, ctx_name, group8):
     layout, so subgroup raises VerificationError for it."""
     ctx = request.getfixturevalue(ctx_name)
     group = group8 if ctx.q == 8 else gr.closure(ctx, dihedral_gens(ctx), 100)
-    for v in (ctx.q, 16 if ctx.q == 8 else 2 * ctx.q, 255, 256, -1):
+    for v in (ctx.q, 16 if ctx.q == 8 else 2 * ctx.q, 255, 256, -1, 0.5):
         bad = la.identity()[:3] + (v,) + la.identity()[4:]
         assert bad not in group
         with pytest.raises(VerificationError):
@@ -477,6 +477,15 @@ def test_derived_series_dihedral_solvable(ctx8):
     series = gr.derived_series(ctx8, d)
     assert [g.order for g in series] == [14, 7, 1]
     assert gr.derived_series_solvable(ctx8, d)
+
+
+def test_derived_subgroup_of_sz8_is_the_group(ctx8, group8, monkeypatch):
+    """Sz(8) is perfect, and its commutator pass is bounded by it, so
+    the derived subgroup comes back as group8 itself (Lagrange), with
+    no element multiplied out (_group) and no closure."""
+    monkeypatch.setattr(gr, "_group", None)
+    monkeypatch.setattr(gr, "closure", None)
+    assert gr.derived_subgroup(ctx8, group8) is group8
 
 
 def derived_oracle(ctx, h):

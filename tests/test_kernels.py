@@ -318,15 +318,17 @@ def test_paired_kernels_refuse_entries_outside_field(ctx8, v):
         hp.involution_conditions(ctx8, trip)
 
 
-@pytest.mark.parametrize("v", [9, 257, -1])
+@pytest.mark.parametrize("v", [9, 257, -1, 0.5, np.nan])
 def test_membership_masks_refuse_entries_outside_field(ctx8, v):
     """suzuki_mask and symplectic_mask, and so wilson.is_suzuki, check
     their entries before any table lookup: at q = 8 an entry 9 used to
     index past the 8-row tables (IndexError).  The all-pairs oracle and
     conjugation_orbit check theirs before the cast to uint8: an entry
     257 used to wrap to 1 in the oracle's int64 batch, and -1 or 257 in
-    a tuple raised numpy's OverflowError."""
-    bad = np.array(la.identity(), dtype=np.int64)
+    a tuple raised numpy's OverflowError.  A float batch with 0.5 or NaN
+    is refused too: the cast used to truncate 0.5 to 0, and NaN passed
+    the range check."""
+    bad = np.array(la.identity(), dtype=np.asarray(v).dtype)
     bad[3] = v
     for call in (lambda: kn.suzuki_mask(ctx8, bad),
                  lambda: kn.symplectic_mask(ctx8, bad),

@@ -1,4 +1,4 @@
-"""The nine-equation membership test against the reduced-sweep oracle.
+"""The five-equation membership test against the reduced-sweep oracle.
 
 ``kernels.suzuki_mask`` (and ``wilson.is_suzuki``, the same test on one
 matrix) must agree exactly with the sweep in ``sweep_oracle`` on every

@@ -416,9 +416,11 @@ def test_walk_multiplies_out_few_schreier_elements(ctx8, group8, monkeypatch):
 def test_search_makes_one_base_pass_per_call(ctx8, group8, monkeypatch):
     """search_rank4 with 32 witnesses runs one bounded base pass for the
     49 torus triples and one per chunk of the witness walk (32 triples,
-    then the 5 that replace the 5 dihedral ones), and the unbounded
-    passes of batches of one that the derived series of the 2 distinct
-    torus subgroups close: 3 of them."""
+    then the 5 that replace the 5 dihedral ones), and the passes of
+    batches of one that the derived series of the 2 distinct torus
+    subgroups make, each bounded by the term it takes the derived
+    subgroup of: C2 to the trivial group, then D14 to C7 and C7 to the
+    trivial group.  None is unbounded."""
     passes = []
     transversals = gr._transversals
 
@@ -428,10 +430,9 @@ def test_search_makes_one_base_pass_per_call(ctx8, group8, monkeypatch):
     monkeypatch.setattr(gr, "_transversals", counted)
     report = tr.search_rank4(ctx8, group8, witness_count=32)
     assert len(report.witnesses) == 32
-    bounded = [m for m, n in passes if n == group8.base_orbits[0]]
-    assert bounded == [49, 32, 5]
-    assert passes.count((1, ctx8.q ** 4)) == 3
-    assert len(passes) == 6
+    assert passes == [(49, 455), (1, 2), (1, 14), (1, 7), (32, 455),
+                      (5, 455)]
+    assert (1, ctx8.q ** 4) not in passes
 
 
 def test_walk_triples_match_scalar_construction(ctx8, involutions8):

@@ -145,6 +145,24 @@ def test_wilson_residual_rejects_nonperp(ctx8):
         hp.wilson_residual(ctx8, la.identity(), u, v)
 
 
+@pytest.mark.parametrize("ctx_name", ["ctx8", "ctx32"])
+def test_diagonal_residuals_vanish(request, ctx_name):
+    """R_ii = g e_i * g e_i + g(e_i * e_i) is zero for every matrix, on
+    seeded random ones, symplectic or not: e_i * e_i = 0, and u * u = 0
+    since the basis table is symmetric with a zero diagonal and the
+    characteristic is 2.  So suzuki_mask leaves the diagonal pairs out."""
+    ctx = request.getfixturevalue(ctx_name)
+    rng = random.Random(41)
+    mats = [tuple(rng.randrange(ctx.q) for _ in range(16))
+            for _ in range(20)]
+    mats += [wl.random_symplectic(ctx, random.Random(4100 + k))
+             for k in range(20)]
+    for g in mats:
+        for i in range(4):
+            e = la.basis_vec(i)
+            assert hp.wilson_residual(ctx, g, e, e) == la.ZERO_VEC
+
+
 def test_accepts_identity_iota_torus(ctx8):
     assert wl.is_suzuki(ctx8, la.identity())
     assert wl.is_suzuki(ctx8, ctx8.iota)
