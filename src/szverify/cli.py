@@ -145,11 +145,12 @@ def _stage_wilson(state: RunState):
         semi_ok &= lhs == rhs
     # One membership batch: the known members (identity, iota, the
     # torus), the transvection, then 100 random symplectic matrices.
-    members = [la.identity(), tuple(ctx.iota)] + fs.torus_elements(ctx)
+    members = np.concatenate([kn.mats_to_entries([la.identity(), ctx.iota]),
+                              fs.torus_elements(ctx)])
     randoms = wl.random_symplectics(
         ctx, [random.Random(1000 + k) for k in range(100)])
     mask = kn.suzuki_mask(ctx, np.concatenate(
-        [kn.mats_to_entries(members + [wl.e1_transvection(ctx)]), randoms]))
+        [members, kn.mats_to_entries([wl.e1_transvection(ctx)]), randoms]))
     members_ok = bool(mask[:len(members)].all())
     trans_rejected = not mask[len(members)]
     random_mask = mask[len(members) + 1:]
@@ -220,8 +221,8 @@ def _stage_involutions(state: RunState):
     group = state.group
     invs = gr.involutions(group)
     expected = ctx.involution_count
-    orbit = gr.conjugation_orbit(ctx, tuple(ctx.iota), group.generators)
-    single = orbit == set(invs)
+    orbit = gr.conjugation_orbit(ctx, ctx.iota, group.generators)
+    single = np.array_equal(orbit, invs)
     findings = {"count": len(invs), "expected": expected,
                 "orbit_of_iota": len(orbit), "single_class": single}
     ok = len(invs) == expected and single
@@ -291,12 +292,12 @@ def cmd_enumerate_x(args) -> int:
             print("  " + la.mat_to_hex(x))
         payload["closed_form"] = [la.mat_to_hex(x) for x in closed]
     if args.mode in ("scan", "both"):
-        scan = fs.brute_force_X(state.group)
+        scan = state.group.fixed_points
         payload["scan_size"] = len(scan)
         payload["scan_sample"] = [la.mat_to_hex(x) for x in scan[:16]]
         print(f"scan: {len(scan)} matrices with x.iota.x = iota")
         if args.mode == "both":
-            equal = closed == scan
+            equal = np.array_equal(closed, scan)
             payload["equal"] = equal
             print(f"closed form == brute force: {str(equal).lower()}")
             if not equal:
@@ -402,9 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     # before the first stage, so that no run ends on an unwritable report
-    if args.report and not Path(args.report).parent.is_dir():
-        print(f"szverify: report directory does not exist: {args.report}",
-              file=sys.stderr)
+    report = args.report and Path(args.report)
+    if report and (report.is_dir() or not report.parent.is_dir()):
+        print("szverify: report path is a directory, or its directory does "
+              f"not exist: {args.report}", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.fn(args)

@@ -3,7 +3,8 @@
 Provides the claimed closed form ({iota} union the diagonal torus), the
 exhaustive scan over an enumerated group, and the equation system that
 the closed form was derived from, with each equation tagged by the
-basis-vector product or Gram-matrix position it encodes.
+basis-vector product or Gram-matrix position it encodes.  Each set of
+matrices is canonically sorted (n, 16) entries, so sets compare as arrays.
 
 Each equation is stated once, as its text, and evaluated from that
 text on a whole batch of symmetric matrices at a time (equation_masks).
@@ -20,14 +21,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from . import kernels as kn
-from . import linalg4 as la
 from .context import SuzukiContext
-from .linalg4 import Mat4
 
 # Basis pairs whose products generate the displayed equations.  The
 # first four are perpendicular (f(e_i, e_j) = 0); the last two are not,
@@ -134,10 +133,10 @@ def _side_values(mul: np.ndarray, powers: Dict[str, np.ndarray], side: str,
 def equation_masks(ctx: SuzukiContext, mats) -> Dict[str, np.ndarray]:
     """Which rows of a batch of symmetric matrices satisfy each equation.
 
-    ``mats`` is a Mat4 list or an (n, 16) entries array.  Each side is
-    parsed from the equation's text and evaluated once on the whole
-    batch.  An asymmetric row raises ValueError, and an entry outside
-    GF(q) raises FieldRangeError.
+    ``mats`` is an (n, 16) entries batch.  Each side is parsed from the
+    equation's text and evaluated once on the whole batch.  An
+    asymmetric row raises ValueError, and an entry outside GF(q) raises
+    FieldRangeError.
     """
     a = kn.field_rows(ctx, mats)
     x = a.reshape(-1, 4, 4)
@@ -155,31 +154,29 @@ def equation_masks(ctx: SuzukiContext, mats) -> Dict[str, np.ndarray]:
     return masks
 
 
-def torus_element(ctx: SuzukiContext, a: int) -> Mat4:
-    """diag(a, a^(2t+1), a^(-2t-1), a^(-1))."""
+def torus_element(ctx: SuzukiContext, a: int) -> np.ndarray:
+    """Row a - 1 of torus_elements."""
     if not 0 < a < ctx.q:
         raise ValueError("torus parameter must be a nonzero field element")
+    return torus_elements(ctx)[a - 1]
+
+
+def torus_elements(ctx: SuzukiContext) -> np.ndarray:
+    """diag(a, a^(2t+1), a^(-2t-1), a^(-1)) for a = 1, ..., q - 1, as
+    (q - 1, 16) entries."""
     f = ctx.field
     k = 2 * ctx.t + 1
-    return la.diag(a, f.pow(a, k), f.pow(a, -k), f.inv(a))
+    ents = np.zeros((ctx.q - 1, 16), dtype=np.uint8)
+    ents[:, ::5] = [(a, f.pow(a, k), f.pow(a, -k), f.inv(a))
+                    for a in range(1, ctx.q)]
+    return ents
 
 
-def torus_elements(ctx: SuzukiContext) -> List[Mat4]:
-    return [torus_element(ctx, a) for a in range(1, ctx.q)]
-
-
-def closed_form_X(ctx: SuzukiContext) -> List[Mat4]:
-    """The claimed fixed set: iota plus the q - 1 torus elements."""
-    return sorted([tuple(ctx.iota)] + torus_elements(ctx))
-
-
-def brute_force_X(group) -> List[Mat4]:
-    """Every group element with x . iota . x = iota, canonically sorted.
-
-    Read from ``group.fixed_points``, so the whole-group scan runs once
-    per group however often this is called.
-    """
-    return [kn.entries_to_mat(row) for row in group.fixed_points]
+def closed_form_X(ctx: SuzukiContext) -> np.ndarray:
+    """The claimed fixed set: iota plus the q - 1 torus elements,
+    canonically sorted."""
+    keys = kn.entry_keys(ctx, np.vstack([ctx.iota, torus_elements(ctx)]))
+    return kn.key_entries(np.sort(keys))
 
 
 def expected_scan_size(ctx: SuzukiContext) -> int:
@@ -191,42 +188,44 @@ def expected_scan_size(ctx: SuzukiContext) -> int:
 
 @dataclass(frozen=True)
 class FixedSetResult:
-    closed_form: List[Mat4]
-    brute_force: List[Mat4]
+    closed_form: np.ndarray
+    brute_force: np.ndarray
 
     @property
     def equal(self) -> bool:
-        return self.closed_form == self.brute_force
+        return np.array_equal(self.closed_form, self.brute_force)
 
 
 def fixed_set_result(ctx: SuzukiContext, group) -> FixedSetResult:
-    """Both realisations, sorted for set comparison.
+    """Both realisations, canonically sorted for set comparison: the
+    scan is ``group.fixed_points``, so it runs once per group however
+    often this is called.
 
     At q = 8 the closed form lists 8 matrices while the scan finds 456
     (every symmetric member), so ``equal`` is False.
     """
-    return FixedSetResult(closed_form_X(ctx), brute_force_X(group))
+    return FixedSetResult(closed_form_X(ctx), group.fixed_points)
 
 
 @dataclass(frozen=True)
 class EquationCensus:
     total: int
     per_label: Dict[str, int]
-    full_solutions: List[Mat4]
+    full_solutions: np.ndarray
     closed_form_satisfied: bool
-    closed_form: List[Mat4]
+    closed_form: np.ndarray
 
     @property
     def solutions_match_closed_form(self) -> bool:
-        return self.full_solutions == self.closed_form
+        return np.array_equal(self.full_solutions, self.closed_form)
 
 
 def equation_census(ctx: SuzukiContext, scan) -> EquationCensus:
     """Per-equation satisfaction counts over the scanned fixed set.
 
-    ``scan`` is the fixed-set scan of the group, as a Mat4 list
-    (brute_force_X) or an entries array (GroupSet.fixed_points).  The
-    scan and the closed form go through equation_masks as one batch.
+    ``scan`` is the fixed-set scan of the group, canonically sorted
+    entries (GroupSet.fixed_points), or its symmetric rows.  The scan
+    and the closed form go through equation_masks as one batch.
     The ten twisted product equations and the two Gram-position
     equations hold on every scan member; the eight detwisted equations
     from non-perpendicular pairs do not, and exactly the closed-form
@@ -235,9 +234,8 @@ def equation_census(ctx: SuzukiContext, scan) -> EquationCensus:
     closed = closed_form_X(ctx)
     rows = kn.field_rows(ctx, scan)
     n = len(rows)
-    masks = equation_masks(
-        ctx, np.concatenate([rows, kn.mats_to_entries(closed)]))
+    masks = equation_masks(ctx, np.concatenate([rows, closed]))
     full = np.logical_and.reduce(list(masks.values()))
     counts = {label: int(m[:n].sum()) for label, m in masks.items()}
-    solutions = [kn.entries_to_mat(row) for row in rows[full[:n]]]
-    return EquationCensus(n, counts, solutions, bool(full[n:].all()), closed)
+    return EquationCensus(n, counts, rows[full[:n]], bool(full[n:].all()),
+                          closed)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,16 +44,17 @@ class GroupSet:
     ``__post_init__`` checks, so its cached ``keys`` are sorted and
     O(log n) membership is a binary search.  It is read-only:
     ``__post_init__`` clears its writeable flag, which keeps the cached
-    ``keys`` and ``fixed_points`` true to it.  ``base_points`` holds the
-    orbits the group was built from (_transversals), each point as its
-    _codes number, in the order of their transversals: O1, the orbit of
-    e_2, and O2, the orbit of e_3 under the stabiliser of e_2.  Their
-    sizes, ``base_orbits``, must multiply to the order.
+    ``keys`` and ``fixed_points`` true to it.  ``generators``, (k, 16)
+    entries, is read-only too.  ``base_points`` holds the orbits the
+    group was built from (_transversals), each point as its _codes
+    number, in the order of their transversals: O1, the orbit of e_2,
+    and O2, the orbit of e_3 under the stabiliser of e_2.  Their sizes,
+    ``base_orbits``, must multiply to the order.
     """
 
     ctx: SuzukiContext
     entries: np.ndarray
-    generators: Tuple[Mat4, ...]
+    generators: np.ndarray
     base_points: Tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
@@ -71,6 +72,7 @@ class GroupSet:
                     "group entries are not strictly increasing "
                     "(out of canonical order, or a duplicate element)")
         self.entries.flags.writeable = False
+        self.generators.flags.writeable = False
         for points in self.base_points:
             points.flags.writeable = False
         if la.identity() not in self:
@@ -128,15 +130,8 @@ class GroupSet:
         pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         return field & (self.keys[pos] == keys)
 
-    def __contains__(self, mat: Mat4) -> bool:
+    def __contains__(self, mat) -> bool:
         return bool(self.member_mask([mat])[0])
-
-    def __iter__(self) -> Iterator[Mat4]:
-        for row in self.entries:
-            yield kn.entries_to_mat(row)
-
-    def element(self, i: int) -> Mat4:
-        return kn.entries_to_mat(self.entries[i])
 
 
 def _generator_batch(ctx: SuzukiContext, generator_sets
@@ -470,7 +465,7 @@ def _group(ctx: SuzukiContext, gens: np.ndarray, tables: np.ndarray,
     keys.sort()
     group = GroupSet(
         ctx=ctx, entries=kn.key_entries(keys),
-        generators=tuple(map(kn.entries_to_mat, gens)) or (la.identity(),),
+        generators=(gens if len(gens) else _UNIT.reshape(1, 16)).copy(),
         base_points=_base_points(ctx, t1, t2))
     # as many generators at a time as fit in a chunk, and at least one:
     # the sorted keys of S s, for k generators s, are each key of S k
@@ -583,12 +578,13 @@ def closure(ctx: SuzukiContext, generators: Sequence[Mat4],
     return subgroups(ctx, _one_set(generators), ceiling=ceiling)[0]
 
 
-def _suzuki_seeds(ctx: SuzukiContext) -> Tuple[np.ndarray, List[Mat4]]:
-    """The Sylow filter and the seeds that build_suzuki closes.
+def _suzuki_seeds(ctx: SuzukiContext) -> Tuple[np.ndarray, np.ndarray]:
+    """The Sylow filter and the seeds that build_suzuki closes, both as
+    entries.
 
     Filters the q^4 flag-unitriangular symplectic candidates down to the
-    q^2-element Sylow 2-subgroup, returned as entries, and picks its
-    first two nontrivial elements (in canonical order) and iota.
+    q^2-element Sylow 2-subgroup and picks its first two nontrivial
+    elements (in canonical order) and iota.
     """
     cand = kn.sylow_candidates(ctx)
     keep = kn.suzuki_mask(ctx, cand)
@@ -597,15 +593,12 @@ def _suzuki_seeds(ctx: SuzukiContext) -> Tuple[np.ndarray, List[Mat4]]:
         raise VerificationError(
             f"Sylow filter yielded {sylow_ents.shape[0]} elements, "
             f"expected q^2 = {ctx.sylow_order}: field or product-table bug")
-    order_idx = np.argsort(kn.entry_keys(ctx, sylow_ents))
-    sylow = [kn.entries_to_mat(sylow_ents[i]) for i in order_idx]
-
-    iota = tuple(ctx.iota)
-    if not is_suzuki(ctx, iota):
+    sylow = kn.key_entries(np.sort(kn.entry_keys(ctx, sylow_ents)))
+    if not is_suzuki(ctx, ctx.iota):
         raise VerificationError("iota failed the membership test")
-
-    nontrivial = [s for s in sylow if s != la.identity()]
-    return sylow_ents, nontrivial[:2] + [iota]
+    nontrivial = sylow[~kn.identity_mask(sylow)]
+    return sylow_ents, np.concatenate(
+        [nontrivial[:2], kn.mats_to_entries([ctx.iota])])
 
 
 def build_suzuki(ctx: SuzukiContext) -> GroupSet:
@@ -631,10 +624,10 @@ def build_suzuki(ctx: SuzukiContext) -> GroupSet:
     return group
 
 
-def conjugation_orbit(ctx: SuzukiContext, seed: Mat4,
-                      generators: Sequence[Mat4]) -> Set[Mat4]:
-    """Orbit of ``seed`` under conjugation by the group that
-    ``generators`` generate, with no element of the group enumerated.
+def conjugation_orbit(ctx: SuzukiContext, seed, generators) -> np.ndarray:
+    """Orbit of the matrix ``seed`` under conjugation by the group that
+    the (k, 16) ``generators`` generate, as canonically sorted entries,
+    with no element of the group enumerated.
 
     Breadth-first, one batch of products per level: every g^-1 y g for
     y in the frontier and g a generator, merged into sorted keys.
@@ -651,7 +644,7 @@ def conjugation_orbit(ctx: SuzukiContext, seed: Mat4,
         fresh, pos = _fresh_keys(seen, kn.entry_keys(ctx, conj))
         seen = np.insert(seen, pos, fresh)
         frontier = kn.key_entries(fresh)
-    return set(map(kn.entries_to_mat, kn.key_entries(seen)))
+    return kn.key_entries(seen)
 
 
 def element_order(ctx: SuzukiContext, g: Mat4) -> int:
@@ -686,7 +679,7 @@ def derived_subgroup(ctx: SuzukiContext, group: GroupSet) -> GroupSet:
     conjugates g-major, each list from one batch of paired products,
     and the conjugates are looked up in the subgroup in one batch.
     """
-    gens = kn.mats_to_entries(group.generators)
+    gens = group.generators
     k = len(gens)
     a, b = np.repeat(gens, k, axis=0), np.tile(gens, (k, 1))
     ba_inv = kn.invert_symplectic(ctx, kn.mat_mul_pairs(ctx, b, a))
@@ -727,18 +720,18 @@ def derived_series_solvable(ctx: SuzukiContext, group: GroupSet) -> bool:
     return derived_series(ctx, group)[-1].order == 1
 
 
-def involutions(group: GroupSet) -> List[Mat4]:
-    """All elements of order exactly 2, canonically sorted.
+def involutions(group: GroupSet) -> np.ndarray:
+    """All elements of order exactly 2, as canonically sorted entries.
 
     Read off ``group.fixed_points`` with no whole-group pass: x iota x =
     iota iff (x iota)^2 = I, so w = x iota, which is x with its columns
     reversed, runs over the involutions and I; I comes from x = iota.
     That needs iota in the group, so a group without it is refused.
     """
-    if tuple(group.ctx.iota) not in group:
+    if group.ctx.iota not in group:
         raise ValueError("involutions are read off the fixed points only "
                          "in a group that contains iota")
     ws = group.fixed_points.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
     ws = kn.key_entries(np.sort(kn.entry_keys(group.ctx, ws)))
-    return [w for w in map(kn.entries_to_mat, ws) if w != la.identity()]
+    return ws[~kn.identity_mask(ws)]
 

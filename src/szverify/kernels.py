@@ -1,12 +1,15 @@
 """Vectorised batch operations on 4x4 matrices.
 
-The closure engine and the membership test work on numpy arrays rather
-than tuples, in one layout: entries, (n, 16) uint8, row-major field
-elements, same order as Mat4.  Sorting and searching go through one key
-per matrix (entry_keys, inverted by key_entries) whose order is the
-canonical (row-major lexicographic) order of the matrices: for q <= 16
-the 16 entries as big-endian nibbles of a uint64, otherwise a 16-byte
-record that compares bytewise.
+Matrices cross the APIs of kernels, groups, fixed_set, triples and cli
+in one format: entries, (n, 16) uint8, row-major field elements, same
+order as Mat4.  Mat4 tuples stay in the scalar oracles (field, linalg4,
+wilson, groups.element_order) and in the report dataclasses of triples,
+which print them as hex; membership and the subgroup builders also take
+any array-like of 16 entries per matrix.  Sorting and searching go
+through one key per matrix (entry_keys, inverted by key_entries) whose
+order is the canonical (row-major lexicographic) order of the matrices:
+for q <= 16 the 16 entries as big-endian nibbles of a uint64, otherwise
+a 16-byte record that compares bytewise.
 
 Right multiplication by a fixed g acts on each row separately, and
 linearly: r g = r_0 (row 0 of g) + ... + r_3 (row 3 of g).  So four

@@ -88,14 +88,14 @@ def torus_inversion_check(ctx: SuzukiContext) -> bool:
     """iota-conjugation sends every torus element to its inverse:
     d (iota d iota) = I, where iota d iota is d with its rows and
     columns reversed."""
-    d = kn.mats_to_entries(fs.torus_elements(ctx))
+    d = fs.torus_elements(ctx)
     conj = d.reshape(-1, 4, 4)[:, ::-1, ::-1].reshape(-1, 16)
     return bool(kn.identity_mask(kn.mat_mul_pairs(ctx, d, conj)).all())
 
 
 def torus_commutation_check(ctx: SuzukiContext) -> bool:
     """All torus pairs commute."""
-    tor = kn.mats_to_entries(fs.torus_elements(ctx))
+    tor = fs.torus_elements(ctx)
     a, b = np.repeat(tor, len(tor), axis=0), np.tile(tor, (len(tor), 1))
     return np.array_equal(kn.mat_mul_pairs(ctx, a, b),
                           kn.mat_mul_pairs(ctx, b, a))
@@ -222,19 +222,18 @@ def _checked_triples(ctx: SuzukiContext, s1_inv: np.ndarray,
 
 
 def _iota_pair_rejections(ctx: SuzukiContext) -> int:
-    """Every pair using iota as an inverse fails an involution condition."""
-    iota = tuple(ctx.iota)
+    """Every pair using iota as an inverse fails an involution condition:
+    (iota, x) for each x of the closed form, then (x, iota) for x not iota."""
     closed = fs.closed_form_X(ctx)
-    pairs = [(iota, x) for x in closed] + [(x, iota) for x in closed
-                                          if x != iota]
-    sigmas = _triple_from_inverse_pair(
-        ctx, kn.mats_to_entries([a for a, _ in pairs]),
-        kn.mats_to_entries([b for _, b in pairs]))
+    iota = kn.mats_to_entries([ctx.iota])
+    sigmas = np.concatenate([
+        _triple_from_inverse_pair(ctx, iota, closed),
+        _triple_from_inverse_pair(ctx, closed[~_is_iota(ctx, closed)], iota)])
     prods = _partial_products(ctx, sigmas)
     if _involution_masks(ctx, prods).all(axis=1).any():
         raise VerificationError(
             "a pair containing iota passed all involution conditions")
-    return len(pairs)
+    return len(sigmas)
 
 
 def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
@@ -245,7 +244,7 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
     has product iota and both partial products involutions, so only
     generation needs searching.  Its inverses sigma1^-1 = w1*iota and
     sigma3^-1 = w3*iota are members of the fixed-set scan
-    (fixed_set.brute_force_X): x iota x = iota iff (x iota)^2 = I.
+    (GroupSet.fixed_points): x iota x = iota iff (x iota)^2 = I.
     Taking w1 or w3 equal to iota collapses a sigma to the identity and
     the subgroup to a dihedral one, so iota is skipped.
 
@@ -258,8 +257,8 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
     stop at ``count``.  They go in chunks of ``count`` less the triples
     kept so far, so they test just the triples a one-by-one walk would.
     """
-    iota = tuple(ctx.iota)
-    ws = kn.mats_to_entries([w for w in gr.involutions(group) if w != iota])
+    ws = gr.involutions(group)
+    ws = ws[~_is_iota(ctx, ws)]
     s1_inv, s3_inv = _column_reversed(ws[:1]), _column_reversed(ws[1:])
     sigmas, lemma = _checked_triples(ctx, s1_inv, s3_inv)
     if not lemma.all():
@@ -272,20 +271,23 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
         rows += [at + j for j, sub in enumerate(subs) if sub is group]
         at += len(chunk)
     orders = kn.element_orders(ctx, sigmas[rows].reshape(-1, 16))
-    closed = set(fs.closed_form_X(ctx))
-    scan = set(fs.brute_force_X(group))
-    s1 = kn.entries_to_mat(s1_inv[0])
+    # (sigma1^-1, sigma3^-1) of each witness, row by row
+    inv = np.stack(np.broadcast_arrays(s1_inv[:1], s3_inv[rows]),
+                   axis=1).reshape(-1, 16)
+    scan = kn.fixed_point_mask(ctx, inv) & group.member_mask(inv)
+    closed = (inv[:, None] == fs.closed_form_X(ctx)).all(axis=2).any(axis=1)
     out: List[Witness] = []
-    for i, sigma_orders in zip(rows, orders.reshape(-1, 3)):
-        s3 = kn.entries_to_mat(s3_inv[i])
+    for i, sigma_orders, in_scan, in_closed in zip(
+            rows, orders.reshape(-1, 3), scan.reshape(-1, 2).tolist(),
+            closed.reshape(-1, 2).tolist()):
         wit = Witness(
             triple=ChiralTriple(*map(kn.entries_to_mat, sigmas[i])),
             subgroup_order=group.order,
             sigma_orders=tuple(int(k) for k in sigma_orders),
-            sigma1_inv_in_scan=s1 in scan,
-            sigma1_inv_in_closed_form=s1 in closed,
-            sigma3_inv_in_scan=s3 in scan,
-            sigma3_inv_in_closed_form=s3 in closed,
+            sigma1_inv_in_scan=in_scan[0],
+            sigma1_inv_in_closed_form=in_closed[0],
+            sigma3_inv_in_scan=in_scan[1],
+            sigma3_inv_in_closed_form=in_closed[1],
         )
         if wit.sigma1_inv_in_closed_form and wit.sigma3_inv_in_closed_form:
             raise VerificationError(
@@ -310,7 +312,7 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet,
     result = fs.fixed_set_result(ctx, group)
     reduction_rejected = _iota_pair_rejections(ctx)
 
-    torus = kn.mats_to_entries(fs.torus_elements(ctx))
+    torus = fs.torus_elements(ctx)
     s1_inv = np.repeat(torus, len(torus), axis=0)
     s3_inv = np.tile(torus, (len(torus), 1))
     sigmas, lemma = _checked_triples(ctx, s1_inv, s3_inv)

@@ -33,10 +33,10 @@ def group8(ctx8):
 @pytest.fixture(scope="session")
 def involutions8(ctx8, group8):
     """The involutions of Sz(8) from a whole-group kernels.involution_mask
-    pass: the reference for groups.involutions, which reads them off
-    the fixed-point scan instead."""
-    mask = kn.involution_mask(ctx8, group8.entries)
-    return [kn.entries_to_mat(row) for row in group8.entries[mask]]
+    pass, as canonically sorted entries: the reference for
+    groups.involutions, which reads them off the fixed-point scan
+    instead."""
+    return group8.entries[kn.involution_mask(ctx8, group8.entries)]
 
 
 def all_vecs(q):

@@ -54,11 +54,18 @@ def mat_from_hex(s: str) -> Mat4:
     return tuple(int(p, 16) for p in parts)
 
 
-def sample(group, k: int, seed: int = 0) -> List[Mat4]:
-    """``k`` distinct elements of ``group``, seeded, in canonical order."""
+def mats(ents) -> List[Mat4]:
+    """The rows of an (n, 16) entries batch as a Mat4 list: the one place
+    where the tests convert entries for the scalar linalg4 oracles."""
+    return [tuple(row) for row in np.asarray(ents).reshape(-1, 16).tolist()]
+
+
+def sample(group, k: int, seed: int = 0) -> np.ndarray:
+    """``k`` distinct elements of ``group``, seeded, as (k, 16) entries
+    in canonical order."""
     rng = np.random.default_rng(seed)
     idx = rng.choice(group.order, size=min(k, group.order), replace=False)
-    return [group.element(int(i)) for i in sorted(idx)]
+    return group.entries[np.sort(idx)]
 
 
 def bfs_closure(ctx: SuzukiContext, generators) -> np.ndarray:

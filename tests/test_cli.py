@@ -8,6 +8,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from szverify import cli
@@ -243,7 +244,7 @@ def test_fixed_set_stage_fails_on_an_asymmetric_member():
     closed = fs.closed_form_X(state.ctx)
     asym = (1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
     state.__dict__["group"] = types.SimpleNamespace(
-        fixed_points=kn.mats_to_entries(closed + [asym]))
+        fixed_points=np.concatenate([closed, kn.mats_to_entries([asym])]))
     res = state.stage("fixed-set")
     assert not res.passed
     assert res.findings["scan_all_symmetric"] is False
@@ -262,7 +263,7 @@ def test_check_equations_fails_on_an_asymmetric_member(capsys,
     closed = fs.closed_form_X(ctx)
     asym = (1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
     monkeypatch.setattr(gr, "build_suzuki", lambda ctx: types.SimpleNamespace(
-        fixed_points=kn.mats_to_entries(closed + [asym])))
+        fixed_points=np.concatenate([closed, kn.mats_to_entries([asym])])))
     rc, out, _ = run(capsys, "check-equations", "--q", "8")
     assert rc == 3
     assert f"scan members: {len(closed)}" in out
@@ -271,13 +272,14 @@ def test_check_equations_fails_on_an_asymmetric_member(capsys,
 
 def test_report_in_missing_directory_is_a_usage_error(capsys, tmp_path):
     """Refused before the first stage runs (it prints nothing), with
-    exit 2 and a one-line message."""
-    rc, out, err = run(capsys, "field-selftest", "--report",
-                       str(tmp_path / "missing" / "r.json"))
-    assert rc == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert not (tmp_path / "missing").exists()
+    exit 2 and a one-line message: a report whose directory is missing,
+    and a report path that is an existing directory."""
+    for path in (tmp_path / "missing" / "r.json", tmp_path):
+        rc, out, err = run(capsys, "field-selftest", "--report", str(path))
+        assert rc == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_all_imports_no_numpy_ma():

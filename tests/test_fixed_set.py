@@ -25,7 +25,7 @@ FROZEN_COUNTS = {
 def test_torus_element_shape(ctx8):
     f = ctx8.field
     for a in range(1, 8):
-        m = fs.torus_element(ctx8, a)
+        m = hp.mats(fs.torus_element(ctx8, a))[0]
         assert m == la.diag(a, f.pow(a, 2 * ctx8.t + 1),
                             f.pow(a, -(2 * ctx8.t + 1)), f.inv(a))
         assert la.is_symplectic(f, m)
@@ -39,13 +39,13 @@ def test_torus_element_shape(ctx8):
 def test_torus_is_cyclic_of_order_q_minus_1(ctx8):
     els = fs.torus_elements(ctx8)
     assert len(els) == 7
-    assert len(set(els)) == 7
+    assert len(set(hp.mats(els))) == 7
     g = gr.closure(ctx8, [fs.torus_element(ctx8, 2)], ceiling=100)
     assert g.order == 7
 
 
 def test_closed_form_members(ctx8, group8):
-    closed = fs.closed_form_X(ctx8)
+    closed = hp.mats(fs.closed_form_X(ctx8))
     assert len(closed) == 8
     assert ctx8.iota in closed
     for x in closed:
@@ -56,7 +56,7 @@ def test_closed_form_members(ctx8, group8):
 
 def test_scan_size_is_involution_count_plus_one(ctx8, group8,
                                                 involutions8):
-    scan = fs.brute_force_X(group8)
+    scan = group8.fixed_points
     assert len(scan) == fs.expected_scan_size(ctx8) == 456
     assert len(scan) == len(involutions8) + 1
 
@@ -66,18 +66,18 @@ def test_scan_is_involutions_times_iota(ctx8, group8, involutions8):
     scan set: x iota x = iota iff (x iota)^2 = I.  The involutions come
     from kernels.involution_mask, not from the scan."""
     f = ctx8.field
-    scan = set(fs.brute_force_X(group8))
-    image = {la.mat_mul(f, w, ctx8.iota) for w in involutions8}
+    scan = set(hp.mats(group8.fixed_points))
+    image = {la.mat_mul(f, w, ctx8.iota) for w in hp.mats(involutions8)}
     image.add(ctx8.iota)  # w = I
     assert image == scan
     # the walk order of triples.find_rank4_witnesses
     walk = sorted(la.mat_mul(f, x, ctx8.iota) for x in scan
                   if x not in (ctx8.iota, la.identity()))
-    assert walk == [w for w in involutions8 if w != ctx8.iota]
+    assert walk == [w for w in hp.mats(involutions8) if w != ctx8.iota]
 
 
 def test_every_scan_member_symmetric(ctx8, group8):
-    for x in fs.brute_force_X(group8):
+    for x in hp.mats(group8.fixed_points):
         assert hp.symmetry_lemma_check(ctx8, x)
 
 
@@ -95,7 +95,7 @@ def test_fixed_set_result_is_unequal(ctx8, group8):
     assert len(res.closed_form) == 8
     assert len(res.brute_force) == 456
     assert not res.equal
-    assert set(res.closed_form) < set(res.brute_force)
+    assert set(hp.mats(res.closed_form)) < set(hp.mats(res.brute_force))
 
 
 def test_equation_count_and_labels():
@@ -165,14 +165,19 @@ def _symmetric_non_members(ctx, n, seed):
 
 
 def test_census_frozen_counts(ctx8, group8):
-    census = fs.equation_census(ctx8, fs.brute_force_X(group8))
+    census = fs.equation_census(ctx8, group8.fixed_points)
     assert census.total == 456
     assert census.per_label == FROZEN_COUNTS
     assert all(type(n) is int for n in census.per_label.values())
     assert census.closed_form_satisfied
     assert len(census.full_solutions) == 8
     assert census.solutions_match_closed_form
-    assert fs.equation_census(ctx8, group8.fixed_points) == census
+    # a Mat4 list of the same rows gives the same census
+    again = fs.equation_census(ctx8, hp.mats(group8.fixed_points))
+    assert (again.total, again.per_label, again.closed_form_satisfied) == (
+        census.total, census.per_label, census.closed_form_satisfied)
+    assert np.array_equal(again.full_solutions, census.full_solutions)
+    assert np.array_equal(again.closed_form, census.closed_form)
 
 
 def test_equation_residual_correspondence(ctx8, group8):
@@ -183,7 +188,7 @@ def test_equation_residual_correspondence(ctx8, group8):
     the Gram equations fail on some rows (all rows symmetric, so row and
     column action agree)."""
     f = ctx8.field
-    scan = fs.brute_force_X(group8)
+    scan = hp.mats(group8.fixed_points)
     others = _symmetric_non_members(ctx8, 300, seed=14)
     mats = scan + others
     masks = fs.equation_masks(ctx8, mats)
@@ -208,8 +213,8 @@ def test_equation_residual_correspondence(ctx8, group8):
 def test_sound_equations_hold_on_iota_conjugates(ctx8, group8):
     """The 10 twisted and 2 Gram equations hold on every scan member,
     not only the closed form."""
-    scan = fs.brute_force_X(group8)
-    off_closed = [x for x in scan if x not in set(fs.closed_form_X(ctx8))]
+    closed = set(hp.mats(fs.closed_form_X(ctx8)))
+    off_closed = [x for x in hp.mats(group8.fixed_points) if x not in closed]
     masks = fs.equation_masks(ctx8, off_closed)
     for lab in [f"S{i}" for i in range(1, 11)] + ["P14", "P23"]:
         assert masks[lab].all()
@@ -308,7 +313,7 @@ def test_nonperp_preservers_are_dihedral(ctx8, group8):
                      ceiling=100)
     n14 = []
     n23 = []
-    for m in group8:
+    for m in hp.mats(group8.entries):
         if wl.bullet(ctx8, la.mat_vec(f, m, e[0]),
                      la.mat_vec(f, m, e[3])) == (0, 0, 0, 0):
             n14.append(m)

@@ -35,7 +35,7 @@ def test_closure_cyclic_torus(ctx8):
     g = gr.closure(ctx8, [fs.torus_element(ctx8, 2)], ceiling=100)
     assert g.order == 7
     assert all(m == la.diag(*[hp.entry(m, i, i) for i in range(4)])
-               for m in g)
+               for m in hp.mats(g.entries))
 
 
 def test_closure_dihedral(ctx8):
@@ -48,6 +48,7 @@ def tuple_bfs(ctx, gens):
     """The group generated by ``gens`` by a tuple-level breadth-first
     closure, and the number of levels that added elements."""
     f = ctx.field
+    gens = hp.mats(gens)
     members = {la.identity()}
     frontier = [la.identity()]
     levels = 0
@@ -65,7 +66,7 @@ def test_closure_dihedral_q32(ctx32):
     g = gr.closure(ctx32, dihedral_gens(ctx32), ceiling=100)
     assert g.order == 62
     members, _ = tuple_bfs(ctx32, dihedral_gens(ctx32))
-    assert list(g) == sorted(members)
+    assert hp.mats(g.entries) == sorted(members)
     assert all(m in g for m in members)
     assert wl.e1_transvection(ctx32) not in g
 
@@ -88,7 +89,7 @@ def test_closure_borel_many_levels(ctx8):
     members, levels = tuple_bfs(ctx8, gens)
     assert (len(members), levels) == (448, 11)
     borel = gr.closure(ctx8, gens, ceiling=448)
-    assert list(borel) == sorted(members)
+    assert hp.mats(borel.entries) == sorted(members)
     assert borel.base_orbits == (7, 64)
     with pytest.raises(BudgetExceededError):
         gr.closure(ctx8, gens, ceiling=447)
@@ -153,11 +154,10 @@ def test_fixed_points_of_closure_match_kernel(ctx8, gens):
 
 
 def test_involutions_match_kernel_oracle(ctx8, group8, involutions8):
-    assert gr.involutions(group8) == involutions8
+    assert np.array_equal(gr.involutions(group8), involutions8)
     d14 = gr.closure(ctx8, dihedral_gens(ctx8), ceiling=100)
     mask = kn.involution_mask(ctx8, d14.entries)
-    assert gr.involutions(d14) == [kn.entries_to_mat(r)
-                                   for r in d14.entries[mask]]
+    assert np.array_equal(gr.involutions(d14), d14.entries[mask])
     # the Borel subgroup lacks iota, so x -> x iota leaves it
     with pytest.raises(ValueError):
         gr.involutions(gr.closure(ctx8, borel_gens(ctx8), ceiling=448))
@@ -169,7 +169,7 @@ def _walk_triples(ctx, invs, count):
     ``invs`` lists the involutions in canonical order."""
     f = ctx.field
     iota = ctx.iota
-    invs = [w for w in invs if w != iota]
+    invs = [w for w in hp.mats(invs) if w != iota]
     w1 = invs[0]
     for w3 in invs[1:1 + count]:
         yield (la.mat_mul(f, iota, w1),
@@ -265,7 +265,7 @@ def word_pairs32(ctx32, seeds32, count):
     """``count`` seeded pairs of words of 2 to 8 letters in the q = 32
     seeds; the first 10 are those of
     test_bounded_base_order_is_exact_at_q32."""
-    gens = kn.mats_to_entries(seeds32)
+    gens = seeds32
     rng = np.random.default_rng(32)
     pairs = []
     for _ in range(count):
@@ -320,7 +320,7 @@ def test_generates_needs_both_base_orbits(ctx8):
     O2 stays at 1 and its subgroup has order 7."""
     _, seeds = gr._suzuki_seeds(ctx8)
     d = fs.torus_element(ctx8, 2)
-    group = gr.closure(ctx8, seeds[:2] + [d], ceiling=100)
+    group = gr.closure(ctx8, np.concatenate([seeds[:2], [d]]), ceiling=100)
     assert (group.order, group.base_orbits) == (56, (7, 8))
     assert gr.subgroup(ctx8, [d], group).order == 7
     assert not gr.generates(ctx8, [d], group)
@@ -430,11 +430,12 @@ def test_group8_fixture_facts(ctx8, group8):
     assert group8.order == SZ8_ORDER
     assert la.identity() in group8
     assert ctx8.iota in group8
-    assert gr.closure(ctx8, [], ceiling=1).element(0) == la.identity()
+    assert hp.mats(gr.closure(ctx8, [], ceiling=1).entries)[0] \
+        == la.identity()
 
 
 def test_membership_and_sampling(ctx8, group8):
-    sample = hp.sample(group8, 25, seed=9)
+    sample = hp.mats(hp.sample(group8, 25, seed=9))
     assert len(sample) == 25
     for m in sample:
         assert m in group8
@@ -446,8 +447,8 @@ def test_membership_and_sampling(ctx8, group8):
 def test_element_orders(ctx8, group8):
     assert gr.element_order(ctx8, la.identity()) == 1
     assert gr.element_order(ctx8, ctx8.iota) == 2
-    assert gr.element_order(ctx8, fs.torus_element(ctx8, 2)) == 7
-    for m in hp.sample(group8, 40, seed=10):
+    assert gr.element_order(ctx8, hp.mats(fs.torus_element(ctx8, 2))[0]) == 7
+    for m in hp.mats(hp.sample(group8, 40, seed=10)):
         assert SZ8_ORDER % gr.element_order(ctx8, m) == 0
 
 
@@ -455,7 +456,7 @@ def test_involutions_count(ctx8, group8):
     invs = gr.involutions(group8)
     assert len(invs) == 455 == ctx8.involution_count
     f = ctx8.field
-    for w in invs:
+    for w in hp.mats(invs):
         assert w != la.identity()
         assert la.mat_mul(f, w, w) == la.identity()
 
@@ -463,7 +464,7 @@ def test_involutions_count(ctx8, group8):
 def test_conjugation_orbit_single_class(ctx8, group8):
     orbit = gr.conjugation_orbit(ctx8, ctx8.iota, group8.generators)
     invs = gr.involutions(group8)
-    assert set(orbit) == set(invs)
+    assert np.array_equal(orbit, invs)
 
 
 def test_derived_series_simple_group(ctx8, group8):
@@ -492,7 +493,7 @@ def derived_oracle(ctx, h):
     """The breadth-first closure of all |H|^2 commutators (ba)^-1 ab by
     scalar products: normal by construction, so the derived subgroup."""
     f = ctx.field
-    els = list(h)
+    els = hp.mats(h.entries)
     comms = {la.mat_mul(f, la.invert(f, la.mat_mul(f, b, a)),
                         la.mat_mul(f, a, b)) for a in els for b in els}
     return hp.bfs_closure(ctx, sorted(comms))
@@ -502,7 +503,7 @@ def test_derived_subgroup_matches_oracle(ctx8, group8):
     """On D14 and on the subgroup of each of the 49 torus triples."""
     f = ctx8.field
     subs = [gr.closure(ctx8, dihedral_gens(ctx8), ceiling=100)]
-    torus = fs.torus_elements(ctx8)
+    torus = hp.mats(fs.torus_elements(ctx8))
     for a in torus:
         for b in torus:
             triple = (la.invert(f, a),
@@ -521,14 +522,15 @@ def test_conjugation_orbit_q32_from_seeds(ctx32, seeds32):
     involutions."""
     orbit = gr.conjugation_orbit(ctx32, ctx32.iota, seeds32)
     assert len(orbit) == 31775
-    assert kn.involution_mask(ctx32, kn.mats_to_entries(sorted(orbit))).all()
+    assert kn.involution_mask(ctx32, orbit).all()
 
 
 def test_conjugation_orbit_q32_dihedral(ctx32):
     """Under D62, iota's orbit is the 31 reflections d^k iota."""
     f = ctx32.field
     d62 = gr.closure(ctx32, dihedral_gens(ctx32), ceiling=100)
-    want = {m for m in d62 if m != la.identity()
-            and la.mat_mul(f, m, m) == la.identity()}
-    assert gr.conjugation_orbit(ctx32, ctx32.iota, d62.generators) == want
+    want = [m for m in hp.mats(d62.entries) if m != la.identity()
+            and la.mat_mul(f, m, m) == la.identity()]
+    orbit = gr.conjugation_orbit(ctx32, ctx32.iota, d62.generators)
+    assert hp.mats(orbit) == want
     assert len(want) == 31

@@ -27,6 +27,34 @@ def test_entries_round_trip(ctx8):
         assert kn.entries_to_mat(ents[i]) == m
 
 
+# What each API that hands out matrices returns, on Sz(8).
+BOUNDARY = {
+    "involutions": lambda ctx, g: gr.involutions(g),
+    "conjugation_orbit":
+        lambda ctx, g: gr.conjugation_orbit(ctx, ctx.iota, g.generators),
+    "closed_form_X": lambda ctx, g: fs.closed_form_X(ctx),
+    "fixed_set_result":
+        lambda ctx, g: fs.fixed_set_result(ctx, g).brute_force,
+    "equation_census":
+        lambda ctx, g: fs.equation_census(ctx, g.fixed_points).full_solutions,
+    "generators": lambda ctx, g: g.generators,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY))
+def test_matrices_cross_apis_as_entries(ctx8, group8, name):
+    """Matrices leave groups and fixed_set as (n, 16) uint8 entries: each
+    set in strictly increasing canonical (row-major lexicographic) order,
+    checked against the tuple sort, and the generators read-only."""
+    ents = BOUNDARY[name](ctx8, group8)
+    assert isinstance(ents, np.ndarray) and ents.dtype == np.uint8
+    assert ents.ndim == 2 and ents.shape[1] == 16 and len(ents)
+    if name == "generators":
+        assert not ents.flags.writeable
+    else:
+        assert hp.mats(ents) == sorted(set(hp.mats(ents)))
+
+
 def test_key_round_trip(ctx8, ctx32):
     rng = random.Random(33)
     for ctx in (ctx8, ctx32):
@@ -168,14 +196,14 @@ def test_involution_mask_matches_scalar_squaring(ctx8, group8):
     f = ctx8.field
     mask = kn.involution_mask(ctx8, group8.entries)
     want = [x != la.identity() and la.mat_mul(f, x, x) == la.identity()
-            for x in group8]
+            for x in hp.mats(group8.entries)]
     assert mask.tolist() == want
     assert sum(want) == 455
 
 
 def test_fixed_point_mask_matches_definition(ctx8):
     f = ctx8.field
-    mats = [la.identity(), ctx8.iota, fs.torus_element(ctx8, 5),
+    mats = [la.identity(), ctx8.iota, hp.mats(fs.torus_element(ctx8, 5))[0],
             wl.e1_transvection(ctx8)]
     mask = kn.fixed_point_mask(ctx8, kn.mats_to_entries(mats))
     for i, m in enumerate(mats):
@@ -186,7 +214,7 @@ def test_fixed_point_mask_matches_definition(ctx8):
 def test_suzuki_mask_matches_scalar_predicate(ctx8):
     rng = random.Random(40)
     mats = [la.identity(), ctx8.iota, wl.e1_transvection(ctx8)]
-    mats += [fs.torus_element(ctx8, a) for a in range(1, 8)]
+    mats += hp.mats(fs.torus_elements(ctx8))
     mats += [wl.random_symplectic(ctx8, random.Random(4000 + k))
              for k in range(40)]
     mask = kn.suzuki_mask(ctx8, kn.mats_to_entries(mats))
@@ -267,7 +295,7 @@ def test_invert_symplectic_matches_invert_on_sz8(ctx8, group8):
     f = ctx8.field
     inv = kn.invert_symplectic(ctx8, group8.entries)
     assert [kn.entries_to_mat(r) for r in inv] \
-        == [la.invert(f, x) for x in group8]
+        == [la.invert(f, x) for x in hp.mats(group8.entries)]
 
 
 def test_invert_symplectic_matches_invert_q32(ctx32):
@@ -355,6 +383,7 @@ def test_membership_masks_take_an_int64_batch(ctx8, group8):
 
 def test_element_orders_match_scalar_on_sz8(ctx8, group8):
     orders = kn.element_orders(ctx8, group8.entries)
-    assert orders.tolist() == [gr.element_order(ctx8, x) for x in group8]
+    assert orders.tolist() == [gr.element_order(ctx8, x)
+                               for x in hp.mats(group8.entries)]
     with pytest.raises(NotSymplecticError):
         kn.element_orders(ctx8, kn.mats_to_entries([la.diag(1, 1, 1, 3)]))

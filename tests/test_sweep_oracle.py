@@ -89,7 +89,7 @@ def test_agrees_on_whole_group_q8(ctx8, group8):
 
 
 def test_agrees_on_near_members_q8(ctx8, group8):
-    members = hp.sample(group8, 60, seed=41)
+    members = hp.mats(hp.sample(group8, 60, seed=41))
     mats = near_members(ctx8, members, 240, seed=42)
     mask = assert_agree(ctx8, kn.mats_to_entries(mats))
     assert list(np.flatnonzero(mask)) == list(range(0, 240, 3))
@@ -100,7 +100,7 @@ def test_agrees_off_the_symplectic_group_q8(ctx8, group8):
     test rejects it; likewise for scaled members c g (c != 1) and random
     matrices, which are not symplectic."""
     f = ctx8.field
-    members = hp.sample(group8, 20, seed=48)
+    members = hp.mats(hp.sample(group8, 20, seed=48))
     rng = random.Random(49)
     mats = [(0,) * 16]
     mats += [tuple(f.mul(c, v) for v in g) for g in members
@@ -117,7 +117,7 @@ def test_is_suzuki_matches_bruteforce_on_near_members_q8(ctx8, group8):
     through the all-pairs oracle in one batch."""
     f = ctx8.field
     rng = random.Random(43)
-    members = hp.sample(group8, 40, seed=44)
+    members = hp.mats(hp.sample(group8, 40, seed=44))
     mats = []
     for k in range(20):
         g = la.mat_mul(f, members[2 * k], members[2 * k + 1])
@@ -135,7 +135,7 @@ def test_agrees_at_q32(ctx32):
     cand = kn.sylow_candidates(ctx32)
     sylow = [kn.entries_to_mat(r) for r in cand[kn.suzuki_mask(ctx32, cand)]]
     assert len(sylow) == 32 * 32
-    gens = sylow + fs.torus_elements(ctx32) + [tuple(ctx32.iota)]
+    gens = sylow + hp.mats(fs.torus_elements(ctx32)) + [tuple(ctx32.iota)]
     rng = random.Random(45)
     members = []
     for _ in range(40):

@@ -135,7 +135,7 @@ def test_witness_walk_order(ctx8, group8, involutions8):
     f = ctx8.field
     iota = ctx8.iota
     ws = tr.find_rank4_witnesses(ctx8, group8, count=3)
-    invs = [w for w in involutions8 if w != iota]
+    invs = [w for w in hp.mats(involutions8) if w != iota]
     w1 = invs[0]
     # position of each candidate triple in the walk, w3 increasing
     walk = {(la.mat_mul(f, iota, w1),
@@ -196,9 +196,9 @@ def certificate_groups(ctx8, group8, involutions8):
     (kind, generators, order of groups.subgroup): the 453 walk triples
     with their facet groups <s1, s2> and vertex-figure groups <s2, s3>,
     and the 49 torus triples."""
-    ws = kn.mats_to_entries([w for w in involutions8 if w != ctx8.iota])
+    ws = involutions8[~tr._is_iota(ctx8, involutions8)]
     rev = ws.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
-    torus = kn.mats_to_entries(fs.torus_elements(ctx8))
+    torus = fs.torus_elements(ctx8)
     batches = {
         "walk": tr._checked_triples(ctx8, rev[:1], rev[1:])[0],
         "torus": tr._checked_triples(
@@ -441,7 +441,7 @@ def test_walk_triples_match_scalar_construction(ctx8, involutions8):
     every row meets the involution conditions and the lemma."""
     f = ctx8.field
     iota = ctx8.iota
-    invs = [w for w in involutions8 if w != iota]
+    invs = [w for w in hp.mats(involutions8) if w != iota]
     ws = kn.mats_to_entries(invs)
     rev = ws.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
     sigmas, lemma = tr._checked_triples(ctx8, rev[:1], rev[1:])
@@ -460,14 +460,16 @@ def test_batch_checks_match_scalar_oracle(ctx8, involutions8):
     f = ctx8.field
     iota = ctx8.iota
     ident = la.identity()
-    mats = [iota, ident] + involutions8[:6] + fs.torus_elements(ctx8)[:3]
+    mats = ([iota, ident] + hp.mats(involutions8[:6])
+            + hp.mats(fs.torus_elements(ctx8)[:3]))
     triples = [tr.ChiralTriple(a, b, c) for a in mats[:4] for b in mats
                for c in mats[2:7]]
     # walk triples (iota w1, w1 w3 iota, iota w3), which meet all three
     triples += [tr.ChiralTriple(la.mat_mul(f, iota, w1),
                                 la.mat_mul(f, w1, la.mat_mul(f, w3, iota)),
                                 la.mat_mul(f, iota, w3))
-                for w1 in involutions8[:6] for w3 in involutions8[:6]]
+                for w1 in hp.mats(involutions8[:6])
+                for w3 in hp.mats(involutions8[:6])]
     seen = set()
     lemma_rows = 0
 
@@ -506,8 +508,8 @@ def test_checked_triples_refuse_a_product_other_than_iota(ctx8, involutions8,
     involution conditions but moves the product to d^-1 iota d = d^-2
     iota; the batch check raises on it rather than certify the lemma."""
     build = tr._triple_from_inverse_pair
-    d = next(kn.mats_to_entries([t]) for t in fs.torus_elements(ctx8)
-             if t != la.identity())
+    torus = fs.torus_elements(ctx8)
+    d = torus[~kn.identity_mask(torus)][:1]
     d_inv = kn.invert_symplectic(ctx8, d)
 
     def conjugated(ctx, s1_inv, s3_inv):
@@ -515,7 +517,7 @@ def test_checked_triples_refuse_a_product_other_than_iota(ctx8, involutions8,
         s = kn.mat_mul_pairs(ctx, d_inv, kn.mat_mul_pairs(ctx, s, d))
         return s.reshape(-1, 3, 16)
     monkeypatch.setattr(tr, "_triple_from_inverse_pair", conjugated)
-    ws = kn.mats_to_entries([w for w in involutions8 if w != ctx8.iota][:4])
+    ws = involutions8[~tr._is_iota(ctx8, involutions8)][:4]
     rev = ws.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
     with pytest.raises(VerificationError, match="not iota"):
         tr._checked_triples(ctx8, rev[:1], rev[1:])

@@ -117,7 +117,7 @@ def test_oracle_batch_matches_one_row_calls(ctx8, group8):
     a scaled member and random matrices, shuffled: the batch verdicts are
     the one-row verdicts, and the members are exactly the group's."""
     f = ctx8.field
-    members = hp.sample(group8, 3, seed=31)
+    members = hp.mats(hp.sample(group8, 3, seed=31))
     rng = random.Random(32)
     mats = members + [la.mat_mul(f, g, wl.e1_transvection(ctx8))
                       for g in members]
@@ -167,7 +167,7 @@ def test_accepts_identity_iota_torus(ctx8):
     assert wl.is_suzuki(ctx8, la.identity())
     assert wl.is_suzuki(ctx8, ctx8.iota)
     for a in range(1, 8):
-        assert wl.is_suzuki(ctx8, fs.torus_element(ctx8, a))
+        assert wl.is_suzuki(ctx8, hp.mats(fs.torus_element(ctx8, a))[0])
 
 
 def test_accepts_all_group_elements(ctx8, group8):
@@ -176,7 +176,7 @@ def test_accepts_all_group_elements(ctx8, group8):
     mask = kn.suzuki_mask(ctx8, group8.entries)
     assert len(mask) == group8.order
     assert bool(mask.all())
-    for g in hp.sample(group8, 200, seed=5):
+    for g in hp.mats(hp.sample(group8, 200, seed=5)):
         assert wl.is_suzuki(ctx8, g)
 
 
