@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -404,9 +405,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     # before the first stage, so that no run ends on an unwritable report
     report = args.report and Path(args.report)
-    if report and (report.is_dir() or not report.parent.is_dir()):
-        print("szverify: report path is a directory, or its directory does "
-              f"not exist: {args.report}", file=sys.stderr)
+    if report and (report.is_dir() or not report.parent.is_dir()
+                   or not os.access(report if report.exists()
+                                    else report.parent, os.W_OK)):
+        print("szverify: report path is a directory, its directory does "
+              f"not exist, or it is not writable: {args.report}",
+              file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.fn(args)

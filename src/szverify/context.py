@@ -121,11 +121,13 @@ def make_context(e: int) -> SuzukiContext:
 
 
 def _check_context(ctx: SuzukiContext) -> None:
-    assert 2 * ctx.t * ctx.t == ctx.q
+    """Raises SzVerifyError unless 2 t^2 = q, iota is the antidiagonal
+    identity (its own inverse), and the basis product table is
+    symmetric with exactly eight nonzero entries."""
     pairs = [(i, j) for i in range(4) for j in range(4)]
-    # iota is the antidiagonal identity and its own inverse
-    assert ctx.iota == tuple(int(i + j == 3) for i, j in pairs)
-    # basis product table is symmetric with exactly eight nonzero entries
     basis = ctx.bullet_basis
-    assert all(basis[i][j] == basis[j][i] for i, j in pairs)
-    assert sum(any(basis[i][j]) for i, j in pairs) == 8
+    if not (2 * ctx.t * ctx.t == ctx.q
+            and ctx.iota == tuple(int(i + j == 3) for i, j in pairs)
+            and all(basis[i][j] == basis[j][i] for i, j in pairs)
+            and sum(any(basis[i][j]) for i, j in pairs) == 8):
+        raise SzVerifyError(f"context of Sz({ctx.q}) is corrupt")

@@ -111,7 +111,6 @@ class TwistedField(BinaryField):
             raise ValueError(f"degree {self.degree} != 2*{e}+1")
         self.e = e
         self.t = 1 << e
-        assert 2 * self.t * self.t == self.q
         self._frob_table = list(range(self.q))
         for _ in range(e):
             self._frob_table = [self.sqr(a) for a in self._frob_table]

@@ -17,10 +17,12 @@ q-entry tables of 4-byte rows (row_action_table) turn a whole batch
 product into four gathers and three XORs (row_action), also when each
 row has matrices of its own, as the rows of a batch of orbits do.
 Products of paired batches, x_i y_i with a different y per row, go
-through the flat multiplication table instead (mat_mul_pairs); the
-batch inverse, element orders and the fixed-point test are built on
-it.  Each of these checks that its entries lie in GF(q) before any cast
-(field_rows).
+through the flat multiplication table instead (mat_mul_pairs).  Element
+orders and three masks are built on it, the masks as one chunked test
+of a paired product against a fixed matrix: Sp4(q), which the batch
+inverse runs; x iota x = iota, through x iota (times_iota); and
+involutions.  Each of these checks that its entries lie in GF(q)
+before any cast (field_rows).
 
 All tables are uint8-indexed, which caps the batch layer at field degree
 7; group enumeration is only supported through q = 32 anyway.
@@ -33,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .context import SuzukiContext
+from .context import IOTA, SuzukiContext
 from .errors import FieldRangeError, NotSymplecticError, SzVerifyError
 from .linalg4 import Mat4
 
@@ -48,6 +50,7 @@ _RESIDUAL_PAIRS = ((0, 1), (0, 2), (1, 3), (2, 3), (0, 3), (1, 2))
 _CHUNK = 1 << 12
 
 _IDENTITY = np.eye(4, dtype=np.uint8).reshape(16)
+_IOTA = np.array(IOTA, dtype=np.uint8)
 
 
 @lru_cache(maxsize=None)
@@ -208,23 +211,18 @@ def _mul_pairs(ctx: SuzukiContext, a: np.ndarray,
 
 
 def invert_symplectic(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
-    """Entries of x^-1 for every x of an (n, 16) batch in Sp4(q).
-
-    x^T iota x = iota gives x^-1 = iota x^T iota, whose entry (i, j) is
-    x[3 - j][3 - i]: one gather.  Every row is checked by x x^-1 = I,
-    which for a square matrix makes it the two-sided inverse, so a row
-    outside Sp4(q) (singular or not) raises NotSymplecticError rather
-    than return a wrong inverse, and an entry outside GF(q) raises
-    FieldRangeError.
+    """Entries of x^-1 = iota x^T iota, one gather, for every x of an
+    (n, 16) batch in Sp4(q).  A row that symplectic_mask rejects
+    (singular or not) raises NotSymplecticError rather than return a
+    wrong inverse, and an entry outside GF(q) raises FieldRangeError.
     """
-    x = field_rows(ctx, ents).reshape(-1, 4, 4)
-    inv = np.ascontiguousarray(x[:, ::-1, ::-1].transpose(0, 2, 1))
-    inv = inv.reshape(-1, 16)
-    bad = ~identity_mask(_mul_pairs(ctx, x, inv))
+    x = field_rows(ctx, ents)
+    bad = ~symplectic_mask(ctx, x)
     if bad.any():
-        row = entries_to_mat(x.reshape(-1, 16)[bad.argmax()])
+        row = entries_to_mat(x[bad.argmax()])
         raise NotSymplecticError(f"matrix is not in Sp4({ctx.q}): {row}")
-    return inv
+    inv = _iota_transposed(x.reshape(-1, 4, 4))
+    return np.ascontiguousarray(inv).reshape(-1, 16)
 
 
 def element_orders(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
@@ -252,50 +250,53 @@ def element_orders(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
         k += 1
 
 
-def symplectic_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
-    """Which matrices satisfy x^T iota x == iota; an entry outside
-    GF(q) raises FieldRangeError (field_rows)."""
-    mul, _, _ = field_tables(ctx)
+def times_iota(ents) -> np.ndarray:
+    """Entries of x iota, x with its columns reversed, for every row x."""
+    return np.asarray(ents).reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
+
+
+def _iota_transposed(x: np.ndarray) -> np.ndarray:
+    """iota x^T iota, entry (i, j) x[3 - j][3 - i], as an (n, 4, 4) view."""
+    return x[:, ::-1, ::-1].transpose(0, 2, 1)
+
+
+def _products_equal(ctx: SuzukiContext, ents, pair,
+                    target: np.ndarray) -> np.ndarray:
+    """Which rows x have a b == target (16 uint8 entries), (a, b) =
+    pair(xs) for each _CHUNK-row step xs, so that no product or copy of a
+    whole Sz(32) is made; field_rows checks the entries first."""
     x = field_rows(ctx, ents).reshape(-1, 4, 4)
-    ok = np.ones(x.shape[0], dtype=bool)
-    for i in range(4):
-        for j in range(i, 4):
-            acc = np.zeros(x.shape[0], dtype=np.uint8)
-            for k in range(4):
-                acc ^= mul[x[:, k, i], x[:, 3 - k, j]]
-            ok &= acc == (1 if i + j == 3 else 0)
-    return ok
-
-
-def fixed_point_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
-    """Which matrices satisfy x iota x == iota.
-
-    x iota is x with its columns reversed, so each row is one paired
-    product (x iota) x.  Rows go in chunks, so that a whole Sz(32)
-    needs no product batch of its size.
-    """
-    x = field_rows(ctx, ents).reshape(-1, 4, 4)
-    iota = np.array(ctx.iota, dtype=np.uint8)
     ok = np.empty(len(x), dtype=bool)
     for lo in range(0, len(x), _CHUNK):
-        xs = x[lo:lo + _CHUNK]
-        ok[lo:lo + _CHUNK] = (_mul_pairs(ctx, xs[:, :, ::-1], xs)
-                              == iota).all(axis=1)
+        prod = _mul_pairs(ctx, *pair(x[lo:lo + _CHUNK]))
+        ok[lo:lo + _CHUNK] = (prod == target).all(axis=1)
     return ok
+
+
+def symplectic_mask(ctx: SuzukiContext, ents) -> np.ndarray:
+    """Which matrices lie in Sp4(q): x (iota x^T iota) == I.  Then
+    iota x^T iota = x^-1, so x^T iota x = iota (iota^2 = I): the form is
+    preserved.  invert_symplectic returns that inverse."""
+    return _products_equal(ctx, ents, lambda x: (x, _iota_transposed(x)),
+                           _IDENTITY)
+
+
+def fixed_point_mask(ctx: SuzukiContext, ents) -> np.ndarray:
+    """Which matrices satisfy x iota x == iota: one paired product
+    (x iota) x per row."""
+    return _products_equal(ctx, ents, lambda x: (times_iota(x), x), _IOTA)
 
 
 def involution_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
     """Which matrices square to the identity without being it.
 
-    x iota is x with its columns reversed, and x^2 = I exactly when
-    (x iota) iota (x iota) = iota, so the fixed-point test decides it.
     The rank-4 searches check their partial products with it.  No
     whole-group pass is made: groups.involutions reads the group's
     involutions off GroupSet.fixed_points, and the tests use this mask
     on the whole group as the independent oracle for that list.
     """
-    x = ents.reshape(-1, 4, 4)
-    return fixed_point_mask(ctx, x[:, :, ::-1]) & ~identity_mask(ents)
+    return (_products_equal(ctx, ents, lambda x: (x, x), _IDENTITY)
+            & ~identity_mask(ents))
 
 
 def suzuki_mask(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:

@@ -49,11 +49,6 @@ class ChiralTriple:
                 for i, m in enumerate(self.mats(), 1)}
 
 
-def _column_reversed(ents: np.ndarray) -> np.ndarray:
-    """x iota for every row x: x with its columns reversed."""
-    return ents.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
-
-
 def _partial_products(ctx: SuzukiContext, sigmas: np.ndarray):
     """(s1 s2 s3, s2 s3, s1 s2) for every row of an (n, 3, 16) batch."""
     s1, s2, s3 = sigmas[:, 0], sigmas[:, 1], sigmas[:, 2]
@@ -65,10 +60,6 @@ def _partial_products(ctx: SuzukiContext, sigmas: np.ndarray):
 def _involution_masks(ctx: SuzukiContext, prods) -> np.ndarray:
     """(n, 3) bool: which of the _partial_products are involutions."""
     return kn.involution_mask(ctx, np.concatenate(prods)).reshape(3, -1).T
-
-
-def _is_iota(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
-    return (ents == np.array(ctx.iota, dtype=np.uint8)).all(axis=1)
 
 
 def _inverses_fixed_mask(ctx: SuzukiContext,
@@ -86,11 +77,9 @@ def _inverses_fixed_mask(ctx: SuzukiContext,
 
 def torus_inversion_check(ctx: SuzukiContext) -> bool:
     """iota-conjugation sends every torus element to its inverse:
-    d (iota d iota) = I, where iota d iota is d with its rows and
-    columns reversed."""
-    d = fs.torus_elements(ctx)
-    conj = d.reshape(-1, 4, 4)[:, ::-1, ::-1].reshape(-1, 16)
-    return bool(kn.identity_mask(kn.mat_mul_pairs(ctx, d, conj)).all())
+    d (iota d iota) = I, that is d iota d = iota (iota^2 = I), the
+    fixed-point test."""
+    return bool(kn.fixed_point_mask(ctx, fs.torus_elements(ctx)).all())
 
 
 def torus_commutation_check(ctx: SuzukiContext) -> bool:
@@ -196,7 +185,7 @@ def _triple_from_inverse_pair(ctx: SuzukiContext, s1_inv: np.ndarray,
     sigma2 = sigma1^-1 iota sigma3^-1, and sigma1, sigma3 come from
     kernels.invert_symplectic, which checks every inverse.
     """
-    s2 = kn.mat_mul_pairs(ctx, _column_reversed(s1_inv), s3_inv)
+    s2 = kn.mat_mul_pairs(ctx, kn.times_iota(s1_inv), s3_inv)
     s1 = kn.invert_symplectic(ctx, s1_inv)
     s3 = kn.invert_symplectic(ctx, s3_inv)
     return np.stack(np.broadcast_arrays(s1, s2, s3), axis=1)
@@ -216,7 +205,7 @@ def _checked_triples(ctx: SuzukiContext, s1_inv: np.ndarray,
     if not _involution_masks(ctx, prods).all():
         raise VerificationError(
             "constructed triple failed an involution condition")
-    if not _is_iota(ctx, prods[0]).all():
+    if not kn.identity_mask(kn.times_iota(prods[0])).all():
         raise VerificationError("constructed triple product is not iota")
     return sigmas, _inverses_fixed_mask(ctx, sigmas)
 
@@ -226,9 +215,11 @@ def _iota_pair_rejections(ctx: SuzukiContext) -> int:
     (iota, x) for each x of the closed form, then (x, iota) for x not iota."""
     closed = fs.closed_form_X(ctx)
     iota = kn.mats_to_entries([ctx.iota])
+    # x iota = I exactly when x = iota
+    not_iota = closed[~kn.identity_mask(kn.times_iota(closed))]
     sigmas = np.concatenate([
         _triple_from_inverse_pair(ctx, iota, closed),
-        _triple_from_inverse_pair(ctx, closed[~_is_iota(ctx, closed)], iota)])
+        _triple_from_inverse_pair(ctx, not_iota, iota)])
     prods = _partial_products(ctx, sigmas)
     if _involution_masks(ctx, prods).all(axis=1).any():
         raise VerificationError(
@@ -257,9 +248,9 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
     stop at ``count``.  They go in chunks of ``count`` less the triples
     kept so far, so they test just the triples a one-by-one walk would.
     """
-    ws = gr.involutions(group)
-    ws = ws[~_is_iota(ctx, ws)]
-    s1_inv, s3_inv = _column_reversed(ws[:1]), _column_reversed(ws[1:])
+    rev = kn.times_iota(gr.involutions(group))
+    rev = rev[~kn.identity_mask(rev)]  # w iota = I exactly when w = iota
+    s1_inv, s3_inv = rev[:1], rev[1:]
     sigmas, lemma = _checked_triples(ctx, s1_inv, s3_inv)
     if not lemma.all():
         raise VerificationError("a walk triple violated the membership lemma")

@@ -54,6 +54,11 @@ def mat_from_hex(s: str) -> Mat4:
     return tuple(int(p, 16) for p in parts)
 
 
+def is_iota(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
+    """Which rows of an (n, 16) batch equal iota, entry by entry."""
+    return (ents == np.array(ctx.iota, dtype=np.uint8)).all(axis=1)
+
+
 def mats(ents) -> List[Mat4]:
     """The rows of an (n, 16) entries batch as a Mat4 list: the one place
     where the tests convert entries for the scalar linalg4 oracles."""
@@ -146,7 +151,7 @@ def fixed_set_membership_lemma(ctx: SuzukiContext, triple) -> bool:
     """
     sigmas = _sigma_rows(triple)
     p123, p23, p12 = tr._partial_products(ctx, sigmas)
-    if not tr._is_iota(ctx, p123).all():
+    if not is_iota(ctx, p123).all():
         raise ValueError("triple product must be iota")
     if not kn.involution_mask(ctx, np.concatenate([p12, p23])).all():
         raise ValueError("partial products must be involutions")

@@ -282,6 +282,23 @@ def test_report_in_missing_directory_is_a_usage_error(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unwritable_report_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    """A report szverify may not write, an existing file or a new one in
+    a directory it may not write to, is refused before the first stage
+    with exit 2.  Under root no mode bit denies a write, so os.access
+    is made to deny it."""
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    existing = tmp_path / "old.json"
+    existing.write_text("{}\n")
+    for path in (existing, tmp_path / "new.json"):
+        rc, out, err = run(capsys, "field-selftest", "--report", str(path))
+        assert rc == 2
+        assert out == ""
+        assert "not writable" in err and len(err.splitlines()) == 1
+    assert existing.read_text() == "{}\n"
+    assert sorted(tmp_path.iterdir()) == [existing]
+
+
 def test_verify_all_imports_no_numpy_ma():
     """A cold verify-all never imports numpy.ma: np.unique(..., axis=0)
     pulls it in at numpy 2.4, some 15 ms of import, so the engine

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from szverify.context import MODULI, make_context, validate_modulus
+from szverify.context import (MODULI, _check_context, make_context,
+                              validate_modulus)
 from szverify.errors import SingularMatrixError, SzVerifyError
 from szverify.field import BinaryField, TwistedField, clmul, polymod
 
@@ -107,6 +110,19 @@ def test_make_context_rejects_bad_e():
         make_context(5)  # q = 2^11: no modulus, no untabled field
     with pytest.raises(ValueError):
         make_context(7)
+
+
+@pytest.mark.parametrize("change", [
+    {"t": 4},
+    {"iota": (1,) + (0,) * 15},
+    {"bullet_basis": tuple(tuple((1, 1, 1, 1) for _ in range(4))
+                           for _ in range(4))},
+])
+def test_corrupt_context_detected(ctx8, change):
+    """An inconsistent context raises SzVerifyError, not an assert that
+    python -O would drop."""
+    with pytest.raises(SzVerifyError, match="corrupt"):
+        _check_context(dataclasses.replace(ctx8, **change))
 
 
 def test_corrupt_modulus_table_detected(monkeypatch):

@@ -176,13 +176,44 @@ def test_row_action_batch_matches_mat_mul(ctx8):
         hp.vec_mat(f, tuple(v), m) for m in (g, h) for v in vecs.tolist()]
 
 
-def test_symplectic_mask_matches_scalar(ctx8):
+def test_symplectic_mask_matches_scalar(ctx8, ctx32):
+    """symplectic_mask agrees with linalg4.is_symplectic row by row, and
+    invert_symplectic refuses exactly the rows it rejects and inverts
+    the others as linalg4.invert does."""
+    for ctx in (ctx8, ctx32):
+        _check_symplectic_rows(ctx)
+
+
+def _check_symplectic_rows(ctx):
     rng = random.Random(39)
-    mats = rand_mats(rng, 100) + [la.identity(), ctx8.iota,
-                                  wl.e1_transvection(ctx8)]
-    mask = kn.symplectic_mask(ctx8, kn.mats_to_entries(mats))
-    for i, m in enumerate(mats):
-        assert bool(mask[i]) == la.is_symplectic(ctx8.field, m)
+    rand = [tuple(rng.randrange(ctx.q) for _ in range(16))
+            for _ in range(100)]
+    syms = hp.mats(wl.random_symplectics(
+        ctx, [random.Random(3900 + k) for k in range(20)]))
+    # a zero row: singular, and so outside Sp4(q)
+    singular = [m[:4 * (k % 4)] + (0,) * 4 + m[4 * (k % 4) + 4:]
+                for k, m in enumerate(syms[:4] + rand[:4])]
+    mats = rand + singular + syms + [wl.e1_transvection(ctx),
+                                     la.identity(), ctx.iota]
+    ents = kn.mats_to_entries(mats)
+    mask = kn.symplectic_mask(ctx, ents)
+    assert mask.tolist() == [la.is_symplectic(ctx.field, m) for m in mats]
+    assert mask.sum() == len(syms) + 3
+    for row in ents[~mask]:
+        with pytest.raises(NotSymplecticError):
+            kn.invert_symplectic(ctx, row[None])
+    inv = kn.invert_symplectic(ctx, ents[mask])
+    assert hp.mats(inv) == [la.invert(ctx.field, m)
+                            for m, ok in zip(mats, mask) if ok]
+
+
+def test_times_iota_matches_mat_mul(ctx8):
+    rng = random.Random(41)
+    mats = rand_mats(rng, 30) + [la.identity(), ctx8.iota]
+    got = kn.times_iota(kn.mats_to_entries(mats))
+    assert got.shape == (32, 16) and got.dtype == np.uint8
+    assert hp.mats(got) == [la.mat_mul(ctx8.field, m, ctx8.iota)
+                            for m in mats]
 
 
 def test_involution_mask(ctx8):

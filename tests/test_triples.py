@@ -196,7 +196,7 @@ def certificate_groups(ctx8, group8, involutions8):
     (kind, generators, order of groups.subgroup): the 453 walk triples
     with their facet groups <s1, s2> and vertex-figure groups <s2, s3>,
     and the 49 torus triples."""
-    ws = involutions8[~tr._is_iota(ctx8, involutions8)]
+    ws = involutions8[~hp.is_iota(ctx8, involutions8)]
     rev = ws.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
     torus = fs.torus_elements(ctx8)
     batches = {
@@ -517,7 +517,7 @@ def test_checked_triples_refuse_a_product_other_than_iota(ctx8, involutions8,
         s = kn.mat_mul_pairs(ctx, d_inv, kn.mat_mul_pairs(ctx, s, d))
         return s.reshape(-1, 3, 16)
     monkeypatch.setattr(tr, "_triple_from_inverse_pair", conjugated)
-    ws = involutions8[~tr._is_iota(ctx8, involutions8)][:4]
+    ws = involutions8[~hp.is_iota(ctx8, involutions8)][:4]
     rev = ws.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
     with pytest.raises(VerificationError, match="not iota"):
         tr._checked_triples(ctx8, rev[:1], rev[1:])
