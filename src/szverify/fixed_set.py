@@ -154,13 +154,6 @@ def equation_masks(ctx: SuzukiContext, mats) -> Dict[str, np.ndarray]:
     return masks
 
 
-def torus_element(ctx: SuzukiContext, a: int) -> np.ndarray:
-    """Row a - 1 of torus_elements."""
-    if not 0 < a < ctx.q:
-        raise ValueError("torus parameter must be a nonzero field element")
-    return torus_elements(ctx)[a - 1]
-
-
 def torus_elements(ctx: SuzukiContext) -> np.ndarray:
     """diag(a, a^(2t+1), a^(-2t-1), a^(-1)) for a = 1, ..., q - 1, as
     (q - 1, 16) entries."""

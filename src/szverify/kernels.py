@@ -210,17 +210,24 @@ def _mul_pairs(ctx: SuzukiContext, a: np.ndarray,
     return out.reshape(-1, 16)
 
 
-def invert_symplectic(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
-    """Entries of x^-1 = iota x^T iota, one gather, for every x of an
-    (n, 16) batch in Sp4(q).  A row that symplectic_mask rejects
-    (singular or not) raises NotSymplecticError rather than return a
-    wrong inverse, and an entry outside GF(q) raises FieldRangeError.
-    """
+def _symplectic_rows(ctx: SuzukiContext, ents) -> np.ndarray:
+    """field_rows of a batch, every row checked by symplectic_mask: the
+    first rejected row (singular or not) raises NotSymplecticError."""
     x = field_rows(ctx, ents)
     bad = ~symplectic_mask(ctx, x)
     if bad.any():
         row = entries_to_mat(x[bad.argmax()])
         raise NotSymplecticError(f"matrix is not in Sp4({ctx.q}): {row}")
+    return x
+
+
+def invert_symplectic(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
+    """Entries of x^-1 = iota x^T iota, one gather, for every x of an
+    (n, 16) batch in Sp4(q).  A row outside Sp4(q) raises
+    NotSymplecticError (_symplectic_rows) rather than return a wrong
+    inverse, and an entry outside GF(q) raises FieldRangeError.
+    """
+    x = _symplectic_rows(ctx, ents)
     inv = _iota_transposed(x.reshape(-1, 4, 4))
     return np.ascontiguousarray(inv).reshape(-1, 16)
 
@@ -229,11 +236,10 @@ def element_orders(ctx: SuzukiContext, ents: np.ndarray) -> np.ndarray:
     """Least k >= 1 with x^k = I, for every x of a batch in Sp4(q).
 
     Each step multiplies the powers not yet the identity by their own x.
-    The rows are checked invertible first (invert_symplectic), and an
+    The rows are checked in Sp4(q) first (_symplectic_rows), and an
     element of GL4(q) has order below q^4, so the loop ends.
     """
-    x = field_rows(ctx, ents)
-    invert_symplectic(ctx, x)
+    x = _symplectic_rows(ctx, ents)
     orders = np.zeros(len(x), dtype=np.int64)
     live = np.arange(len(x))
     power = x

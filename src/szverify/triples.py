@@ -8,16 +8,19 @@ the restricted one over pairs from the closed-form fixed set, and a
 direct construction showing the restriction misses generating triples.
 Both build their triples from (sigma1^-1, sigma3^-1) with product
 iota, all at once as (n, 3, 16) entries, and check the whole batch
-(_checked_triples) through the batch kernels.  The restricted search
-builds the subgroups of all its triples in one groups.subgroups call,
-which returns equal subgroups as one object, and takes the derived
-series once per object.  The witness walk only asks whether a triple
-generates the group, a chunk of triples per groups.subgroups call: the
-base pass on (e_2, e_3) stops both orbits at the sizes they have in
-the group, and once both are full the triple generates by Lagrange's
-theorem, with no element enumerated and no classification of maximal
-subgroups.  A generating triple multiplies out only a few Schreier
-elements.
+(_checked_triples) through the batch kernels, which marks the rows
+that meet the involution conditions; each search decides which rows
+must.  The restricted search takes the whole square of the closed form
+in one batch: the pairs with iota must fail, and the torus pairs must
+meet.  It builds the subgroups of the torus triples in one
+groups.subgroups call, which returns equal subgroups as one object,
+and takes the derived series once per object.  The witness walk only
+asks whether a triple generates the group, a chunk of triples per
+groups.subgroups call: the base pass on (e_2, e_3) stops both orbits
+at the sizes they have in the group, and once both are full the triple
+generates by Lagrange's theorem, with no element enumerated and no
+classification of maximal subgroups.  A generating triple multiplies
+out only a few Schreier elements.
 """
 from __future__ import annotations
 
@@ -94,7 +97,6 @@ def torus_commutation_check(ctx: SuzukiContext) -> bool:
 class PairDetail:
     a: Mat4
     b: Mat4
-    triple: ChiralTriple
     subgroup_order: int
     solvable: bool
     sigma_orders: Tuple[int, int, int]
@@ -192,39 +194,24 @@ def _triple_from_inverse_pair(ctx: SuzukiContext, s1_inv: np.ndarray,
 
 
 def _checked_triples(ctx: SuzukiContext, s1_inv: np.ndarray,
-                     s3_inv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The triples of the pairs and their membership lemma verdicts.
+                     s3_inv: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The triples of the pairs, which of them meet the involution
+    conditions, and their membership lemma verdicts.
 
-    Both searches build only pairs whose triple has product iota and
-    meets every involution condition by construction, so a row that
-    does not raises VerificationError.  Those are the lemma's
-    preconditions, so each row's verdict is then _inverses_fixed_mask.
+    Every triple is built with product iota, so a row whose product is
+    not raises VerificationError.  ``meets`` marks the rows whose three
+    partial products are involutions; those rows hold the lemma's
+    preconditions, so their verdict is _inverses_fixed_mask, and every
+    other row's is False.  The callers decide which rows must meet.
     """
     sigmas = _triple_from_inverse_pair(ctx, s1_inv, s3_inv)
     prods = _partial_products(ctx, sigmas)
-    if not _involution_masks(ctx, prods).all():
-        raise VerificationError(
-            "constructed triple failed an involution condition")
     if not kn.identity_mask(kn.times_iota(prods[0])).all():
         raise VerificationError("constructed triple product is not iota")
-    return sigmas, _inverses_fixed_mask(ctx, sigmas)
-
-
-def _iota_pair_rejections(ctx: SuzukiContext) -> int:
-    """Every pair using iota as an inverse fails an involution condition:
-    (iota, x) for each x of the closed form, then (x, iota) for x not iota."""
-    closed = fs.closed_form_X(ctx)
-    iota = kn.mats_to_entries([ctx.iota])
-    # x iota = I exactly when x = iota
-    not_iota = closed[~kn.identity_mask(kn.times_iota(closed))]
-    sigmas = np.concatenate([
-        _triple_from_inverse_pair(ctx, iota, closed),
-        _triple_from_inverse_pair(ctx, not_iota, iota)])
-    prods = _partial_products(ctx, sigmas)
-    if _involution_masks(ctx, prods).all(axis=1).any():
-        raise VerificationError(
-            "a pair containing iota passed all involution conditions")
-    return len(sigmas)
+    meets = _involution_masks(ctx, prods).all(axis=1)
+    lemma = np.zeros(len(sigmas), dtype=bool)
+    lemma[meets] = _inverses_fixed_mask(ctx, sigmas[meets])
+    return sigmas, meets, lemma
 
 
 def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
@@ -251,9 +238,10 @@ def find_rank4_witnesses(ctx: SuzukiContext, group: gr.GroupSet,
     rev = kn.times_iota(gr.involutions(group))
     rev = rev[~kn.identity_mask(rev)]  # w iota = I exactly when w = iota
     s1_inv, s3_inv = rev[:1], rev[1:]
-    sigmas, lemma = _checked_triples(ctx, s1_inv, s3_inv)
-    if not lemma.all():
-        raise VerificationError("a walk triple violated the membership lemma")
+    sigmas, _, lemma = _checked_triples(ctx, s1_inv, s3_inv)
+    if not lemma.all():  # False on every row that fails a condition
+        raise VerificationError("a walk triple failed an involution"
+                                " condition or the membership lemma")
     rows: List[int] = []
     at = 0
     while len(rows) < count and at < len(sigmas):
@@ -291,37 +279,45 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet,
                  witness_count: Optional[int] = None) -> TripleReport:
     """The restricted search plus its completeness audit.
 
-    Walks every ordered pair of torus elements as (sigma1^-1,
-    sigma3^-1), certifies the membership lemma for each triple, and
-    records the subgroup it generates (one groups.subgroups call for
-    all of them) and whether that is solvable, decided once per
-    distinct subgroup.  The audit side records that the closed form
-    does not exhaust the scanned fixed set and exhibits generating
-    triples built from fixed set members outside it, so
-    ``certifies_nonexistence`` stays False.
+    Builds and checks the triples of every ordered pair of the closed
+    form X as (sigma1^-1, sigma3^-1) in one _checked_triples batch.  The
+    2q - 1 pairs that contain iota must fail an involution condition and
+    every torus pair must meet them all; anything else raises
+    VerificationError.  Each torus pair's triple has its membership
+    lemma certified and the subgroup it generates recorded (one
+    groups.subgroups call for all of them), with whether that is
+    solvable, decided once per distinct subgroup.  The audit side
+    records that the closed form does not exhaust the scanned fixed set
+    and exhibits generating triples built from fixed set members outside
+    it, so ``certifies_nonexistence`` stays False.
     """
     result = fs.fixed_set_result(ctx, group)
-    reduction_rejected = _iota_pair_rejections(ctx)
-
-    torus = fs.torus_elements(ctx)
-    s1_inv = np.repeat(torus, len(torus), axis=0)
-    s3_inv = np.tile(torus, (len(torus), 1))
-    sigmas, lemma = _checked_triples(ctx, s1_inv, s3_inv)
+    closed = result.closed_form
+    n = len(closed)
+    # x iota = I exactly when x = iota
+    is_iota = kn.identity_mask(kn.times_iota(closed))
+    torus_pair = ~(is_iota[:, None] | is_iota[None, :]).reshape(-1)
+    s1_inv = np.repeat(closed, n, axis=0)
+    s3_inv = np.tile(closed, (n, 1))
+    sigmas, meets, lemma = _checked_triples(ctx, s1_inv, s3_inv)
+    if not np.array_equal(meets, torus_pair):
+        raise VerificationError("a pair containing iota met every involution"
+                                " condition, or a torus pair failed one")
+    s1_inv, s3_inv, sigmas = s1_inv[meets], s3_inv[meets], sigmas[meets]
     orders = kn.element_orders(ctx, sigmas.reshape(-1, 16)).reshape(-1, 3)
     details: List[PairDetail] = []
     successes: List[ChiralTriple] = []
     subs = gr.subgroups(ctx, sigmas, group)
     solvable: Dict[gr.GroupSet, bool] = {}
     for i, sub in enumerate(subs):
-        triple = ChiralTriple(*map(kn.entries_to_mat, sigmas[i]))
         if sub not in solvable:
             solvable[sub] = gr.derived_series_solvable(ctx, sub)
         details.append(PairDetail(
             a=kn.entries_to_mat(s1_inv[i]), b=kn.entries_to_mat(s3_inv[i]),
-            triple=triple, subgroup_order=sub.order, solvable=solvable[sub],
+            subgroup_order=sub.order, solvable=solvable[sub],
             sigma_orders=tuple(int(k) for k in orders[i])))
         if sub is group:
-            successes.append(triple)
+            successes.append(ChiralTriple(*map(kn.entries_to_mat, sigmas[i])))
 
     if witness_count is None:
         witness_count = 3 if ctx.q == 8 else 1
@@ -330,8 +326,8 @@ def search_rank4(ctx: SuzukiContext, group: gr.GroupSet,
         closed_form_size=len(result.closed_form),
         scan_size=len(result.brute_force),
         fixed_set_equal=result.equal,
-        iota_pairs_rejected=reduction_rejected,
-        membership_lemma_held=bool(lemma.all()))
+        iota_pairs_rejected=int((~meets).sum()),
+        membership_lemma_held=bool(lemma[meets].all()))
     return TripleReport(
         q=ctx.q, group_order=group.order,
         candidates=len(details), successes=tuple(successes),

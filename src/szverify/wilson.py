@@ -35,12 +35,14 @@ oracle with no shared logic beyond the field tables: bruteforce_mask
 checks the product condition itself on all q^3(q^4 + q - 1) ordered
 perpendicular pairs (2,100,736 at q = 8), and is_suzuki_bruteforce runs
 it on one matrix.  It tables each row's action on the q^4 vectors once,
-then walks the pairs in blocks: u = 0 first, then one block for each
-last nonzero coordinate k = 0..3 of u, each built on first use and kept.
-A row leaves the batch at its first failing step, and the walk ends when
-no row is left, so a batch of non-members builds and reads only the
-blocks it needs (at q = 8 the 7,680 pairs up to k = 0), while every
-matrix the oracle accepts has passed every pair.
+then walks the pairs in blocks: one block for each last nonzero
+coordinate k = 0..3 of u, then u = 0 last, each built on first use and
+kept.  Every linear map passes the u = 0 pairs (g(0) * g(v) = 0 =
+g(0 * v)), so they come after every pair that can tell.  A row leaves
+the batch at its first failing step, and the walk ends when no row is
+left, so a batch of non-members builds and reads only the blocks it
+needs (at q = 8 the 3,584 pairs of block k = 0), while every matrix the
+oracle accepts has passed every pair.
 """
 
 from __future__ import annotations
@@ -148,9 +150,10 @@ def _pair_block(ctx: SuzukiContext, k: int):
 
 
 def _pair_blocks(ctx: SuzukiContext):
-    """Every perpendicular ordered pair, once: block u = 0, then the blocks
-    k = 0..3 of _pair_block.  Each block is built on first use."""
-    for k in range(-1, 4):
+    """Every perpendicular ordered pair, once: the blocks k = 0..3 of
+    _pair_block, then block u = 0, which no linear map fails.  Each block
+    is built on first use."""
+    for k in (0, 1, 2, 3, -1):
         yield _pair_block(ctx, k)
 
 

@@ -253,7 +253,7 @@ def test_criterion_7_nonsolvability(ctx8, group8):
     assert [g.order for g in series] == [SZ8_ORDER, SZ8_ORDER]
     # contrast: the dihedral subgroup housing the restricted search is
     # solvable
-    dih = gr.closure(ctx8, [fs.torus_element(ctx8, 2), ctx8.iota],
+    dih = gr.closure(ctx8, [fs.torus_elements(ctx8)[1], ctx8.iota],
                      ceiling=100)
     assert gr.derived_series_solvable(ctx8, dih)
 

@@ -22,7 +22,7 @@ SZ8_SHA256 = \
 def dihedral_gens(ctx):
     # diag torus generator together with iota: a dihedral group of order
     # 2(q - 1)
-    return [fs.torus_element(ctx, 2), ctx.iota]
+    return [fs.torus_elements(ctx)[1], ctx.iota]
 
 
 def test_closure_trivial(ctx8):
@@ -32,7 +32,7 @@ def test_closure_trivial(ctx8):
 
 
 def test_closure_cyclic_torus(ctx8):
-    g = gr.closure(ctx8, [fs.torus_element(ctx8, 2)], ceiling=100)
+    g = gr.closure(ctx8, [fs.torus_elements(ctx8)[1]], ceiling=100)
     assert g.order == 7
     assert all(m == la.diag(*[hp.entry(m, i, i) for i in range(4)])
                for m in hp.mats(g.entries))
@@ -74,7 +74,7 @@ def test_closure_dihedral_q32(ctx32):
 def borel_gens(ctx):
     # a torus element and the 8th non-identity element of the sorted
     # Sylow filter: the Borel subgroup, order q^2(q - 1) = 448 at q = 8
-    return [fs.torus_element(ctx, 2),
+    return [fs.torus_elements(ctx)[1],
             hp.mat_from_hex("1 1 0 0 0 1 0 0 0 1 1 1 1 1 0 1")]
 
 
@@ -198,14 +198,14 @@ def test_subgroup_of_index_two(ctx8):
     """A subgroup of exactly half the order is closed, not taken for
     the whole group."""
     d14 = gr.closure(ctx8, dihedral_gens(ctx8), ceiling=100)
-    c7 = gr.subgroup(ctx8, [fs.torus_element(ctx8, 2)], d14)
+    c7 = gr.subgroup(ctx8, [fs.torus_elements(ctx8)[1]], d14)
     assert c7.order == 7
     assert gr.subgroup(ctx8, dihedral_gens(ctx8), d14) is d14
     # the torus element scales e_2 by an element of order 7 and fixes no
     # other image, so its base orbits are 7 and 1: the exact order of
     # C7, half of |D14|
     assert c7.base_orbits == (7, 1)
-    assert not gr.generates(ctx8, [fs.torus_element(ctx8, 2)], d14)
+    assert not gr.generates(ctx8, [fs.torus_elements(ctx8)[1]], d14)
     assert gr.generates(ctx8, dihedral_gens(ctx8), d14)
 
 
@@ -319,7 +319,7 @@ def test_generates_needs_both_base_orbits(ctx8):
     e_3 up to a scalar, so its full O1 does not make it the group: its
     O2 stays at 1 and its subgroup has order 7."""
     _, seeds = gr._suzuki_seeds(ctx8)
-    d = fs.torus_element(ctx8, 2)
+    d = fs.torus_elements(ctx8)[1]
     group = gr.closure(ctx8, np.concatenate([seeds[:2], [d]]), ceiling=100)
     assert (group.order, group.base_orbits) == (56, (7, 8))
     assert gr.subgroup(ctx8, [d], group).order == 7
@@ -447,7 +447,8 @@ def test_membership_and_sampling(ctx8, group8):
 def test_element_orders(ctx8, group8):
     assert gr.element_order(ctx8, la.identity()) == 1
     assert gr.element_order(ctx8, ctx8.iota) == 2
-    assert gr.element_order(ctx8, hp.mats(fs.torus_element(ctx8, 2))[0]) == 7
+    d = hp.mats(fs.torus_elements(ctx8)[1])[0]
+    assert gr.element_order(ctx8, d) == 7
     for m in hp.mats(hp.sample(group8, 40, seed=10)):
         assert SZ8_ORDER % gr.element_order(ctx8, m) == 0
 

@@ -217,7 +217,7 @@ def test_times_iota_matches_mat_mul(ctx8):
 
 
 def test_involution_mask(ctx8):
-    mats = [la.identity(), ctx8.iota, fs.torus_element(ctx8, 3)]
+    mats = [la.identity(), ctx8.iota, fs.torus_elements(ctx8)[2]]
     mask = kn.involution_mask(ctx8, kn.mats_to_entries(mats))
     assert list(mask) == [False, True, False]
 
@@ -234,7 +234,7 @@ def test_involution_mask_matches_scalar_squaring(ctx8, group8):
 
 def test_fixed_point_mask_matches_definition(ctx8):
     f = ctx8.field
-    mats = [la.identity(), ctx8.iota, hp.mats(fs.torus_element(ctx8, 5))[0],
+    mats = [la.identity(), ctx8.iota, hp.mats(fs.torus_elements(ctx8)[4])[0],
             wl.e1_transvection(ctx8)]
     mask = kn.fixed_point_mask(ctx8, kn.mats_to_entries(mats))
     for i, m in enumerate(mats):
@@ -418,3 +418,15 @@ def test_element_orders_match_scalar_on_sz8(ctx8, group8):
                                for x in hp.mats(group8.entries)]
     with pytest.raises(NotSymplecticError):
         kn.element_orders(ctx8, kn.mats_to_entries([la.diag(1, 1, 1, 3)]))
+
+
+def test_element_orders_build_no_inverse(ctx8, group8, monkeypatch):
+    """element_orders checks its batch with the Sp4(q) mask alone, and
+    never builds an inverse of it."""
+    sample = hp.sample(group8, 40, seed=12)
+    want = [gr.element_order(ctx8, x) for x in hp.mats(sample)]
+
+    def refuse(ctx, ents):
+        raise AssertionError("element_orders built an inverse")
+    monkeypatch.setattr(kn, "invert_symplectic", refuse)
+    assert kn.element_orders(ctx8, sample).tolist() == want

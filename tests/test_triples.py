@@ -444,14 +444,15 @@ def test_walk_triples_match_scalar_construction(ctx8, involutions8):
     invs = [w for w in hp.mats(involutions8) if w != iota]
     ws = kn.mats_to_entries(invs)
     rev = ws.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
-    sigmas, lemma = tr._checked_triples(ctx8, rev[:1], rev[1:])
+    sigmas, meets, lemma = tr._checked_triples(ctx8, rev[:1], rev[1:])
     w1 = invs[0]
     want = [(la.mat_mul(f, iota, w1),
              la.mat_mul(f, w1, la.mat_mul(f, w3, iota)),
              la.mat_mul(f, iota, w3)) for w3 in invs[1:]]
     assert len(want) == 453
     assert [tuple(map(kn.entries_to_mat, row)) for row in sigmas] == want
-    assert lemma.shape == (453,) and lemma.all()
+    assert meets.shape == lemma.shape == (453,)
+    assert meets.all() and lemma.all()
 
 
 def test_batch_checks_match_scalar_oracle(ctx8, involutions8):
@@ -491,15 +492,59 @@ def test_batch_checks_match_scalar_oracle(ctx8, involutions8):
     assert lemma_rows
 
 
-def test_checked_triples_refuse_a_failed_condition(ctx8):
-    """The iota pairs fail an involution condition, so the batch check
-    that both searches run raises on each of them."""
+def test_checked_triples_mark_iota_pairs_unmet(ctx8):
+    """The 15 iota pairs (iota, x) and (x, iota) of the closed form fail
+    an involution condition: the batch check marks each of them unmet,
+    with a False lemma verdict, and leaves the refusal to its callers
+    (the mutants of test_searches_refuse_a_wrong_involution_verdict)."""
     iota = kn.mats_to_entries([ctx8.iota])
-    for x in fs.closed_form_X(ctx8):
-        x = kn.mats_to_entries([x])
-        for pair in ((iota, x), (x, iota)):
-            with pytest.raises(VerificationError):
-                tr._checked_triples(ctx8, *pair)
+    closed = fs.closed_form_X(ctx8)
+    others = closed[~hp.is_iota(ctx8, closed)]
+    s1_inv = np.concatenate([np.repeat(iota, len(closed), axis=0), others])
+    s3_inv = np.concatenate([closed, np.repeat(iota, len(others), axis=0)])
+    sigmas, meets, lemma = tr._checked_triples(ctx8, s1_inv, s3_inv)
+    assert len(sigmas) == EXPECTED_IOTA_REJECTIONS
+    assert not meets.any() and not lemma.any()
+
+
+def test_closed_form_square_at_q32(ctx32):
+    """One batch over the 32 x 32 ordered pairs of the closed form at
+    q = 32, with no group built: exactly the 63 rows with iota fail an
+    involution condition, and the other 961 meet them all and the
+    membership lemma."""
+    closed = fs.closed_form_X(ctx32)
+    n = len(closed)
+    assert n == 32
+    sigmas, meets, lemma = tr._checked_triples(
+        ctx32, np.repeat(closed, n, axis=0), np.tile(closed, (n, 1)))
+    is_iota = hp.is_iota(ctx32, closed)
+    with_iota = (is_iota[:, None] | is_iota[None, :]).reshape(-1)
+    assert with_iota.sum() == 63
+    assert np.array_equal(meets, ~with_iota)
+    assert lemma[meets].all() and not lemma[with_iota].any()
+
+
+@pytest.mark.parametrize("mutant", ["all meet", "first met row fails"])
+def test_searches_refuse_a_wrong_involution_verdict(ctx8, group8,
+                                                   monkeypatch, mutant):
+    """With _involution_masks mutated, search_rank4 raises when an iota
+    pair meets every condition or a torus pair fails one, and
+    find_rank4_witnesses raises when a walk row fails one."""
+    masks = tr._involution_masks
+
+    def mutated(ctx, prods):
+        m = masks(ctx, prods)
+        if mutant == "all meet":
+            m[:] = True
+        else:
+            m[m.all(axis=1).argmax(), 0] = False
+        return m
+    monkeypatch.setattr(tr, "_involution_masks", mutated)
+    with pytest.raises(VerificationError, match="iota met every"):
+        tr.search_rank4(ctx8, group8)
+    if mutant == "first met row fails":
+        with pytest.raises(VerificationError, match="walk triple failed"):
+            tr.find_rank4_witnesses(ctx8, group8)
 
 
 def test_checked_triples_refuse_a_product_other_than_iota(ctx8, involutions8,
