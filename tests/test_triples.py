@@ -507,6 +507,32 @@ def test_checked_triples_mark_iota_pairs_unmet(ctx8):
     assert not meets.any() and not lemma.any()
 
 
+def test_checked_triples_refuse_a_failed_condition(ctx8, group8,
+                                                   monkeypatch):
+    """Both searches refuse a checked triple that fails an involution
+    condition where they need it to meet them all: the walk, given a
+    torus element of order 7 among its involutions, and the restricted
+    search, given a closed form with one torus member swapped for a
+    group element off the fixed set."""
+    torus = fs.torus_elements(ctx8)
+    d = torus[~kn.identity_mask(torus)][:1]
+    assert kn.element_orders(ctx8, d).tolist() == [7]
+    involutions = gr.involutions
+    with monkeypatch.context() as m:
+        m.setattr(gr, "involutions",
+                  lambda group: np.concatenate([involutions(group), d]))
+        with pytest.raises(VerificationError, match="walk triple failed"):
+            tr.find_rank4_witnesses(ctx8, group8)
+
+    closed = fs.closed_form_X(ctx8).copy()
+    off = group8.entries[~kn.fixed_point_mask(ctx8, group8.entries)][0]
+    closed[np.argmin(hp.is_iota(ctx8, closed))] = off
+    monkeypatch.setattr(fs, "fixed_set_result", lambda ctx, group:
+                        fs.FixedSetResult(closed, group.fixed_points))
+    with pytest.raises(VerificationError, match="torus pair failed"):
+        tr.search_rank4(ctx8, group8)
+
+
 def test_closed_form_square_at_q32(ctx32):
     """One batch over the 32 x 32 ordered pairs of the closed form at
     q = 32, with no group built: exactly the 63 rows with iota fail an
