@@ -257,6 +257,16 @@ def _visit(where: np.ndarray, idx: np.ndarray, count: int) -> np.ndarray:
     return first
 
 
+def _room(buf: np.ndarray, used: int, need: int) -> np.ndarray:
+    """``buf`` if it has ``need`` rows, else a buffer of at least twice
+    its rows that starts with its ``used`` rows."""
+    if need <= len(buf):
+        return buf
+    out = np.empty((max(need, 2 * len(buf)),) + buf.shape[1:], buf.dtype)
+    out[:used] = buf[:used]
+    return out
+
+
 def _orbit(ctx: SuzukiContext, tables: np.ndarray, owners: np.ndarray,
            v: int, numbering: Tuple[np.ndarray, int]
            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -279,23 +289,28 @@ def _orbit(ctx: SuzukiContext, tables: np.ndarray, owners: np.ndarray,
     this search, and a point with no place raises VerificationError.
     Breadth-first, one step per level for all sets: each row of the last
     level is multiplied by the matrices of its own set, matrix by matrix
-    (kernels.row_action with owners), so each set sees its products in
-    the order of a search of its own, and each point not visited yet
-    takes one of its images (_visit).  In the orbit of e_3 a set stops
-    once its orbit holds all n places, before its next level; the orbit
-    of e_2 runs to its end, so that it keeps the edges of every level.
+    (kernels.row_action with owners, on the tables laid out once by
+    kernels.owner_tables), so each set sees its products in the order
+    of a search of its own, and each point not visited yet takes one of
+    its images (_visit).  Each level's new rows and their sets are
+    written into one buffer each, which doubles when full (_room), so
+    no level copies the rows before it.  In the orbit of e_3 a set
+    stops once its orbit holds all n places, before its next level; the
+    orbit of e_2 runs to its end, so that it keeps the edges of every
+    level.
     """
     number, n = numbering
     m, k = tables.shape[:2]
-    owners = owners.astype(np.int32)
+    tables = kn.owner_tables(tables)
+    fown = owners.astype(np.int32)
+    size = len(fown)
     where = np.full(m * n, -1, dtype=np.int32)
-    trans = front = np.tile(_UNIT.reshape(1, 16), (len(owners), 1))
-    fown, towner, edges = owners, [owners], []
-    where[owners * n + _places(ctx, number, front, v)] = np.arange(
-        len(owners))
-    counts = np.bincount(owners, minlength=m)
+    trans = front = np.tile(_UNIT.reshape(1, 16), (size, 1))
+    towner, edges = fown, []
+    where[fown * n + _places(ctx, number, front, v)] = np.arange(size)
+    counts = np.bincount(fown, minlength=m)
     while k and len(front):
-        rows = np.arange(len(trans) - len(front), len(trans), dtype=np.int32)
+        rows = np.arange(size - len(front), size, dtype=np.int32)
         if v == _V2:
             live = counts[fown] < n
             if not live.all():
@@ -305,10 +320,13 @@ def _orbit(ctx: SuzukiContext, tables: np.ndarray, owners: np.ndarray,
         images = kn.row_action(tables, front, fown)
         own = np.concatenate([fown] * k)
         idx = own * n + _places(ctx, number, images, v)
-        first = _visit(where, idx, len(trans))
-        front, fown = images[first], own[first]
-        trans = np.concatenate([trans, front])
-        towner.append(fown)
+        first = _visit(where, idx, size)
+        end = size + len(first)
+        trans, towner = _room(trans, size, end), _room(towner, size, end)
+        front, fown = trans[size:end], towner[size:end]
+        images.take(first, axis=0, out=front)
+        own.take(first, out=fown)
+        size = end
         counts += np.bincount(fown, minlength=m)
         if v == _V2:
             continue
@@ -317,15 +335,22 @@ def _orbit(ctx: SuzukiContext, tables: np.ndarray, owners: np.ndarray,
                              != trans.view("<u4")[:, _V2].take(at))
         s, x = np.divmod(off.astype(np.int32), len(rows))
         edges.append(np.array([rows[x], s, at[off]]))
-    return (trans, np.concatenate(towner), np.concatenate(
+    return (trans[:size], towner[:size], np.concatenate(
         edges or [np.empty((3, 0), dtype=np.int32)], axis=1))
 
 
 def _spread(owner: np.ndarray, chosen: np.ndarray) -> np.ndarray:
     """Positions of up to _FIRST_EDGES edges of each ``chosen`` set,
     spread evenly over its edges in the order given, whose sets
-    ``owner`` holds."""
-    order = np.argsort(owner, kind="stable")
+    ``owner`` holds.
+
+    The edges are grouped by a stable sort of their owners cast to the
+    smallest unsigned type that holds every set number: numpy sorts 8-
+    and 16-bit integers by radix, int32 by merge, and a stable sort
+    gives the same order on either.
+    """
+    order = np.argsort(owner.astype(np.min_scalar_type(len(chosen) - 1)),
+                       kind="stable")
     n = np.bincount(owner, minlength=len(chosen))
     take = np.where(chosen, np.minimum(_FIRST_EDGES, n), 0)
     j = np.arange(_FIRST_EDGES)
@@ -347,8 +372,8 @@ def _schreier_tables(ctx: SuzukiContext, tables: np.ndarray,
     m, k, _, q = tables.shape
     src, gen, dst = edges
     own = owner[src]
-    prods = kn.row_action(tables.reshape(m * k, 1, 4, q), trans[src],
-                          own * k + gen)
+    prods = kn.row_action(kn.owner_tables(tables.reshape(m * k, 1, 4, q)),
+                          trans[src], own * k + gen)
     schreier = kn.mat_mul_pairs(
         ctx, prods, kn.invert_symplectic(ctx, trans[dst]))
     if not (schreier.reshape(-1, 4, 4)[:, _V1] == _UNIT[_V1]).all():
@@ -509,11 +534,19 @@ def subgroups(ctx: SuzukiContext, generator_sets,
     set's generators and has the base orbits the set's pass found.
     Then <gens> <= H and |<gens>| >= |O1| |O2| = |H|, so <gens> = H
     (Lagrange): equal subgroups come back as one object, and a set that
-    generates ``group`` gets ``group`` itself.  The other sets have
-    their elements multiplied out from the exact transversals of the
-    pass and proved closed (_group).  No classification of maximal
-    subgroups is used.  Deterministic: the entries are the canonically
-    sorted elements, and the generators those given, without repeats.
+    generates ``group`` gets ``group`` itself.  A set with the base
+    orbits of ``group`` gets it with no lookup, since every generator
+    is checked in it first.  Every other group H is looked up once per
+    batch, by one member_mask call on all the sets of the batch that
+    have its base orbits and no answer yet: for the groups proved
+    before the batch, in the order proved, when it starts, and for a
+    group built in it, right after, on the sets after the one it was
+    built from.  Each set so gets the first proved group that holds it.
+    The other sets have their elements multiplied out from the exact
+    transversals of the pass and proved closed (_group).  No
+    classification of maximal subgroups is used.  Deterministic: the
+    entries are the canonically sorted elements, and the generators
+    those given, without repeats.
     """
     ents = np.asarray(generator_sets)
     if group is not None and not group.member_mask(ents).all():
@@ -523,26 +556,46 @@ def subgroups(ctx: SuzukiContext, generator_sets,
                                                      ctx.q)
     base = group.base_numbering if group else (
         _numbering(ctx, np.arange(ctx.q ** 4)),) * 2
-    proved = [] if group is None else [group]
+    proved: List[GroupSet] = []
     out: List[GroupSet] = []
     per = max(1, _VISIT // base[0][1])
     for lo in range(0, len(ents), per):
-        m = len(ents[lo:lo + per])
+        sets = ents[lo:lo + per]
+        m = len(sets)
         t1, own1, t2, own2 = _transversals(ctx, tables[lo:lo + m], base)
         n1 = np.bincount(own1, minlength=m)
         n2 = np.bincount(own2, minlength=m)
         if ceiling is not None and (n1 * n2).max() > ceiling:
             raise BudgetExceededError(int((n1 * n2).max()), ceiling)
+        found: List[Optional[GroupSet]] = [None] * m
+        unanswered = np.ones(m, dtype=bool)
+
+        def answer(h: GroupSet, lookup: bool = True) -> None:
+            # every unanswered set with h's base orbits that h holds,
+            # by one member_mask call (on the I padding too, which each
+            # group holds), gets h
+            at = np.flatnonzero(unanswered & (n1 == h.base_orbits[0])
+                                & (n2 == h.base_orbits[1]))
+            if lookup and len(at):
+                at = at[h.member_mask(sets[at]).reshape(len(at), -1)
+                        .all(axis=1)]
+            unanswered[at] = False
+            for o in at:
+                found[o] = h
+        if group is not None:
+            answer(group, lookup=False)
+        for h in proved:
+            answer(h)
         for o in range(m):
-            gens = ents[lo + o, :count[lo + o]]
-            orbits = (int(n1[o]), int(n2[o]))
-            h = next((h for h in proved if h.base_orbits == orbits and (
-                h is group or h.member_mask(gens).all())), None)
-            if h is None:
+            if unanswered[o]:
+                gens = sets[o, :count[lo + o]]
                 h = _group(ctx, gens, tables[lo + o, :len(gens)],
                            t1[own1 == o], t2[own2 == o])
                 proved.append(h)
-            out.append(h)
+                unanswered[o] = False
+                found[o] = h
+                answer(h)
+        out.extend(found)
     return out
 
 
@@ -731,7 +784,7 @@ def involutions(group: GroupSet) -> np.ndarray:
     if group.ctx.iota not in group:
         raise ValueError("involutions are read off the fixed points only "
                          "in a group that contains iota")
-    ws = group.fixed_points.reshape(-1, 4, 4)[:, :, ::-1].reshape(-1, 16)
+    ws = kn.times_iota(group.fixed_points)
     ws = kn.key_entries(np.sort(kn.entry_keys(group.ctx, ws)))
     return ws[~kn.identity_mask(ws)]
 

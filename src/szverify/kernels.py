@@ -15,7 +15,8 @@ Right multiplication by a fixed g acts on each row separately, and
 linearly: r g = r_0 (row 0 of g) + ... + r_3 (row 3 of g).  So four
 q-entry tables of 4-byte rows (row_action_table) turn a whole batch
 product into four gathers and three XORs (row_action), also when each
-row has matrices of its own, as the rows of a batch of orbits do.
+row has matrices of its own, as the rows of a batch of orbits do
+(their tables laid out once by owner_tables).
 Products of paired batches, x_i y_i with a different y per row, go
 through the flat multiplication table instead (mat_mul_pairs).  Element
 orders and three masks are built on it, the masks as one chunked test
@@ -127,6 +128,13 @@ def row_action_table(ctx: SuzukiContext, mats) -> np.ndarray:
         rows.transpose(1, 2, 0, 3)).view(np.uint32)[..., 0]
 
 
+def owner_tables(tables: np.ndarray) -> np.ndarray:
+    """The (m, k, 4, q) row_action_tables of k matrices for each of m
+    owners, laid out once as row_action's owner mode reads them, (k, 4,
+    m, q) and contiguous, so that each call reshapes them for free."""
+    return np.ascontiguousarray(tables.transpose(1, 2, 0, 3))
+
+
 def row_action(tables: np.ndarray, ents: np.ndarray,
                owner: Optional[np.ndarray] = None) -> np.ndarray:
     """Entries of x g for every x in ents and g in the row_action_table
@@ -136,17 +144,16 @@ def row_action(tables: np.ndarray, ents: np.ndarray,
     4 entries is acted on alone, so the result has the width of ``ents``.
     The products come table by table, k n of them: row g n + x holds x g.
 
-    With ``owner``, ``tables`` stacks the tables of k matrices for each
-    of m owners, (m, k, 4, q), and each x is multiplied by the k of its
-    own, ``owner[x]``: row g n + x holds x times matrix g of that owner.
-    The owners' tables are laid side by side, q entries each, so each
-    gather still serves all k tables at once.
+    With ``owner``, ``tables`` holds the tables of k matrices for each
+    of m owners as owner_tables lays them out, (k, 4, m, q), and each x
+    is multiplied by the k of its own, ``owner[x]``: row g n + x holds x
+    times matrix g of that owner.  The owners' tables lie side by side,
+    q entries each, so each gather still serves all k tables at once.
     """
     x = ents.reshape(-1, 4)
     if owner is not None:
-        m, k, _, q = tables.shape
-        tables = np.ascontiguousarray(
-            tables.transpose(1, 2, 0, 3)).reshape(k, 4, m * q)
+        k, _, m, q = tables.shape
+        tables = tables.reshape(k, 4, m * q)
         x = x + np.repeat(owner * q, ents.shape[-1] // 4)[:, None]
     rows = np.take(tables[..., 0, :], x[:, 0], axis=-1)
     for i in range(1, 4):

@@ -387,6 +387,28 @@ def test_an_orbit_point_outside_the_bounding_base_raises(ctx8, group8,
         gr.subgroup(ctx8, group8.generators, bad)
 
 
+@pytest.mark.parametrize("sets", [455, 70_000], ids=["uint16", "uint32"])
+def test_spread_picks_the_edges_of_a_stable_int32_sort(sets):
+    """_spread sorts its edge owners on the smallest unsigned type that
+    holds every set number, and picks the positions that a stable sort
+    of the int32 owners gives, with fewer and with more sets than a
+    uint16 numbers.  Synthetic owners, no group built: each set has
+    about 3 edges, and 50 sets about 40, more than _FIRST_EDGES."""
+    rng = np.random.default_rng(sets)
+    owner = rng.permutation(np.concatenate([
+        rng.integers(0, sets, size=3 * sets),
+        rng.integers(0, 50, size=2000)])).astype(np.int32)
+    chosen = rng.random(sets) < 0.5
+    by_set = np.split(np.argsort(owner, kind="stable"),
+                      np.cumsum(np.bincount(owner, minlength=sets))[:-1])
+    want = []
+    for o in np.flatnonzero(chosen):
+        take = min(gr._FIRST_EDGES, len(by_set[o]))
+        want += [by_set[o][j * len(by_set[o]) // take] for j in range(take)]
+    assert max(map(len, by_set)) > gr._FIRST_EDGES
+    assert np.array_equal(gr._spread(owner, chosen), want)
+
+
 def test_subgroup_rejects_outside_generator(ctx8, group8):
     gens = [ctx8.iota, wl.e1_transvection(ctx8)]
     with pytest.raises(VerificationError):

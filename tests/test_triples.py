@@ -365,6 +365,39 @@ def test_subgroups_answers_equal_subgroups_with_one_object(
     assert len(torus) == 49 and len({id(h) for h in torus}) == 2
 
 
+def test_torus_batch_looks_up_each_built_subgroup_once(
+        ctx8, group8, certificate_groups, monkeypatch):
+    """subgroups on the 49 torus triples builds 2 proper subgroups (of
+    orders 2 and 14) and checks every later set with the orbits of each
+    against it by one member_mask call, not one call per set (47 on one
+    D14 before).  Calls inside _group, such as GroupSet's identity
+    check, are not lookups."""
+    torus = [m for kind, m, _ in certificate_groups if kind == "torus triple"]
+    built, lookups, inside = [], [], []
+    make, member_mask = gr._group, gr.GroupSet.member_mask
+
+    def recorded_group(*args):
+        inside.append(True)
+        try:
+            built.append(make(*args))
+        finally:
+            inside.pop()
+        return built[-1]
+
+    def counted(self, mats):
+        if self is not group8 and not inside:
+            lookups.append(id(self))
+        return member_mask(self, mats)
+    monkeypatch.setattr(gr, "_group", recorded_group)
+    monkeypatch.setattr(gr.GroupSet, "member_mask", counted)
+    subs = gr.subgroups(ctx8, batch(torus), group8)
+    assert sorted(h.order for h in subs) == sorted(
+        o for kind, _, o in certificate_groups if kind == "torus triple")
+    assert sorted(h.order for h in built) == [2, 14]
+    assert len(lookups) == len(set(lookups)) <= len(built)
+    assert set(lookups) <= {id(h) for h in built}
+
+
 def test_subgroups_rejects_a_batch_with_one_outside_generator(
         ctx8, group8, certificate_groups):
     """One generator outside the group, in the last set of a batch,
