@@ -37,10 +37,8 @@ EXIT_USAGE = 2
 EXIT_THEOREM = 3
 EXIT_INTERNAL = 5
 
+# The --q choices, each with its e (q = 2^(2e+1)).
 _E_FOR_Q = {8: 1, 32: 2}
-# The stages verify-all runs, in order; each is a key of STAGES.
-STAGE_ORDER = ("field", "wilson", "group", "fixed-set", "involutions",
-               "rank4")
 
 
 @dataclass
@@ -254,7 +252,8 @@ def _stage_rank4(state: RunState):
                 "completeness audit)"), findings
 
 
-# Each stage returns (passed, claim, findings).
+# Each stage returns (passed, claim, findings).  verify-all runs them
+# in this order.
 STAGES = {
     "field": _stage_field,
     "wilson": _stage_wilson,
@@ -362,7 +361,7 @@ def cmd_search_rank4(args) -> int:
 
 def cmd_verify_all(args) -> int:
     state = RunState(args)
-    for name in STAGE_ORDER:
+    for name in STAGES:
         _print_stage(state.stage(name))
     payload = state.payload()
     print(f"overall: {'PASS' if payload['overall'] else 'FAIL'}")
@@ -372,7 +371,7 @@ def cmd_verify_all(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, mode: bool = False) -> None:
-    p.add_argument("--q", type=int, choices=(8, 32), default=8)
+    p.add_argument("--q", type=int, choices=tuple(_E_FOR_Q), default=8)
     p.add_argument("--report", default=None)
     if mode:
         p.add_argument("--mode", choices=("closed-form", "scan", "both"),

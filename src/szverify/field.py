@@ -3,7 +3,9 @@
 An element is the bit pattern of its polynomial over GF(2): bit i is the
 coefficient of x^i, so 0b110 stands for x^2 + x.  Addition is xor.
 Multiplication reduces modulo a fixed irreducible polynomial, given in the
-same encoding (0b1011 is x^3 + x + 1).
+same encoding (0b1011 is x^3 + x + 1).  A field refuses a reducible
+modulus when it is built (``validate_modulus``), so every BinaryField is
+a field.
 
 Full multiplication, inverse and twist tables are built eagerly, which
 is cheap for every field in ``context.MODULI`` (q <= 512).  Inverses come
@@ -13,7 +15,7 @@ algorithm.
 
 from __future__ import annotations
 
-from .errors import SingularMatrixError
+from .errors import SingularMatrixError, SzVerifyError
 
 
 def clmul(a: int, b: int) -> int:
@@ -35,6 +37,24 @@ def polymod(a: int, m: int) -> int:
     return a
 
 
+def validate_modulus(poly: int) -> bool:
+    """True iff poly is irreducible over GF(2) with degree in 2..13.
+
+    Checked by trial division against every polynomial of strictly lower
+    degree at least 1.  A negative poly, or a degree outside the
+    supported band, raises.
+    """
+    degree = poly.bit_length() - 1
+    if poly < 0 or not 2 <= degree <= 13:
+        raise ValueError(f"{poly} is negative or its degree {degree} is "
+                         "outside the supported range 2..13")
+    for d in range(1, degree):
+        for divisor in range(1 << d, 1 << (d + 1)):
+            if polymod(poly, divisor) == 0:
+                return False
+    return True
+
+
 class BinaryField:
     """GF(2^degree) defined by an irreducible modulus polynomial.
 
@@ -42,32 +62,35 @@ class BinaryField:
     ----------
     modulus : int
         Bit pattern of the defining polynomial.  Its degree sets the field
-        size q = 2 ** degree.  Irreducibility is the caller's duty; see
-        ``context.validate_modulus``.
+        size q = 2 ** degree.  A reducible modulus raises SzVerifyError,
+        and a degree outside 2..13 raises ValueError.
+
+    ``mul_table[a][b]`` and ``inv_table[a]`` hold the products and
+    inverses (``inv_table[0]`` is 0); ``kernels.field_tables`` reads them.
     """
 
     def __init__(self, modulus: int):
-        degree = modulus.bit_length() - 1
-        if degree < 2:
-            raise ValueError(f"modulus degree {degree} < 2")
+        if not validate_modulus(modulus):
+            raise SzVerifyError(f"modulus {bin(modulus)} is reducible")
         self.modulus = modulus
-        self.degree = degree
-        self.q = 1 << degree
-        self._mul_table = [
+        self.degree = modulus.bit_length() - 1
+        self.q = 1 << self.degree
+        self.mul_table = [
             [polymod(clmul(a, b), modulus) for b in range(self.q)]
             for a in range(self.q)
         ]
-        self._inv_table = [0] + [self.pow(a, self.q - 2)
-                                 for a in range(1, self.q)]
+        self.inv_table = [0] + [self.pow(a, self.q - 2)
+                                for a in range(1, self.q)]
 
     def __repr__(self):
-        return f"BinaryField(degree={self.degree}, modulus={bin(self.modulus)})"
+        return (f"{type(self).__name__}(degree={self.degree}, "
+                f"modulus={bin(self.modulus)})")
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul_table[a][b]
+        return self.mul_table[a][b]
 
     def sqr(self, a: int) -> int:
         return self.mul(a, a)
@@ -88,7 +111,7 @@ class BinaryField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise SingularMatrixError("0 has no inverse")
-        return self._inv_table[a]
+        return self.inv_table[a]
 
     def elements(self):
         return range(self.q)
@@ -100,21 +123,24 @@ class BinaryField:
 class TwistedField(BinaryField):
     """GF(q) for q = 2^(2e+1), carrying the twist map a -> a^(2^e).
 
-    The twist exponent 2^e is written t and satisfies 2 * t * t == q.
-    Applying the twist twice gives a^(t*t) = a^(q/2), so one further
-    squaring returns a: the twist is a square root of the squaring map.
+    e is read from the modulus, of odd degree 2e + 1; an even degree
+    raises ValueError.  The twist exponent 2^e is written t and satisfies
+    2 * t * t == q.  Applying the twist twice gives a^(t*t) = a^(q/2), so
+    one further squaring returns a: the twist is a square root of the
+    squaring map.  ``frob_table[a]`` holds a^t.
     """
 
-    def __init__(self, modulus: int, e: int):
+    def __init__(self, modulus: int):
+        degree = modulus.bit_length() - 1
+        if degree % 2 == 0:
+            raise ValueError(f"degree {degree} is even, not 2e+1")
         super().__init__(modulus)
-        if self.degree != 2 * e + 1:
-            raise ValueError(f"degree {self.degree} != 2*{e}+1")
-        self.e = e
+        e = degree // 2
         self.t = 1 << e
-        self._frob_table = list(range(self.q))
+        self.frob_table = list(range(self.q))
         for _ in range(e):
-            self._frob_table = [self.sqr(a) for a in self._frob_table]
+            self.frob_table = [self.sqr(a) for a in self.frob_table]
 
     def frobenius_t(self, a: int) -> int:
         """The twist a -> a^t = a^(2^e), tabled from e successive squarings."""
-        return self._frob_table[a]
+        return self.frob_table[a]

@@ -60,17 +60,8 @@ def field_tables(ctx: SuzukiContext):
     f = ctx.field
     if f.degree > 7:
         raise ValueError(f"batch kernels need degree <= 7, got {f.degree}")
-    q = ctx.q
-    mul = np.zeros((q, q), dtype=np.uint8)
-    frob = np.zeros(q, dtype=np.uint8)
-    inv = np.zeros(q, dtype=np.uint8)
-    for a in range(q):
-        frob[a] = f.frobenius_t(a)
-        if a:
-            inv[a] = f.inv(a)
-        for b in range(q):
-            mul[a, b] = f.mul(a, b)
-    return mul, frob, inv
+    return tuple(np.array(table, dtype=np.uint8)
+                 for table in (f.mul_table, f.frob_table, f.inv_table))
 
 
 def mats_to_entries(mats) -> np.ndarray:

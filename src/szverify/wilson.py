@@ -23,11 +23,12 @@ hyperplane holds all of them, and their span holds a basis of it: the
 E_03 + E_{i,3-i} (i = 1, 2, 3), each (e_0 + e_i)(e_3 + e_{3-i})^T less
 two units.  So the residual vanishes on every perpendicular pair iff it
 vanishes on that basis.  As R is symmetric, that leaves R_ij = 0 on the
-eight PERP_BASIS_PAIRS and R_03 = R_12 (R_03 + R_30 = 0 holds in
-characteristic 2).  The two antidiagonal residuals need only agree;
-neither need vanish.  R_ii = 0 holds for every g, as e_i * e_i = 0 and
-u * u = 0 (the basis table is symmetric with a zero diagonal, and the
-characteristic is 2): R_01 = R_02 = R_13 = R_23 = 0 and R_03 = R_12 remain.
+eight perpendicular basis pairs i <= j, i + j != 3, and R_03 = R_12
+(R_03 + R_30 = 0 holds in characteristic 2).  The two antidiagonal
+residuals need only agree; neither need vanish.  R_ii = 0 holds for
+every g, as e_i * e_i = 0 and u * u = 0 (the basis table is symmetric
+with a zero diagonal, and the characteristic is 2): R_01 = R_02 = R_13
+= R_23 = 0 and R_03 = R_12 remain.
 
 kernels.suzuki_mask evaluates the five equations over a batch and
 is_suzuki runs it on one matrix.  The brute-force path stays as an
@@ -52,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels as kn
-from .context import PERP_BASIS_PAIRS, SuzukiContext  # noqa: F401 (re-export)
+from .context import SuzukiContext
 from .field import BinaryField
 from .linalg4 import (
     Mat4,

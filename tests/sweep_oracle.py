@@ -23,7 +23,13 @@ import numpy as np
 from szverify import kernels as kn
 from szverify.context import SuzukiContext
 from szverify.linalg4 import basis_vec
-from szverify.wilson import PERP_BASIS_PAIRS, bullet
+from szverify.wilson import bullet
+
+# Unordered basis pairs (i, j) with f(e_i, e_j) = 0, i.e. i + j != 3.
+PERP_BASIS_PAIRS = (
+    (0, 0), (1, 1), (2, 2), (3, 3),
+    (0, 1), (0, 2), (1, 3), (2, 3),
+)
 
 # Survivors are compacted after every this many pairs, so late pairs
 # only touch live candidates.

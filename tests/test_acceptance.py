@@ -204,7 +204,7 @@ def test_criterion_5_rank4_search(ctx8, group8, tmp_path):
              and all(d.solvable for d in report.details)
              and elapsed < 120.0)
     refuted = (rc == cli.EXIT_THEOREM
-               and list(passed) == list(cli.STAGE_ORDER)
+               and list(passed) == list(cli.STAGES)
                and failing == {"fixed-set", "rank4"}
                and not report.certifies_nonexistence
                and len(witnesses_ok) == 3 and all(witnesses_ok))
@@ -227,7 +227,7 @@ def test_criterion_5_rank4_search(ctx8, group8, tmp_path):
     assert elapsed < 120.0
 
     assert rc == cli.EXIT_THEOREM
-    assert list(passed) == list(cli.STAGE_ORDER)
+    assert list(passed) == list(cli.STAGES)
     assert failing == {"fixed-set", "rank4"}
     assert not report.certifies_nonexistence
     assert len(witnesses_ok) == 3

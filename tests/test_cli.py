@@ -299,6 +299,21 @@ def test_unwritable_report_is_a_usage_error(capsys, tmp_path, monkeypatch):
     assert sorted(tmp_path.iterdir()) == [existing]
 
 
+def _python(*argv):
+    """Run a fresh interpreter with the package's source tree on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_package_runs_as_a_module():
+    out = _python("-m", "szverify", "field-selftest", "--q", "8")
+    assert out.returncode == 0, out.stderr
+    assert "[field" in out.stdout and "PASS" in out.stdout
+
+
 def test_verify_all_imports_no_numpy_ma():
     """A cold verify-all never imports numpy.ma: np.unique(..., axis=0)
     pulls it in at numpy 2.4, some 15 ms of import, so the engine
@@ -307,10 +322,6 @@ def test_verify_all_imports_no_numpy_ma():
              "from szverify import cli\n"
              "rc = cli.main(['verify-all', '--q', '8'])\n"
              "print(rc, 'numpy.ma' in sys.modules)\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, timeout=300)
+    out = _python("-c", probe)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "3 False"

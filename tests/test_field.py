@@ -2,10 +2,11 @@ import dataclasses
 
 import pytest
 
-from szverify.context import (MODULI, _check_context, make_context,
-                              validate_modulus)
+from szverify import groups as gr
+from szverify.context import MODULI, SuzukiContext, make_context
 from szverify.errors import SingularMatrixError, SzVerifyError
-from szverify.field import BinaryField, TwistedField, clmul, polymod
+from szverify.field import (BinaryField, TwistedField, clmul, polymod,
+                            validate_modulus)
 
 # Frozen from an independent polynomial-arithmetic oracle (GF(8) with
 # modulus x^3 + x + 1).
@@ -71,7 +72,7 @@ def test_inverse_exhaustive():
 
 @pytest.mark.parametrize("e", [1, 2])
 def test_frobenius_twist(e):
-    f = TwistedField(MODULI[2 * e + 1], e)
+    f = TwistedField(MODULI[2 * e + 1])
     assert f.t == 2 ** e
     assert 2 * f.t * f.t == f.q
     assert f.frobenius_t(0) == 0
@@ -90,7 +91,7 @@ def test_frobenius_twist(e):
 
 def test_twist_is_automorphism_square_root():
     # t o t = (a -> a^2) composed 2e times; doubling once more gives a^q = a
-    f = TwistedField(MODULI[3], 1)
+    f = TwistedField(MODULI[3])
     for a in f.elements():
         tt = f.frobenius_t(f.frobenius_t(a))
         assert f.sqr(tt) == a
@@ -101,6 +102,8 @@ def test_moduli_table_irreducible():
         assert poly.bit_length() - 1 == deg
         assert validate_modulus(poly)
     assert not validate_modulus(0b1111)  # (x+1)(x^2+x+1)
+    with pytest.raises(ValueError):
+        BinaryField(-0b1011)  # its bit pattern has no polynomial
 
 
 def test_make_context_rejects_bad_e():
@@ -112,17 +115,35 @@ def test_make_context_rejects_bad_e():
         make_context(7)
 
 
-@pytest.mark.parametrize("change", [
-    {"t": 4},
-    {"iota": (1,) + (0,) * 15},
-    {"bullet_basis": tuple(tuple((1, 1, 1, 1) for _ in range(4))
-                           for _ in range(4))},
-])
-def test_corrupt_context_detected(ctx8, change):
-    """An inconsistent context raises SzVerifyError, not an assert that
-    python -O would drop."""
-    with pytest.raises(SzVerifyError, match="corrupt"):
-        _check_context(dataclasses.replace(ctx8, **change))
+@pytest.mark.parametrize("e", sorted((d - 1) // 2 for d in MODULI))
+def test_context_parameters_derive_from_the_field(e):
+    """q and t are read from the field: q = 2^(2e+1), t = 2^e, 2t^2 = q."""
+    ctx = make_context(e)
+    assert ctx.q == 2 ** (2 * e + 1)
+    assert ctx.t == 2 ** e
+    assert 2 * ctx.t * ctx.t == ctx.q
+
+
+def test_twisted_field_refuses_an_even_degree():
+    assert validate_modulus(0b10011)  # x^4 + x + 1, irreducible
+    with pytest.raises(ValueError):
+        TwistedField(0b10011)
+
+
+def test_context_is_its_field(ctx8):
+    """The field is the one constructor input: a wrong t cannot be built,
+    a reducible modulus is refused where the field is made, and a
+    context on the other irreducible cubic builds Sz(8)."""
+    assert [f.name for f in dataclasses.fields(ctx8)] == ["field"]
+    with pytest.raises(TypeError):
+        dataclasses.replace(ctx8, t=4)
+    for reducible in (0b1001, 0b1111):  # x^3 + 1, (x+1)(x^2+x+1)
+        with pytest.raises(SzVerifyError):
+            TwistedField(reducible)
+    group = gr.build_suzuki(SuzukiContext(TwistedField(0b1101)))
+    assert group.order == 29_120
+    assert group.base_orbits == (455, 64)
+    assert len(gr.involutions(group)) == 455
 
 
 def test_corrupt_modulus_table_detected(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers as hp
+import sweep_oracle as so
 from conftest import all_vecs, bullet_np
 from szverify import fixed_set as fs
 from szverify import kernels as kn
@@ -135,8 +136,8 @@ def test_oracle_batch_matches_one_row_calls(ctx8, group8):
 
 
 def test_perp_basis_pairs_count(ctx8):
-    assert len(wl.PERP_BASIS_PAIRS) == 8
-    for (i, j) in wl.PERP_BASIS_PAIRS:
+    assert len(so.PERP_BASIS_PAIRS) == 8
+    for (i, j) in so.PERP_BASIS_PAIRS:
         assert la.form_f(ctx8.field, la.basis_vec(i), la.basis_vec(j)) == 0
 
 
