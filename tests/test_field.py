@@ -130,13 +130,33 @@ def test_twisted_field_refuses_an_even_degree():
         TwistedField(0b10011)
 
 
-def test_context_is_its_field(ctx8):
-    """The field is the one constructor input: a wrong t cannot be built,
-    a reducible modulus is refused where the field is made, and a
-    context on the other irreducible cubic builds Sz(8)."""
-    assert [f.name for f in dataclasses.fields(ctx8)] == ["field"]
+@pytest.mark.parametrize("change", [
+    {"t": 4},
+    {"iota": (1,) + (0,) * 15},
+    {"bullet_basis": tuple(tuple((1, 1, 1, 1) for _ in range(4))
+                           for _ in range(4))},
+])
+def test_corrupt_context_detected(ctx8, change):
+    """An inconsistent context cannot be built: t is read from the field
+    and iota and the product table are class constants, so replacing
+    any of them raises TypeError.  The constants keep the invariants a
+    context relies on: 2 t^2 = q, iota is the antidiagonal identity, and
+    the product table is symmetric with exactly eight nonzero entries."""
     with pytest.raises(TypeError):
-        dataclasses.replace(ctx8, t=4)
+        dataclasses.replace(ctx8, **change)
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+    basis = ctx8.bullet_basis
+    assert 2 * ctx8.t * ctx8.t == ctx8.q
+    assert ctx8.iota == tuple(int(i + j == 3) for i, j in pairs)
+    assert all(basis[i][j] == basis[j][i] for i, j in pairs)
+    assert sum(any(basis[i][j]) for i, j in pairs) == 8
+
+
+def test_context_is_its_field(ctx8):
+    """The field is the one constructor input, a reducible modulus is
+    refused where the field is made, and a context on the other
+    irreducible cubic builds Sz(8)."""
+    assert [f.name for f in dataclasses.fields(ctx8)] == ["field"]
     for reducible in (0b1001, 0b1111):  # x^3 + 1, (x+1)(x^2+x+1)
         with pytest.raises(SzVerifyError):
             TwistedField(reducible)
